@@ -21,8 +21,8 @@
 
 #include "bench_util.h"
 #include "wimesh/admit/engine.h"
-#include "wimesh/batch/executor.h"
 #include "wimesh/batch/json.h"
+#include "wimesh/exec/executor.h"
 #include "wimesh/sched/schedule_cache.h"
 
 using namespace wimesh;
@@ -118,7 +118,7 @@ int run_smoke(int jobs, std::uint64_t events, batch::JsonWriter* json) {
 
   ScheduleCache cache;
   std::vector<admit::DifferentialReport> reports(cases.size());
-  batch::run_indexed(jobs, cases.size(), [&](std::size_t i) {
+  exec::run_indexed(jobs, cases.size(), [&](std::size_t i) {
     reports[i] = admit::differential_replay(
         cases[i].topo, RadioModel(110.0, 220.0), canonical_params(),
         PhyMode::ofdm_802_11a(54), engine_config(&cache),
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
 
   ScheduleCache cache;
   std::vector<ItemResult> results(items.size());
-  batch::run_indexed(jobs, items.size(), [&](std::size_t i) {
+  exec::run_indexed(jobs, items.size(), [&](std::size_t i) {
     results[i] = run_item(panels[items[i].panel].topo, items[i].rate, events,
                           &cache);
   });

@@ -8,13 +8,13 @@
 // reuse and compact packing) carries at least as much load as greedy,
 // which in turn beats the naive round-robin ordering.
 //
-// The topology x load x scheduler grid runs on the batch executor
+// The topology x load x scheduler grid runs on the parallel executor
 // (--jobs K) with one shared schedule cache; admission re-solves of an
 // already-seen call mix hit the cache. Output is identical for any K.
 
 #include "bench_util.h"
-#include "wimesh/batch/executor.h"
 #include "wimesh/batch/json.h"
+#include "wimesh/exec/executor.h"
 #include "wimesh/qos/call_dynamics.h"
 #include "wimesh/sched/schedule_cache.h"
 
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
   ScheduleCache cache;
   std::vector<CallDynamicsResult> results(items.size());
-  batch::run_indexed(args.jobs, items.size(), [&](std::size_t i) {
+  exec::run_indexed(args.jobs, items.size(), [&](std::size_t i) {
     results[i] = run(panels[items[i].panel].topo, items[i].erlangs,
                      items[i].kind, &cache);
   });

@@ -16,7 +16,7 @@
 //    strictly less — corrupted receptions persist at every guard length,
 //    so guard time alone cannot restore the loss floor.
 //
-// All points are independent simulations and run on the batch executor
+// All points are independent simulations and run on the parallel executor
 // (--jobs K, identical output for any K — fading is a pure function of
 // (seed, pair, t)); --smoke shrinks durations and the sweep for CI, and
 // --json writes BENCH_phy.json for the artifact trajectory.
@@ -25,9 +25,9 @@
 #include <sstream>
 
 #include "bench_util.h"
-#include "wimesh/batch/executor.h"
 #include "wimesh/batch/json.h"
 #include "wimesh/core/scenario.h"
+#include "wimesh/exec/executor.h"
 
 using namespace wimesh;
 using namespace wimesh::bench;
@@ -58,7 +58,7 @@ std::uint64_t run_families(int jobs, bool smoke, batch::JsonWriter* json) {
                          "mixed_rate.wimesh"};
   const std::string dir = WIMESH_SCENARIO_DIR;
   std::vector<FamilyResult> results(3);
-  batch::run_indexed(jobs, 3, [&](std::size_t i) {
+  exec::run_indexed(jobs, 3, [&](std::size_t i) {
     FamilyResult& out = results[i];
     out.file = files[i];
     auto sc = parse_scenario(read_file_or_die(dir + "/" + files[i]));
@@ -164,7 +164,7 @@ std::uint64_t run_guard_sweep(int jobs, bool smoke, batch::JsonWriter* json) {
   }
   const SimTime duration =
       smoke ? SimTime::milliseconds(500) : SimTime::seconds(2);
-  batch::run_indexed(jobs, points.size(), [&](std::size_t i) {
+  exec::run_indexed(jobs, points.size(), [&](std::size_t i) {
     MeshConfig cfg = guard_config(points[i].guard_us, points[i].fading);
     MeshNetwork net(cfg);
     net.add_voip_call(0, 8, 0, VoipCodec::g729());

@@ -7,12 +7,12 @@
 // worst case (delay is set by slot positions, not queueing); DCF's CDF has
 // a long right tail once the BE load contends.
 //
-// The two MAC runs are independent and execute on the batch executor
+// The two MAC runs are independent and execute on the parallel executor
 // (--jobs K); output is identical for any K.
 
 #include "bench_util.h"
-#include "wimesh/batch/executor.h"
 #include "wimesh/batch/json.h"
+#include "wimesh/exec/executor.h"
 #include "wimesh/sched/schedule_cache.h"
 
 using namespace wimesh;
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   ScheduleCache cache;
   SimulationResult runs[2];
   double analytic = 0.0;
-  batch::run_indexed(args.jobs, 2, [&](std::size_t i) {
+  exec::run_indexed(args.jobs, 2, [&](std::size_t i) {
     MeshNetwork net = build(&cache, args.audit);
     WIMESH_ASSERT(net.compute_plan().has_value());
     runs[i] = net.run(kModes[i], SimTime::seconds(20));

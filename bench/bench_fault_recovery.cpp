@@ -11,7 +11,7 @@
 // Expected shape: every guaranteed flow is restored within a few hundred
 // ms (detection delay + one re-plan + the swap frame boundary + requeue);
 // no flow needs shedding at this load; the repair activation lands exactly
-// on a frame boundary. Per-seed rows run on the batch executor (--jobs K,
+// on a frame boundary. Per-seed rows run on the parallel executor (--jobs K,
 // byte-identical output for any K); --smoke shortens the run for CI.
 
 #include <cinttypes>
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
       if (!o.trace) continue;
       tracers.push_back(o.trace.get());
       if (!export_bench_trace(*o.trace,
-                              trace_path_with_label(targs.path, o.label),
+                              trace::labeled_path(targs.path, o.label),
                               static_cast<std::int64_t>(o.run_index),
                               o.label)) {
         return 1;

@@ -73,9 +73,8 @@ inline bool write_text_file(const std::string& path,
 }
 
 // --trace support for benches that opt in: the value is "OUT[:cats]" like
-// wimesh_run's flag. The suffix after the last ':' is a category list when
-// it looks like one (no '/' or '.'); a malformed list exits with the
-// parser's message.
+// wimesh_run's flag (trace::parse_trace_target), with no suffix meaning
+// all categories. A malformed value exits with the parser's message.
 struct BenchTraceArgs {
   bool enabled = false;
   std::string path;
@@ -84,40 +83,16 @@ struct BenchTraceArgs {
 
 inline BenchTraceArgs parse_trace_value(const char* argv0,
                                         const std::string& value) {
-  BenchTraceArgs out;
-  out.enabled = true;
-  out.path = value;
-  const auto colon = value.rfind(':');
-  if (colon != std::string::npos) {
-    const std::string suffix = value.substr(colon + 1);
-    if (!suffix.empty() && suffix.find('/') == std::string::npos &&
-        suffix.find('.') == std::string::npos) {
-      std::string error;
-      const std::uint32_t mask = trace::parse_categories(suffix, &error);
-      if (!error.empty()) {
-        std::fprintf(stderr, "%s: --trace: %s\n", argv0, error.c_str());
-        std::exit(1);
-      }
-      out.path = value.substr(0, colon);
-      if (mask != 0) out.categories = mask;
-    }
-  }
-  if (out.path.empty()) {
-    std::fprintf(stderr, "%s: --trace needs an output path\n", argv0);
+  const auto target = trace::parse_trace_target(value);
+  if (!target) {
+    std::fprintf(stderr, "%s: --trace: %s\n", argv0, target.error().c_str());
     std::exit(1);
   }
+  BenchTraceArgs out;
+  out.enabled = true;
+  out.path = target->path;
+  if (target->categories != 0) out.categories = target->categories;
   return out;
-}
-
-// "base.json" + label -> "base.<label>.json" (per-run trace files).
-inline std::string trace_path_with_label(const std::string& base,
-                                         const std::string& label) {
-  const auto dot = base.rfind('.');
-  const auto slash = base.find_last_of('/');
-  if (dot != std::string::npos && (slash == std::string::npos || dot > slash)) {
-    return base.substr(0, dot) + "." + label + base.substr(dot);
-  }
-  return base + "." + label;
 }
 
 // Writes one tracer's Perfetto JSON and reports ring overflow, if any.

@@ -8,15 +8,15 @@
 // 10 ms frames) and at least as many as greedy first-fit, whose padding
 // wastes slots on dense conflict graphs.
 //
-// The topology x scheduler grid runs on the batch executor (--jobs K);
+// The topology x scheduler grid runs on the parallel executor (--jobs K);
 // every cell shares one schedule cache, so repeated admission subproblems
 // are solved once. Output is identical for any K.
 
 #include <iterator>
 
 #include "bench_util.h"
-#include "wimesh/batch/executor.h"
 #include "wimesh/batch/json.h"
+#include "wimesh/exec/executor.h"
 #include "wimesh/sched/schedule_cache.h"
 
 using namespace wimesh;
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kNumKinds = std::size(kKinds);
   std::vector<std::size_t> cells(entries.size() * kNumKinds, 0);
   std::vector<std::uint64_t> violations(cells.size(), 0);
-  batch::run_indexed(args.jobs, cells.size(), [&](std::size_t i) {
+  exec::run_indexed(args.jobs, cells.size(), [&](std::size_t i) {
     cells[i] = capacity(entries[i / kNumKinds].topo, kKinds[i % kNumKinds],
                         &cache, args.audit, &violations[i]);
   });

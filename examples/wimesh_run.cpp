@@ -153,44 +153,6 @@ bool write_file(const std::string& path, const std::string& contents) {
   return static_cast<bool>(out);
 }
 
-// Splits "OUT[:cats]". The suffix after the last ':' is treated as a
-// category list only when it looks like one (no '/' or '.', so paths with
-// colons stay intact); a suffix that looks like one but does not parse is
-// an error.
-bool parse_trace_arg(const std::string& arg, std::string* path,
-                     std::uint32_t* categories) {
-  const auto colon = arg.rfind(':');
-  if (colon != std::string::npos) {
-    const std::string suffix = arg.substr(colon + 1);
-    if (!suffix.empty() && suffix.find('/') == std::string::npos &&
-        suffix.find('.') == std::string::npos) {
-      std::string error;
-      const std::uint32_t mask = trace::parse_categories(suffix, &error);
-      if (!error.empty()) {
-        std::fprintf(stderr, "--trace: %s\n", error.c_str());
-        return false;
-      }
-      *path = arg.substr(0, colon);
-      *categories = mask;
-      return !path->empty();
-    }
-  }
-  *path = arg;
-  *categories = 0;  // resolved later: scenario key, then "all"
-  return !path->empty();
-}
-
-// "base.json" + label -> "base.<label>.json" (label before the extension).
-std::string trace_path_for(const std::string& base, const std::string& label) {
-  const auto dot = base.rfind('.');
-  const auto slash = base.find_last_of('/');
-  if (dot != std::string::npos &&
-      (slash == std::string::npos || dot > slash)) {
-    return base.substr(0, dot) + "." + label + base.substr(dot);
-  }
-  return base + "." + label;
-}
-
 // Companion slot-timeline CSV path for a trace JSON path.
 std::string slots_path_for(const std::string& trace_path) {
   const std::string suffix = ".json";
@@ -280,7 +242,6 @@ int main(int argc, char** argv) {
   std::string radio_arg;
   std::string trace_path;
   std::uint32_t trace_cats = 0;
-  bool trace_requested = false;
   bool sweep = false;
   bool audit = false;
   bool audit_fail_fast = false;
@@ -323,10 +284,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--chaos" && i + 1 < argc) {
       return run_chaos_cli(argv[++i]);
     } else if (arg == "--trace" && i + 1 < argc) {
-      if (!parse_trace_arg(argv[++i], &trace_path, &trace_cats)) {
+      const auto target = trace::parse_trace_target(argv[++i]);
+      if (!target) {
+        std::fprintf(stderr, "--trace: %s\n", target.error().c_str());
         return usage(argv[0]);
       }
-      trace_requested = true;
+      trace_path = target->path;
+      trace_cats = target->categories;  // 0: scenario key, then "all"
     } else if (arg == "--demo" || (!arg.empty() && arg[0] != '-')) {
       if (!scenario_arg.empty()) {
         std::fprintf(stderr, "unexpected extra argument '%s'\n", arg.c_str());
@@ -383,12 +347,8 @@ int main(int argc, char** argv) {
   // Tracing is on when --trace was given or the scenario says 'trace ='.
   // Category precedence: --trace suffix, then the scenario key, then all.
   if (trace_cats == 0) trace_cats = scenario->config.trace_categories;
-  if (trace_requested || trace_cats != 0) {
-    if (trace_cats == 0) trace_cats = trace::kAll;
-    if (trace_path.empty()) trace_path = "wimesh_trace.json";
-  } else {
-    trace_cats = 0;
-  }
+  if (trace_cats == 0 && !trace_path.empty()) trace_cats = trace::kAll;
+  if (trace_cats != 0 && trace_path.empty()) trace_path = "wimesh_trace.json";
   trace::TraceConfig trace_config;
   trace_config.categories = trace_cats;
   trace_config.capacity = std::size_t{1} << 18;
@@ -444,7 +404,7 @@ int main(int argc, char** argv) {
       for (const auto& o : outcomes) {
         if (!o.trace) continue;
         tracers.push_back(o.trace.get());
-        if (!export_trace(*o.trace, trace_path_for(trace_path, o.label),
+        if (!export_trace(*o.trace, trace::labeled_path(trace_path, o.label),
                           static_cast<std::int64_t>(o.run_index), o.label)) {
           return 1;
         }

@@ -78,9 +78,6 @@ struct MeshConfig {
   // (single global solve). Zoning trades global delay optimality for
   // city-scale tractability; the composed schedule is still conflict-free.
   int zones = 0;
-  // DES event structure for run(); both kinds produce bit-identical
-  // results (see wimesh/des/simulator.h).
-  EventQueueKind event_queue = EventQueueKind::kCalendarQueue;
 };
 
 struct FlowResult {

@@ -7,7 +7,8 @@
 //   # lines starting with '#' are comments; keys are 'key = value'
 //   topology = grid 3 3 100          # chain N S | grid R C S | ring N R |
 //                                    # random N SIDE RANGE SEED | tree A D S |
-//                                    # custom
+//                                    # custom (chain N >= 1, ring N >= 3,
+//                                    # both integers)
 //   node 0 0 0                       # with 'topology = custom': one
 //   node 1 100 0                     # 'node <id> <x> <y>' line per node
 //   link 0 1                         # (dense ids 0..N-1) and one
@@ -18,9 +19,6 @@
 //   zones = 4                        # partition the mesh into N zones and
 //                                    # schedule them in parallel
 //                                    # (wimesh::zones); 0 = off (default)
-//   event_queue = calendar           # calendar | heap — DES event
-//                                    # structure (bit-identical results;
-//                                    # heap is the differential reference)
 //   comm_range = 110
 //   interference_range = 220
 //   phy = ofdm54                     # ofdm{6,9,12,18,24,36,48,54},
@@ -48,10 +46,11 @@
 //   floor 4 1                        # 'floor <node> <level>': storey of a
 //                                    # node (default 0); each level of
 //                                    # separation adds floor_loss dB
-//   frame_ms = 10
-//   control_slots = 4
-//   data_slots = 96
-//   guard_us = auto                  # 'auto' or microseconds
+//   frame_ms = 10                    # integer in [1, 1000]
+//   control_slots = 4                # integer in [0, 4096]
+//   data_slots = 96                  # integer in [1, 4096]
+//   guard_us = auto                  # 'auto' or integer microseconds
+//                                    # in [0, 1000000]
 //   scheduler = ilp-delay            # ilp-delay|ilp-nodelay|greedy|round-robin
 //   ilp = threads=4,portfolio=2      # ILP solver knobs, comma-separated:
 //                                    #   [no-]cuts | [no-]symmetry |

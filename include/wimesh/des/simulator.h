@@ -7,21 +7,11 @@
 // traffic and synchronization models in this repo are processes driven by
 // this kernel.
 //
-// Two interchangeable event structures sit behind the same Simulator API:
-//
-//  * kCalendarQueue (default) — a Brown calendar queue: events hash into
-//    time-bucketed "days" of an adaptively sized "year", giving O(1)
-//    amortized insert/extract under the steady event populations a
-//    city-scale mesh produces (every node contributes frame-periodic
-//    events, so the population is large and the inter-event gap stable —
-//    the calendar's best case).
-//  * kBinaryHeap — the original std::priority_queue kernel, retained as a
-//    fallback and as the reference implementation for differential tests.
-//
-// Both structures order events by (time, insertion sequence), so the event
-// order — and therefore every simulation result — is bit-identical between
-// them (proven by des_test's differential stress and the golden
-// scale-equivalence suite).
+// Events live in one binary heap (std::priority_queue) ordered by
+// (time, event id); ids are assigned in schedule order, so equal-time events
+// run in the order they were scheduled. Cancellation is lazy: a cancelled
+// event stays queued and is discarded when it reaches the top, so
+// pending_events() subtracts the cancelled-but-queued count.
 
 #include <cstdint>
 #include <functional>
@@ -42,82 +32,15 @@ struct EventHandle {
   bool valid() const { return id != 0; }
 };
 
-// Which event structure a Simulator runs on (see file comment).
-enum class EventQueueKind {
-  kCalendarQueue,
-  kBinaryHeap,
-};
-
-namespace detail {
-
-// One queued event. Ordered by (time, seq): seq gives FIFO order among
-// same-time events.
-struct DesEntry {
-  SimTime time;
-  std::uint64_t seq = 0;
-  std::uint64_t id = 0;
-
-  friend bool operator>(const DesEntry& a, const DesEntry& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-  friend bool operator<(const DesEntry& a, const DesEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-};
-
-// Brown's calendar queue (Brown 1988): buckets of width `width_` ns cover
-// one "year" of nbuckets_ * width_ ns; an event at time t lands in bucket
-// (t / width) % nbuckets. Extract-min sweeps forward from the current
-// bucket, considering only events inside the bucket's current year; a
-// fruitless full sweep falls back to a direct search (events far in the
-// future). The bucket count doubles/halves with the population and the
-// width re-derives from the live events' spread, keeping buckets near one
-// event each. Buckets are kept sorted ascending so the front is the bucket
-// minimum and equal-time FIFO order is preserved.
-class CalendarQueue {
- public:
-  CalendarQueue();
-
-  void push(const DesEntry& e);
-  DesEntry pop_min();
-  // Time of the minimum entry without removing it. Like pop_min, requires
-  // a non-empty queue; repositions the internal cursor (not logically
-  // observable).
-  SimTime min_time();
-  bool empty() const { return count_ == 0; }
-  std::size_t size() const { return count_; }
-
- private:
-  std::size_t bucket_of(std::int64_t t) const {
-    return static_cast<std::size_t>(t / width_) & (buckets_.size() - 1);
-  }
-  // Positions cursor_/cursor_top_ so the global minimum entry sits at the
-  // front of buckets_[cursor_]. Requires count_ > 0.
-  void locate_min();
-  void resize(std::size_t nbuckets);
-
-  std::vector<std::vector<DesEntry>> buckets_;  // each sorted ascending
-  std::int64_t width_ = 1;      // bucket width, ns (>= 1)
-  std::size_t count_ = 0;       // total queued entries
-  std::size_t cursor_ = 0;      // bucket the sweep resumes from
-  std::int64_t cursor_top_ = 0; // exclusive time bound of cursor_'s year
-};
-
-}  // namespace detail
-
 class Simulator {
  public:
   using EventFn = std::function<void()>;
 
-  explicit Simulator(EventQueueKind queue_kind = EventQueueKind::kCalendarQueue)
-      : queue_kind_(queue_kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
-  EventQueueKind queue_kind() const { return queue_kind_; }
 
   // Schedules fn at absolute time t (must not be in the past).
   EventHandle schedule_at(SimTime t, EventFn fn);
@@ -147,27 +70,28 @@ class Simulator {
 
   std::uint64_t events_executed() const { return events_executed_; }
   std::size_t pending_events() const {
-    return queue_size() - cancelled_.size();
+    return queue_.size() - cancelled_.size();
   }
 
  private:
+  // One queued event, ordered by (time, id): ids are issued in schedule
+  // order, so same-time events run FIFO.
+  struct Entry {
+    SimTime time;
+    std::uint64_t id = 0;
+
+    friend bool operator>(const Entry& a, const Entry& b) {
+      return a.time != b.time ? a.time > b.time : a.id > b.id;
+    }
+  };
+
   void execute_next();
-  void queue_push(const detail::DesEntry& e);
-  detail::DesEntry queue_pop();
-  SimTime queue_min_time();
-  bool queue_empty() const;
-  std::size_t queue_size() const;
 
   SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t events_executed_ = 0;
   bool stop_requested_ = false;
-  EventQueueKind queue_kind_;
-  detail::CalendarQueue calendar_;
-  std::priority_queue<detail::DesEntry, std::vector<detail::DesEntry>,
-                      std::greater<>>
-      heap_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
   std::unordered_map<std::uint64_t, EventFn> handlers_;
   std::unordered_set<std::uint64_t> cancelled_;
 };

@@ -10,9 +10,11 @@
 // keeps the exported bytes bit-identical for any --jobs value. Wall-clock
 // data is reported instead through span_summary(), a human-facing table.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "wimesh/common/expected.h"
 #include "wimesh/trace/trace.h"
 
 namespace wimesh::trace {
@@ -41,5 +43,22 @@ std::string to_slot_csv(const Tracer& tracer);
 // name across the given tracers (rows in fixed SpanName order).
 std::string span_summary(const std::vector<const Tracer*>& tracers);
 std::string span_summary(const Tracer& tracer);
+
+// A parsed "--trace OUT[:cats]" value.
+struct TraceTarget {
+  std::string path;
+  // Category mask of the ":cats" suffix; 0 when there is no suffix (or it
+  // names no category), so each caller picks its own default.
+  std::uint32_t categories = 0;
+};
+
+// Splits "OUT[:cats]". The text after the last ':' is a category list
+// only when it looks like one (non-empty, no '/' or '.'), so paths with
+// colons stay intact. An unknown category or an empty path is an error.
+Expected<TraceTarget> parse_trace_target(const std::string& arg);
+
+// "base.json" + label -> "base.<label>.json": the label goes before the
+// extension of the last path component (appended when it has none).
+std::string labeled_path(const std::string& base, const std::string& label);
 
 }  // namespace wimesh::trace

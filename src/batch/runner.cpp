@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <utility>
 
-#include "wimesh/batch/executor.h"
 #include "wimesh/batch/json.h"
 #include "wimesh/common/rng.h"
 #include "wimesh/common/strings.h"
+#include "wimesh/exec/executor.h"
 
 namespace wimesh::batch {
 
@@ -30,7 +30,7 @@ std::vector<RunSpec> seed_sweep(const Scenario& base, std::uint64_t index_lo,
 std::vector<RunOutcome> run_batch(const std::vector<RunSpec>& specs,
                                   const BatchOptions& options) {
   std::vector<RunOutcome> outcomes(specs.size());
-  run_indexed(options.jobs, specs.size(), [&](std::size_t i) {
+  exec::run_indexed(options.jobs, specs.size(), [&](std::size_t i) {
     const RunSpec& spec = specs[i];
     RunOutcome& out = outcomes[i];
     out.run_index = spec.run_index;

@@ -163,7 +163,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     has_plan_ = true;
   }
 
-  Simulator sim(config_.event_queue);
+  Simulator sim;
   Rng root(config_.seed);
   const NodeId n = config_.topology.node_count();
   const RadioModel radio(config_.comm_range, config_.interference_range);

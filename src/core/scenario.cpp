@@ -43,6 +43,29 @@ Expected<double> to_number(const std::string& s, std::size_t line_no) {
   }
 }
 
+// Parses an integer-valued field, rejecting fractions and values outside
+// [lo, hi] with a line-numbered error naming the field (a plain cast of an
+// out-of-range double is undefined behaviour, and a zero frame or slot
+// count reaches asserts and integer division downstream).
+template <typename Int>
+Expected<Int> to_integer(const std::string& s, std::size_t line_no,
+                         const char* field, Int lo, Int hi) {
+  const auto v = to_number(s, line_no);
+  if (!v) return make_error(v.error());
+  if (!(*v >= static_cast<double>(lo) && *v <= static_cast<double>(hi) &&
+        *v == std::floor(*v))) {
+    return make_error(str_cat("line ", line_no, ": ", field,
+                              " must be an integer in [", lo, ", ", hi,
+                              "] (got '", s, "')"));
+  }
+  return static_cast<Int>(*v);
+}
+
+// Slot-count cap per subframe: with frame_ms >= 1 it keeps every
+// minislot at least ~100 ns long and total_slots() far from int overflow.
+constexpr int kMaxSubframeSlots = 4096;
+constexpr NodeId kMaxNodes = std::numeric_limits<NodeId>::max();
+
 // Applies one comma-separated "ilp =" knob list onto `opt` (repeated lines
 // accumulate, later tokens win). Grammar documented in core/scenario.h.
 Expected<bool> apply_ilp_options(IlpSchedulerOptions& opt,
@@ -374,10 +397,12 @@ Expected<Topology> parse_topology(const std::vector<std::string>& args,
                                               ": empty topology"));
   const std::string& kind = args[0];
   if (kind == "chain" && need(3)) {
-    const auto n = num(1);
+    const auto n = to_integer<NodeId>(args[1], line_no,
+                                      "topology chain node count", 1,
+                                      kMaxNodes);
     const auto s = num(2);
     if (!n || !s) return make_error(n ? s.error() : n.error());
-    return make_chain(static_cast<NodeId>(*n), *s);
+    return make_chain(*n, *s);
   }
   if (kind == "grid" && need(4)) {
     const auto r = num(1);
@@ -391,10 +416,13 @@ Expected<Topology> parse_topology(const std::vector<std::string>& args,
     return std::move(*topo);
   }
   if (kind == "ring" && need(3)) {
-    const auto n = num(1);
+    const auto n = to_integer<NodeId>(args[1], line_no,
+                                      "topology ring node count", 3,
+                                      kMaxNodes);
+    if (!n) return make_error(n.error());
     const auto r = num(2);
-    if (!n || !r) return make_error("bad ring arguments");
-    return make_ring(static_cast<NodeId>(*n), *r);
+    if (!r) return make_error("bad ring arguments");
+    return make_ring(*n, *r);
   }
   if (kind == "random" && need(5)) {
     const auto n = num(1);
@@ -594,23 +622,9 @@ Expected<Scenario> parse_scenario(const std::string& text) {
       sc.config.topology = std::move(*topo);
       have_topology = true;
     } else if (key == "zones") {
-      const auto v = numeric();
+      const auto v = to_integer<int>(value, line_no, "zones", 0, kMaxNodes);
       if (!v) return make_error(v.error());
-      if (*v < 0) {
-        return make_error(str_cat("line ", line_no,
-                                  ": zones must be >= 0 (0 disables "
-                                  "zoning)"));
-      }
-      sc.config.zones = static_cast<int>(*v);
-    } else if (key == "event_queue") {
-      if (value == "calendar") {
-        sc.config.event_queue = EventQueueKind::kCalendarQueue;
-      } else if (value == "heap") {
-        sc.config.event_queue = EventQueueKind::kBinaryHeap;
-      } else {
-        return make_error(str_cat("line ", line_no,
-                                  ": event_queue must be calendar|heap"));
-      }
+      sc.config.zones = *v;
     } else if (key == "comm_range") {
       const auto v = numeric();
       if (!v) return make_error(v.error());
@@ -624,27 +638,28 @@ Expected<Scenario> parse_scenario(const std::string& text) {
       if (!phy) return make_error(phy.error());
       sc.config.phy = std::move(*phy);
     } else if (key == "frame_ms") {
-      const auto v = numeric();
+      const auto v = to_integer<int>(value, line_no, "frame_ms", 1, 1000);
       if (!v) return make_error(v.error());
-      sc.config.emulation.frame.frame_duration =
-          SimTime::milliseconds(static_cast<std::int64_t>(*v));
+      sc.config.emulation.frame.frame_duration = SimTime::milliseconds(*v);
     } else if (key == "control_slots") {
-      const auto v = numeric();
+      const auto v = to_integer<int>(value, line_no, "control_slots", 0,
+                                     kMaxSubframeSlots);
       if (!v) return make_error(v.error());
-      sc.config.emulation.frame.control_slots = static_cast<int>(*v);
+      sc.config.emulation.frame.control_slots = *v;
     } else if (key == "data_slots") {
-      const auto v = numeric();
+      const auto v = to_integer<int>(value, line_no, "data_slots", 1,
+                                     kMaxSubframeSlots);
       if (!v) return make_error(v.error());
-      sc.config.emulation.frame.data_slots = static_cast<int>(*v);
+      sc.config.emulation.frame.data_slots = *v;
     } else if (key == "guard_us") {
       if (value == "auto") {
         sc.config.auto_guard = true;
       } else {
-        const auto v = numeric();
+        const auto v = to_integer<int>(value, line_no, "guard_us", 0,
+                                       1'000'000);
         if (!v) return make_error(v.error());
         sc.config.auto_guard = false;
-        sc.config.emulation.guard_time =
-            SimTime::microseconds(static_cast<std::int64_t>(*v));
+        sc.config.emulation.guard_time = SimTime::microseconds(*v);
       }
     } else if (key == "scheduler") {
       if (value == "ilp-delay") {

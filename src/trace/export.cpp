@@ -366,4 +366,29 @@ std::string span_summary(const Tracer& tracer) {
   return span_summary(std::vector<const Tracer*>{&tracer});
 }
 
+Expected<TraceTarget> parse_trace_target(const std::string& arg) {
+  TraceTarget target{arg, 0};
+  const auto colon = arg.rfind(':');
+  if (colon != std::string::npos) {
+    const std::string suffix = arg.substr(colon + 1);
+    if (!suffix.empty() && suffix.find_first_of("/.") == std::string::npos) {
+      std::string error;
+      target.categories = parse_categories(suffix, &error);
+      if (!error.empty()) return make_error(error);
+      target.path = arg.substr(0, colon);
+    }
+  }
+  if (target.path.empty()) return make_error("trace output path is empty");
+  return target;
+}
+
+std::string labeled_path(const std::string& base, const std::string& label) {
+  const auto dot = base.rfind('.');
+  const auto slash = base.find_last_of('/');
+  if (dot != std::string::npos && (slash == std::string::npos || dot > slash)) {
+    return base.substr(0, dot) + "." + label + base.substr(dot);
+  }
+  return base + "." + label;
+}
+
 }  // namespace wimesh::trace

@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "wimesh/batch/executor.h"
 #include "wimesh/batch/json.h"
 #include "wimesh/batch/runner.h"
 #include "wimesh/common/rng.h"
+#include "wimesh/exec/executor.h"
 
 namespace wimesh {
 namespace {
@@ -70,17 +70,17 @@ TEST(DeriveStream, PureAndDistinct) {
 }
 
 TEST(Executor, EffectiveJobsClamps) {
-  EXPECT_EQ(batch::effective_jobs(0, 10), 1);
-  EXPECT_EQ(batch::effective_jobs(-3, 10), 1);
-  EXPECT_EQ(batch::effective_jobs(4, 10), 4);
-  EXPECT_EQ(batch::effective_jobs(16, 3), 3);
-  EXPECT_EQ(batch::effective_jobs(8, 0), 1);
+  EXPECT_EQ(exec::effective_jobs(0, 10), 1);
+  EXPECT_EQ(exec::effective_jobs(-3, 10), 1);
+  EXPECT_EQ(exec::effective_jobs(4, 10), 4);
+  EXPECT_EQ(exec::effective_jobs(16, 3), 3);
+  EXPECT_EQ(exec::effective_jobs(8, 0), 1);
 }
 
 TEST(Executor, EveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 1000;
   std::vector<std::atomic<int>> hits(kCount);
-  batch::run_indexed(8, kCount, [&](std::size_t i) {
+  exec::run_indexed(8, kCount, [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < kCount; ++i) {
@@ -89,7 +89,7 @@ TEST(Executor, EveryIndexExactlyOnce) {
 }
 
 TEST(Executor, PropagatesFirstException) {
-  EXPECT_THROW(batch::run_indexed(4, 100,
+  EXPECT_THROW(exec::run_indexed(4, 100,
                                   [](std::size_t i) {
                                     if (i == 37) {
                                       throw std::runtime_error("job 37");
@@ -101,7 +101,7 @@ TEST(Executor, PropagatesFirstException) {
 TEST(ScheduleCacheTest, ComputesOncePerKeyUnderContention) {
   ScheduleCache cache;
   std::atomic<int> computed{0};
-  batch::run_indexed(8, 64, [&](std::size_t) {
+  exec::run_indexed(8, 64, [&](std::size_t) {
     const CachedSchedule got =
         cache.get_or_compute("same-key", [&] {
           computed.fetch_add(1, std::memory_order_relaxed);

@@ -10,6 +10,17 @@
 namespace wimesh {
 namespace {
 
+// Deterministic xorshift64 stream for the randomized kernel workloads.
+struct XorShift {
+  std::uint64_t x;
+  std::uint64_t operator()() {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  }
+};
+
 TEST(SimulatorTest, StartsAtZero) {
   Simulator sim;
   EXPECT_EQ(sim.now(), SimTime::zero());
@@ -146,13 +157,10 @@ TEST(SimulatorTest, NegativeDelayFromWithinEventAsserts) {
   sim.run_all();
 }
 
-// Regression for the calendar queue's cursor: events pushed out of time
-// order before the first pop (no now-barrier constrains them) must still
-// execute in time order. The far-future push aims the cursor at its
-// bucket; the near push must re-aim it or the sweep returns the wrong
-// minimum.
+// Events pushed out of time order before the first pop (no now-barrier
+// constrains them) must still execute in time order.
 TEST(SimulatorTest, OutOfOrderPushesBeforeFirstPopRunInOrder) {
-  Simulator sim;  // calendar queue is the default
+  Simulator sim;
   std::vector<int> order;
   sim.schedule_at(SimTime::seconds(1), [&] { order.push_back(2); });
   sim.schedule_at(SimTime::nanoseconds(5), [&] { order.push_back(1); });
@@ -162,111 +170,99 @@ TEST(SimulatorTest, OutOfOrderPushesBeforeFirstPopRunInOrder) {
   EXPECT_EQ(sim.now(), SimTime::seconds(1));
 }
 
-// Heavy cancel traffic on both queue kinds: pending_events must track
-// exactly (queued - cancelled), double-cancels must be no-ops, and only
-// surviving events may fire.
+// Heavy cancel traffic: pending_events must track exactly
+// (queued - cancelled), double-cancels must be no-ops, and only surviving
+// events may fire.
 TEST(SimulatorTest, CancelAccountingStress) {
-  for (const EventQueueKind kind :
-       {EventQueueKind::kCalendarQueue, EventQueueKind::kBinaryHeap}) {
-    Simulator sim(kind);
-    std::uint64_t x = 0x9e3779b97f4a7c15ull;
-    const auto next = [&x] {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      return x;
-    };
-    std::vector<EventHandle> handles;
-    std::size_t fired = 0;
-    constexpr std::size_t kEvents = 3000;
-    for (std::size_t i = 0; i < kEvents; ++i) {
-      handles.push_back(sim.schedule_at(
-          SimTime::nanoseconds(static_cast<std::int64_t>(next() % 1'000'000)),
-          [&] { ++fired; }));
-    }
-    std::size_t cancelled = 0;
-    for (std::size_t i = 0; i < handles.size(); i += 3) {
-      sim.cancel(handles[i]);
-      ++cancelled;
-    }
-    for (std::size_t i = 0; i < handles.size(); i += 9) {
-      sim.cancel(handles[i]);  // repeat cancels must not double-count
-    }
-    sim.cancel(EventHandle{});  // invalid handle is a no-op
-    EXPECT_EQ(sim.pending_events(), kEvents - cancelled);
-    sim.run_all();
-    EXPECT_EQ(fired, kEvents - cancelled);
-    EXPECT_EQ(sim.events_executed(), kEvents - cancelled);
-    EXPECT_EQ(sim.pending_events(), 0u);
+  Simulator sim;
+  XorShift next{0x9e3779b97f4a7c15ull};
+  std::vector<EventHandle> handles;
+  std::size_t fired = 0;
+  constexpr std::size_t kEvents = 3000;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    handles.push_back(sim.schedule_at(
+        SimTime::nanoseconds(static_cast<std::int64_t>(next() % 1'000'000)),
+        [&] { ++fired; }));
   }
+  std::size_t cancelled = 0;
+  for (std::size_t i = 0; i < handles.size(); i += 3) {
+    sim.cancel(handles[i]);
+    ++cancelled;
+  }
+  for (std::size_t i = 0; i < handles.size(); i += 9) {
+    sim.cancel(handles[i]);  // repeat cancels must not double-count
+  }
+  sim.cancel(EventHandle{});  // invalid handle is a no-op
+  EXPECT_EQ(sim.pending_events(), kEvents - cancelled);
+  sim.run_all();
+  EXPECT_EQ(fired, kEvents - cancelled);
+  EXPECT_EQ(sim.events_executed(), kEvents - cancelled);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-// Differential stress: the calendar queue and the binary heap must produce
-// the exact same execution — same event order, same clock, same counters —
-// on a workload of random times, equal-time bursts (FIFO ties), nested
-// scheduling and random cancels. The workload is a pure function of the
-// event order, so any ordering divergence desynchronizes the RNG streams
-// and shows up as a log mismatch.
-struct RunLog {
-  std::vector<std::int64_t> times;
-  std::vector<int> tags;
-  std::uint64_t executed = 0;
-  std::int64_t end_ns = 0;
-
-  friend bool operator==(const RunLog&, const RunLog&) = default;
-};
-
-TEST(SimulatorTest, CalendarMatchesHeapOnRandomWorkload) {
-  const auto run = [](EventQueueKind kind) {
-    Simulator sim(kind);
-    std::uint64_t x = 0x243f6a8885a308d3ull;
-    const auto next = [&x] {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      return x;
-    };
-    RunLog log;
-    std::vector<EventHandle> handles;
-    int next_tag = 0;
-    std::function<void(SimTime, int)> spawn = [&](SimTime t, int depth) {
-      const int tag = next_tag++;
-      handles.push_back(sim.schedule_at(t, [&, tag, depth] {
-        log.times.push_back(sim.now().ns());
-        log.tags.push_back(tag);
-        if (depth < 2) {
-          const int children = static_cast<int>(next() % 3);
-          for (int c = 0; c < children; ++c) {
-            spawn(sim.now() + SimTime::nanoseconds(
-                                  static_cast<std::int64_t>(next() % 50'000)),
-                  depth + 1);
-          }
+// Random workload of scattered times, a 64-event equal-time burst, nested
+// scheduling and cancels made from inside events, checked against an
+// expectation kept outside the kernel: executed times never decrease,
+// equal-time events run in ascending tag (= schedule) order, no cancelled
+// event fires, and events_executed() equals the events scheduled minus the
+// cancels that hit a still-pending event.
+TEST(SimulatorTest, RandomWorkloadRunsInTimeThenScheduleOrder) {
+  Simulator sim;
+  XorShift next{0x243f6a8885a308d3ull};
+  enum class State { kPending, kFired, kCancelled };
+  std::vector<State> state;          // indexed by tag
+  std::vector<EventHandle> handles;  // indexed by tag
+  std::size_t effective_cancels = 0;
+  std::int64_t last_ns = -1;
+  std::size_t last_tag = 0;
+  std::function<void(SimTime, int)> spawn = [&](SimTime t, int depth) {
+    const std::size_t tag = state.size();
+    state.push_back(State::kPending);
+    handles.push_back(sim.schedule_at(t, [&, tag, depth] {
+      EXPECT_EQ(state[tag], State::kPending);
+      state[tag] = State::kFired;
+      const std::int64_t now_ns = sim.now().ns();
+      EXPECT_GE(now_ns, last_ns);
+      if (now_ns == last_ns) {
+        EXPECT_GT(tag, last_tag);
+      }
+      last_ns = now_ns;
+      last_tag = tag;
+      if (depth < 2) {
+        const int children = static_cast<int>(next() % 3);
+        for (int c = 0; c < children; ++c) {
+          spawn(sim.now() + SimTime::nanoseconds(
+                                static_cast<std::int64_t>(next() % 50'000)),
+                depth + 1);
         }
-        if (next() % 4 == 0) {
-          sim.cancel(handles[next() % handles.size()]);
+      }
+      if (next() % 4 == 0) {
+        const std::size_t victim = next() % handles.size();
+        if (state[victim] == State::kPending) {
+          state[victim] = State::kCancelled;
+          ++effective_cancels;
         }
-      }));
-    };
-    for (int i = 0; i < 400; ++i) {
-      spawn(SimTime::nanoseconds(static_cast<std::int64_t>(next() % 2'000'000)),
-            0);
-    }
-    // Equal-time bursts: FIFO tie-breaking must match between the kinds.
-    for (int i = 0; i < 64; ++i) spawn(SimTime::microseconds(700), 0);
-    sim.run_all();
-    log.executed = sim.events_executed();
-    log.end_ns = sim.now().ns();
-    return log;
+        sim.cancel(handles[victim]);
+      }
+    }));
   };
-  const RunLog calendar = run(EventQueueKind::kCalendarQueue);
-  const RunLog heap = run(EventQueueKind::kBinaryHeap);
-  EXPECT_EQ(calendar, heap);
-  EXPECT_GT(calendar.executed, 400u);  // the workload actually fanned out
+  for (int i = 0; i < 400; ++i) {
+    spawn(SimTime::nanoseconds(static_cast<std::int64_t>(next() % 2'000'000)),
+          0);
+  }
+  // Equal-time burst: FIFO tie-breaking must follow schedule order.
+  for (int i = 0; i < 64; ++i) spawn(SimTime::microseconds(700), 0);
+  sim.run_all();
+  EXPECT_EQ(sim.events_executed(), state.size() - effective_cancels);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.now().ns(), last_ns);
+  EXPECT_GT(state.size(), 464u);  // the workload actually fanned out
+  EXPECT_GT(effective_cancels, 0u);
 }
 
-// run_until interleaved with fresh pushes across horizons exercises the
-// calendar cursor through repeated drain/refill cycles and resizes.
-TEST(SimulatorTest, CalendarSurvivesDrainRefillCycles) {
+// run_until interleaved with fresh pushes across horizons: the queue
+// drains and refills repeatedly, and time order must hold throughout.
+TEST(SimulatorTest, SurvivesDrainRefillCycles) {
   Simulator sim;
   std::size_t fired = 0;
   std::int64_t last_ns = -1;

@@ -1,14 +1,8 @@
-// Golden scale-equivalence suite: the two optimizations that make
-// city-scale runs tractable must be invisible to every result.
-//
-//  * The sparse conflict-graph builders (spatial hash / graph
-//    neighborhoods) must produce the exact graph — node count, edge count,
-//    edge insertion order, hence EdgeIds — of the O(L^2) pairwise
-//    reference builders, across every topology family and every shipped
-//    scenario file.
-//  * The calendar-queue DES kernel must reproduce the binary heap's
-//    simulation results byte-for-byte (compared through the batch
-//    runner's deterministic JSON serialization).
+// Golden scale-equivalence suite: the sparse conflict-graph builders
+// (spatial hash / graph neighborhoods) that make city-scale runs tractable
+// must produce the exact graph — node count, edge count, edge insertion
+// order, hence EdgeIds — of the O(L^2) pairwise reference builders, across
+// every topology family and every shipped scenario file.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "wimesh/batch/runner.h"
 #include "wimesh/common/rng.h"
 #include "wimesh/core/scenario.h"
 #include "wimesh/graph/topology.h"
@@ -132,41 +125,6 @@ TEST(ScaleEquivalenceTest, ScenarioFileProblemsMatchNaive) {
         build_conflict_graph_naive(built.problem.links,
                                    sc->config.topology.positions, radio),
         file);
-  }
-}
-
-// Full-run differential: the same scenario simulated on the calendar
-// queue and on the binary heap must serialize to the same bytes.
-TEST(ScaleEquivalenceTest, CalendarQueueRunsMatchHeapByteForByte) {
-  const std::string scenarios[] = {
-      "topology = chain 4 100\n"
-      "duration_s = 2\n"
-      "audit = on\n"
-      "voip 0 0 3 g729 100\n"
-      "bulk 10 3 0 1200 500000\n",
-      "topology = grid 3 3 100\n"
-      "duration_s = 1\n"
-      "scheduler = ilp-delay\n"
-      "voip 0 8 0 g711 100\n"
-      "video 1 6 0 400000\n",
-      "topology = chain 5 100\n"
-      "duration_s = 1\n"
-      "mac = dcf\n"
-      "voip 0 0 4 g711 150\n",
-  };
-  for (const std::string& base : scenarios) {
-    const auto run = [&](const char* queue) {
-      const auto sc =
-          parse_scenario(base + "event_queue = " + queue + "\n");
-      EXPECT_TRUE(sc.has_value()) << (sc.has_value() ? "" : sc.error());
-      if (!sc.has_value()) return std::string();
-      const std::vector<batch::RunSpec> specs = batch::seed_sweep(*sc, 1, 2);
-      return batch::results_json(batch::run_batch(specs, {}));
-    };
-    const std::string calendar = run("calendar");
-    const std::string heap = run("heap");
-    EXPECT_FALSE(calendar.empty());
-    EXPECT_EQ(calendar, heap);
   }
 }
 

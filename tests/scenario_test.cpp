@@ -108,6 +108,51 @@ TEST(ScenarioParserTest, RejectsBadValues) {
                    .has_value());
 }
 
+// Integer fields go through one range-checked parser: fractions, zeros,
+// negatives and values beyond the type's range are line-numbered errors
+// naming the field, not truncating casts that reach asserts, SIGFPE or
+// undefined behaviour downstream.
+TEST(ScenarioParserTest, IntegerFieldsRejectOutOfRangeValues) {
+  struct Case {
+    const char* line;   // the offending line (line 2 of the scenario)
+    const char* field;  // the name the error must carry
+  };
+  const Case cases[] = {
+      {"frame_ms = 0.5", "frame_ms"},
+      {"frame_ms = 0", "frame_ms"},
+      {"frame_ms = 1e30", "frame_ms"},
+      {"control_slots = -1", "control_slots"},
+      {"control_slots = 2.5", "control_slots"},
+      {"data_slots = 0", "data_slots"},
+      {"data_slots = 1e30", "data_slots"},
+      {"data_slots = nan", "data_slots"},
+      {"guard_us = -5", "guard_us"},
+      {"guard_us = 1e300", "guard_us"},
+      {"topology = chain 0.5 100", "chain node count"},
+      {"topology = chain 0 100", "chain node count"},
+      {"topology = chain 1e30 100", "chain node count"},
+      {"topology = ring 2 100", "ring node count"},
+      {"topology = ring 4.5 100", "ring node count"},
+  };
+  for (const Case& c : cases) {
+    const auto sc = parse_scenario(std::string("topology = chain 3 100\n") +
+                                   c.line + "\nvoip 0 0 2 g729 100\n");
+    ASSERT_FALSE(sc.has_value()) << c.line;
+    EXPECT_NE(sc.error().find("line 2:"), std::string::npos)
+        << c.line << ": " << sc.error();
+    EXPECT_NE(sc.error().find(c.field), std::string::npos)
+        << c.line << ": " << sc.error();
+  }
+  // The limits themselves are accepted.
+  const auto edge = parse_scenario(
+      "topology = chain 1 100\nframe_ms = 1000\ncontrol_slots = 0\n"
+      "data_slots = 4096\nguard_us = 0\nvoip 0 0 0 g729 100\n");
+  ASSERT_TRUE(edge.has_value()) << edge.error();
+  EXPECT_EQ(edge->config.emulation.frame.frame_duration,
+            SimTime::milliseconds(1000));
+  EXPECT_EQ(edge->config.emulation.frame.data_slots, 4096);
+}
+
 TEST(ScenarioParserTest, AuditKeyParsesAllModes) {
   const std::string base = "topology = chain 3 100\nvoip 0 0 2 g729 100\n";
   const auto off = parse_scenario(base + "audit = off\n");
@@ -409,7 +454,7 @@ TEST(ScenarioParserTest, CustomTopologyActuallyRuns) {
   for (const FlowResult& f : r.flows) EXPECT_LT(f.stats.loss_rate(), 0.01);
 }
 
-// ------------------------------------------------- zones / event_queue keys
+// ------------------------------------------------------------- zones key
 
 TEST(ScenarioParserTest, ZonesKeyParses) {
   const std::string base = "topology = grid 3 3 100\nvoip 0 8 0 g729 100\n";
@@ -422,22 +467,6 @@ TEST(ScenarioParserTest, ZonesKeyParses) {
   const auto neg = parse_scenario(base + "zones = -1\n");
   ASSERT_FALSE(neg.has_value());
   EXPECT_NE(neg.error().find("zones"), std::string::npos);
-}
-
-TEST(ScenarioParserTest, EventQueueKeyParses) {
-  const std::string base = "topology = chain 3 100\nvoip 0 0 2 g729 100\n";
-  const auto def = parse_scenario(base);
-  ASSERT_TRUE(def.has_value());
-  EXPECT_EQ(def->config.event_queue, EventQueueKind::kCalendarQueue);
-  const auto heap = parse_scenario(base + "event_queue = heap\n");
-  ASSERT_TRUE(heap.has_value());
-  EXPECT_EQ(heap->config.event_queue, EventQueueKind::kBinaryHeap);
-  const auto cal = parse_scenario(base + "event_queue = calendar\n");
-  ASSERT_TRUE(cal.has_value());
-  EXPECT_EQ(cal->config.event_queue, EventQueueKind::kCalendarQueue);
-  const auto bad = parse_scenario(base + "event_queue = skiplist\n");
-  ASSERT_FALSE(bad.has_value());
-  EXPECT_NE(bad.error().find("calendar|heap"), std::string::npos);
 }
 
 // A zoned scenario must plan and run end-to-end, with the zone accounting

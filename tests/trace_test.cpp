@@ -415,6 +415,44 @@ TEST(TraceScenarioKey, ParsesAndRejects) {
   EXPECT_NE(bad.error().find("nonsense"), std::string::npos);
 }
 
+// --trace OUT[:cats]: one splitter shared by wimesh_run and the benches.
+TEST(TraceTarget, PathWithColonAndSlashStaysWhole) {
+  for (const std::string arg : {"runs/a:b/out.json", "t:v1.json", "t.json:"}) {
+    const auto t = trace::parse_trace_target(arg);
+    ASSERT_TRUE(t.has_value()) << arg << ": " << t.error();
+    EXPECT_EQ(t->path, arg);
+    EXPECT_EQ(t->categories, 0u);
+  }
+}
+
+TEST(TraceTarget, JsonPathWithCategorySuffix) {
+  const auto t = trace::parse_trace_target("out/t.json:tdma,sync");
+  ASSERT_TRUE(t.has_value()) << t.error();
+  EXPECT_EQ(t->path, "out/t.json");
+  EXPECT_EQ(t->categories, trace::kTdma | trace::kSync);
+}
+
+TEST(TraceTarget, UnknownCategoryIsNamedError) {
+  const auto t = trace::parse_trace_target("t.json:tdma,bogus");
+  ASSERT_FALSE(t.has_value());
+  EXPECT_NE(t.error().find("unknown trace category 'bogus'"),
+            std::string::npos);
+}
+
+TEST(TraceTarget, EmptyPathIsError) {
+  for (const std::string arg : {"", ":tdma"}) {
+    const auto t = trace::parse_trace_target(arg);
+    ASSERT_FALSE(t.has_value()) << arg;
+    EXPECT_NE(t.error().find("path is empty"), std::string::npos) << arg;
+  }
+}
+
+TEST(TraceTarget, LabeledPathGoesBeforeExtension) {
+  EXPECT_EQ(trace::labeled_path("t.json", "seed=3"), "t.seed=3.json");
+  EXPECT_EQ(trace::labeled_path("out.d/t", "seed=3"), "out.d/t.seed=3");
+  EXPECT_EQ(trace::labeled_path("t", "seed=3"), "t.seed=3");
+}
+
 // Satellite: the hoisted wimesh::json_escape handles the full control and
 // non-ASCII range (the old batch-local version passed invalid bytes raw).
 TEST(JsonEscape, ControlCharactersAndUtf8) {
