@@ -170,29 +170,12 @@ int run_smoke(int jobs, std::uint64_t events, batch::JsonWriter* json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int jobs = 1;
-  std::string json_path;
-  std::uint64_t events = 5000;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-      if (jobs < 1) jobs = 1;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--events" && i + 1 < argc) {
-      events = std::strtoull(argv[++i], nullptr, 10);
-      if (events == 0) events = 5000;
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs K] [--events N] [--json OUT] [--smoke]\n",
-                   argv[0]);
-      return 1;
-    }
-  }
+  const BenchArgs args = parse_bench_args(
+      argc, argv, kSmokeFlag | kJobsFlag | kEventsFlag | kJsonFlag);
+  const int jobs = args.jobs;
+  const std::string& json_path = args.json_path;
+  const std::uint64_t events = args.events;
+  const bool smoke = args.smoke;
 
   batch::JsonWriter w;
   w.begin_object();

@@ -216,24 +216,10 @@ std::uint64_t run_guard_sweep(int jobs, bool smoke, batch::JsonWriter* json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int jobs = 1;
-  std::string json_path;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-      if (jobs < 1) jobs = 1;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--jobs K] [--json OUT] [--smoke]\n",
-                   argv[0]);
-      return 1;
-    }
-  }
+  const BenchArgs args =
+      parse_bench_args(argc, argv, kSmokeFlag | kJobsFlag | kJsonFlag);
+  const int jobs = args.jobs;
+  const bool smoke = args.smoke;
 
   batch::JsonWriter w;
   w.begin_object();
@@ -247,8 +233,8 @@ int main(int argc, char** argv) {
   violations += run_guard_sweep(jobs, smoke, &w);
   w.end_object();
 
-  if (!json_path.empty() && !write_text_file(json_path, w.str())) {
-    std::fprintf(stderr, "cannot write '%s'\n", json_path.c_str());
+  if (!args.json_path.empty() && !write_text_file(args.json_path, w.str())) {
+    std::fprintf(stderr, "cannot write '%s'\n", args.json_path.c_str());
     return 1;
   }
   if (violations != 0) {

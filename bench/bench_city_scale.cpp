@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,38 +37,6 @@
 
 namespace wimesh {
 namespace {
-
-struct ScaleArgs {
-  bench::BenchArgs common;
-  bool smoke = false;
-  bench::BenchTraceArgs trace;
-};
-
-ScaleArgs parse_args(int argc, char** argv) {
-  ScaleArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      out.common.jobs = std::atoi(argv[++i]);
-      if (out.common.jobs < 1) out.common.jobs = 1;
-    } else if (arg == "--json" && i + 1 < argc) {
-      out.common.json_path = argv[++i];
-    } else if (arg == "--audit") {
-      out.common.audit = true;
-    } else if (arg == "--smoke") {
-      out.smoke = true;
-    } else if (arg == "--trace" && i + 1 < argc) {
-      out.trace = bench::parse_trace_value(argv[0], argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--jobs K] [--json OUT] [--audit] "
-                   "[--trace OUT[:cats]]\n",
-                   argv[0]);
-      std::exit(1);
-    }
-  }
-  return out;
-}
 
 // Localized VoIP pairs: a 3-hop call every 3rd row and every 6th column,
 // so neighboring calls' endpoints sit >= 300 m apart (beyond the 220 m
@@ -109,7 +76,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 // Plans and simulates one R x R mesh; returns false when planning fails
 // or the audit reports a violation.
-bool run_size(NodeId side, const ScaleArgs& args, SizeResult* out) {
+bool run_size(NodeId side, const bench::BenchArgs& args, SizeResult* out) {
   const auto topo = try_make_grid(side, side, 100.0);
   if (!topo.has_value()) {
     std::fprintf(stderr, "grid %dx%d: %s\n", side, side, topo.error().c_str());
@@ -127,8 +94,8 @@ bool run_size(NodeId side, const ScaleArgs& args, SizeResult* out) {
   cfg.sync.per_hop_error_stddev = SimTime::nanoseconds(200);
   const int nodes = side * side;
   cfg.zones = std::max(4, std::min(24, nodes / 100));
-  cfg.ilp.threads = args.common.jobs;
-  cfg.audit = args.common.audit || args.smoke;
+  cfg.ilp.threads = args.jobs;
+  cfg.audit = args.audit || args.smoke;
 
   MeshNetwork net(cfg);
   const int calls = add_city_calls(net, side, side);
@@ -205,7 +172,10 @@ std::string to_json(const std::vector<SizeResult>& results, int jobs) {
 
 int main(int argc, char** argv) {
   using namespace wimesh;
-  const ScaleArgs args = parse_args(argc, argv);
+  const bench::BenchArgs args = bench::parse_bench_args(
+      argc, argv,
+      bench::kSmokeFlag | bench::kJobsFlag | bench::kJsonFlag |
+          bench::kAuditFlag | bench::kTraceFlag);
 
   std::unique_ptr<trace::Tracer> tracer;
   if (args.trace.enabled) {
@@ -246,11 +216,11 @@ int main(int argc, char** argv) {
     std::printf("smoke: %s\n", ok ? "ok" : "FAILED");
   }
 
-  if (!args.common.json_path.empty() &&
-      !bench::write_text_file(args.common.json_path,
-                              to_json(results, args.common.jobs))) {
+  if (!args.json_path.empty() &&
+      !bench::write_text_file(args.json_path,
+                              to_json(results, args.jobs))) {
     std::fprintf(stderr, "cannot write '%s'\n",
-                 args.common.json_path.c_str());
+                 args.json_path.c_str());
     return 1;
   }
   if (tracer != nullptr &&

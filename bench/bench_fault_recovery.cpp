@@ -15,11 +15,9 @@
 // byte-identical output for any K); --smoke shortens the run for CI.
 
 #include <cinttypes>
-#include <cstring>
 
 #include "bench_util.h"
 #include "wimesh/batch/runner.h"
-#include "wimesh/faults/plan.h"
 
 using namespace wimesh;
 using namespace wimesh::bench;
@@ -53,40 +51,18 @@ constexpr char kFaults[] = "node-crash@2 node=5; master-fail@3";
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args;
-  BenchTraceArgs targs;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      args.jobs = std::atoi(argv[++i]);
-      if (args.jobs < 1) args.jobs = 1;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      args.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      targs = parse_trace_value(argv[0], argv[++i]);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--jobs K] [--json OUT] "
-                   "[--trace OUT[:cats]]\n",
-                   argv[0]);
-      return 1;
-    }
-  }
+  const BenchArgs args = parse_bench_args(
+      argc, argv, kSmokeFlag | kJobsFlag | kJsonFlag | kTraceFlag);
+  const BenchTraceArgs& targs = args.trace;
+  const bool smoke = args.smoke;
 
-  auto scenario = parse_scenario(kScenario);
+  // Always audited — that is the point.
+  auto scenario = parse_scenario(std::string(kScenario) + "audit = on\n" +
+                                 "fault = " + kFaults + "\n");
   if (!scenario.has_value()) {
     std::fprintf(stderr, "scenario error: %s\n", scenario.error().c_str());
     return 1;
   }
-  auto plan = faults::parse_fault_plan(kFaults);
-  if (!plan.has_value()) {
-    std::fprintf(stderr, "faults error: %s\n", plan.error().c_str());
-    return 1;
-  }
-  scenario->config.faults = std::move(*plan);
-  scenario->config.audit = true;  // always audited — that is the point
   if (smoke) scenario->duration = SimTime::seconds(5);
   const std::uint64_t seed_hi = smoke ? 2 : 4;
 

@@ -10,40 +10,105 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "wimesh/common/parse.h"
 #include "wimesh/core/mesh_network.h"
 #include "wimesh/trace/export.h"
 #include "wimesh/trace/trace.h"
 
 namespace wimesh::bench {
 
-// Common CLI surface of the batch-runner benches: --jobs K runs the
-// bench's independent simulations on the work-stealing pool (output is
-// identical for any K), --json OUT writes the machine-readable results
-// next to the text table, --audit runs every simulation under the runtime
-// invariant auditor and fails the bench on any violation.
-struct BenchArgs {
-  int jobs = 1;
-  std::string json_path;
-  bool audit = false;
+// --trace support for benches that opt in: the value is "OUT[:cats]" like
+// wimesh_run's flag (trace::parse_trace_target), with no suffix meaning
+// all categories. A malformed value exits with the parser's message.
+struct BenchTraceArgs {
+  bool enabled = false;
+  std::string path;
+  std::uint32_t categories = trace::kAll;
 };
 
-inline BenchArgs parse_bench_args(int argc, char** argv) {
+inline BenchTraceArgs parse_trace_value(const char* argv0,
+                                        const std::string& value) {
+  const auto target = trace::parse_trace_target(value);
+  if (!target) {
+    std::fprintf(stderr, "%s: --trace: %s\n", argv0, target.error().c_str());
+    std::exit(1);
+  }
+  BenchTraceArgs out;
+  out.enabled = true;
+  out.path = target->path;
+  if (target->categories != 0) out.categories = target->categories;
+  return out;
+}
+
+// The flags a bench can accept; each bench passes its set to
+// parse_bench_args, which rejects the rest with a usage line.
+enum BenchFlag : unsigned {
+  kSmokeFlag = 1u << 0,   // --smoke: the short CI variant
+  kJobsFlag = 1u << 1,    // --jobs K: K in [1, 1024] workers, same output
+  kEventsFlag = 1u << 2,  // --events N: churn events per replay, N >= 1
+  kJsonFlag = 1u << 3,    // --json OUT: machine-readable results
+  kAuditFlag = 1u << 4,   // --audit: fail on any invariant violation
+  kTraceFlag = 1u << 5,   // --trace OUT[:cats]: Perfetto trace
+};
+
+struct BenchArgs {
+  bool smoke = false;
+  int jobs = 1;
+  std::uint64_t events = 5000;
+  std::string json_path;
+  bool audit = false;
+  BenchTraceArgs trace;
+};
+
+inline BenchArgs parse_bench_args(int argc, char** argv,
+                                  unsigned accepted = kJobsFlag | kJsonFlag |
+                                                      kAuditFlag) {
+  struct Flag {
+    unsigned bit;
+    const char* name;
+    const char* value;  // placeholder; null for switches
+  };
+  static constexpr Flag kFlags[] = {
+      {kSmokeFlag, "--smoke", nullptr}, {kJobsFlag, "--jobs", "K"},
+      {kEventsFlag, "--events", "N"},   {kJsonFlag, "--json", "OUT"},
+      {kAuditFlag, "--audit", nullptr}, {kTraceFlag, "--trace", "OUT[:cats]"},
+  };
+  const auto fail = [&](const std::string& why) {
+    std::string usage;
+    for (const Flag& f : kFlags) {
+      if ((accepted & f.bit) == 0) continue;
+      usage += str_cat(" [", f.name, f.value ? " " : "", f.value ? f.value : "",
+                       "]");
+    }
+    if (!why.empty()) std::fprintf(stderr, "%s: %s\n", argv[0], why.c_str());
+    std::fprintf(stderr, "usage: %s%s\n", argv[0], usage.c_str());
+    std::exit(1);
+  };
   BenchArgs out;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      out.jobs = std::atoi(argv[++i]);
-      if (out.jobs < 1) out.jobs = 1;
-    } else if (arg == "--json" && i + 1 < argc) {
-      out.json_path = argv[++i];
-    } else if (arg == "--audit") {
-      out.audit = true;
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      if ((accepted & f.bit) != 0 && std::string(argv[i]) == f.name) flag = &f;
+    }
+    if (flag == nullptr || (flag->value != nullptr && i + 1 >= argc)) fail("");
+    const std::string value = flag->value != nullptr ? argv[++i] : "";
+    if (flag->bit == kJobsFlag) {
+      const auto k = parse_int<int>(value, "--jobs", 1, 1024);
+      if (!k) fail(k.error());
+      out.jobs = *k;
+    } else if (flag->bit == kEventsFlag) {
+      const auto n = parse_int<std::uint64_t>(value, "--events", 1);
+      if (!n) fail(n.error());
+      out.events = *n;
+    } else if (flag->bit == kJsonFlag) {
+      out.json_path = value;
+    } else if (flag->bit == kTraceFlag) {
+      out.trace = parse_trace_value(argv[0], value);
     } else {
-      std::fprintf(stderr, "usage: %s [--jobs K] [--json OUT] [--audit]\n",
-                   argv[0]);
-      std::exit(1);
+      (flag->bit == kSmokeFlag ? out.smoke : out.audit) = true;
     }
   }
   return out;
@@ -70,29 +135,6 @@ inline bool write_text_file(const std::string& path,
   if (!out) return false;
   out << contents;
   return static_cast<bool>(out);
-}
-
-// --trace support for benches that opt in: the value is "OUT[:cats]" like
-// wimesh_run's flag (trace::parse_trace_target), with no suffix meaning
-// all categories. A malformed value exits with the parser's message.
-struct BenchTraceArgs {
-  bool enabled = false;
-  std::string path;
-  std::uint32_t categories = trace::kAll;
-};
-
-inline BenchTraceArgs parse_trace_value(const char* argv0,
-                                        const std::string& value) {
-  const auto target = trace::parse_trace_target(value);
-  if (!target) {
-    std::fprintf(stderr, "%s: --trace: %s\n", argv0, target.error().c_str());
-    std::exit(1);
-  }
-  BenchTraceArgs out;
-  out.enabled = true;
-  out.path = target->path;
-  if (target->categories != 0) out.categories = target->categories;
-  return out;
 }
 
 // Writes one tracer's Perfetto JSON and reports ring overflow, if any.

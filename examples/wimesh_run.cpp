@@ -22,17 +22,19 @@
 //
 // The scenario grammar is documented in include/wimesh/core/scenario.h.
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
-
-#include <memory>
+#include <tuple>
 
 #include "wimesh/batch/admit_run.h"
 #include "wimesh/batch/runner.h"
 #include "wimesh/chaos/chaos.h"
+#include "wimesh/common/parse.h"
 #include "wimesh/core/scenario.h"
 #include "wimesh/trace/export.h"
 #include "wimesh/trace/trace.h"
@@ -60,90 +62,63 @@ voip 2 6 0 g711 100
 bulk 50 2 6 1200 2000000
 )";
 
+// Every sweep run holds a copy of the scenario; this bounds the batch.
+constexpr std::int64_t kMaxSweepRuns = 10'000;
+
 int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--sweep seed=LO..HI] [--jobs K] [--json OUT] "
-               "[--audit [fail-fast]] [--faults PLAN] [--ilp KNOBS] "
-               "[--zones N] [--admit KNOBS] [--radio KNOBS] "
-               "[--trace OUT[:cats]] "
-               "<scenario-file> | --demo | --chaos KNOBS\n"
-               "  --faults PLAN   inject faults, e.g. "
-               "'node-crash@2 node=4; master-fail@3'\n"
-               "                  (grammar: include/wimesh/faults/plan.h)\n"
-               "  --ilp KNOBS     ILP scheduler knobs, comma list of\n"
-               "                  [no-]cuts | [no-]symmetry | [no-]warm | "
-               "[no-]tree |\n"
-               "                  portfolio=N | threads=N | max_nodes=N | "
-               "time_limit_s=X\n"
-               "                  (overrides the scenario's 'ilp =' key; "
-               "threads only\n"
-               "                  affects wall clock, never results)\n"
-               "  --zones N       partition the mesh into N zones and solve "
-               "them in\n"
-               "                  parallel with deterministic border "
-               "reconciliation\n"
-               "                  (wimesh::zones; overrides the scenario's "
-               "'zones =' key)\n"
-               "  --admit KNOBS   online admission churn replay instead of a "
-               "packet\n"
-               "                  simulation; comma list of on | rate=X | "
-               "holding=S |\n"
-               "                  horizon=S | events=N | codec=g711|g729|g723 "
-               "|\n"
-               "                  max_delay_ms=N | be_fraction=X | seed=N |\n"
-               "                  compaction=N | [no-]degrade | [no-]check\n"
-               "                  ('check' cross-checks every decision "
-               "against the\n"
-               "                  cold re-solve oracle; grammar: 'admit =' in "
-               "scenario.h)\n"
-               "  --radio KNOBS   physical channel model knobs, comma list "
-               "of on |\n"
-               "                  model=physical|protocol | shadowing=DB | "
-               "fading=jakes|none |\n"
-               "                  doppler=HZ | adapt=on/off | probe=N | "
-               "seed=N | ...\n"
-               "                  (appended after the scenario's 'radio =' "
-               "lines, so later\n"
-               "                  tokens win; 'model=protocol' forces the "
-               "protocol model;\n"
-               "                  full grammar: 'radio =' in "
-               "core/scenario.h)\n"
-               "  --chaos KNOBS   seeded fault/churn fuzzing instead of a "
-               "scenario run;\n"
-               "                  comma list of on | seed=N | events=N | "
-               "trials=N |\n"
-               "                  detect_ms=N | inject-bug (test fixture)\n"
-               "                  exits non-zero with a minimized "
-               "reproducing fault\n"
-               "                  script on the first oracle/audit "
-               "failure\n"
-               "  --trace OUT[:cats]\n"
-               "                  write a Perfetto/chrome://tracing JSON "
-               "event trace to OUT\n"
-               "                  (per seed under --sweep) plus a slot "
-               "timeline CSV; cats is a\n"
-               "                  comma list of "
-               "des,tdma,wifi,sync,faults,prof,ilp,admit,zones,chaos "
-               "(default all)\n",
-               argv0);
+  std::fprintf(
+      stderr,
+      "usage: %s [--sweep seed=LO..HI] [--jobs K] [--json OUT] "
+      "[--audit [fail-fast]] [--faults PLAN] [--ilp KNOBS] [--zones N] "
+      "[--admit KNOBS] [--radio KNOBS] [--trace OUT[:cats]] "
+      "<scenario-file> | --demo | --chaos KNOBS\n"
+      "  --sweep seed=LO..HI  run seeds LO..HI (at most %lld runs) on\n"
+      "                  K in [1, 1024] worker threads (--jobs K)\n"
+      "  --audit [fail-fast], --faults PLAN, --ilp KNOBS, --zones N,\n"
+      "  --admit KNOBS, --radio KNOBS\n"
+      "                  sugar for the scenario lines 'audit = on|fail-fast',\n"
+      "                  'fault = PLAN', 'ilp = KNOBS', 'zones = N',\n"
+      "                  'admit = KNOBS' and 'radio = KNOBS', appended after\n"
+      "                  the scenario's own lines in flag order: same grammar\n"
+      "                  and ranges (include/wimesh/core/scenario.h), later\n"
+      "                  tokens win, and --faults accumulates with the\n"
+      "                  scenario's 'fault =' lines (PLAN grammar:\n"
+      "                  include/wimesh/faults/plan.h). --admit replays\n"
+      "                  admission churn instead of a packet simulation.\n"
+      "  --chaos KNOBS   seeded fault/churn fuzzing instead of a scenario "
+      "run;\n"
+      "                  comma list of on | seed=N | events=N (>= 1) |\n"
+      "                  trials=N (>= 1) | detect_ms=N in [0, 1000] |\n"
+      "                  inject-bug (test fixture). Exits non-zero with a\n"
+      "                  minimized reproducing fault script on the first\n"
+      "                  oracle/audit failure\n"
+      "  --trace OUT[:cats]\n"
+      "                  write a Perfetto/chrome://tracing JSON event trace\n"
+      "                  to OUT (per seed under --sweep) plus a slot timeline\n"
+      "                  CSV; cats is a comma list of des,tdma,wifi,sync,\n"
+      "                  faults,prof,ilp,admit,zones,chaos,radio (default "
+      "all)\n",
+      argv0, static_cast<long long>(kMaxSweepRuns));
   return 1;
 }
 
-// Parses "seed=LO..HI" (HI >= LO >= 0). Returns false on malformed input.
-bool parse_sweep(const std::string& arg, std::uint64_t* lo,
-                 std::uint64_t* hi) {
-  if (arg.rfind("seed=", 0) != 0) return false;
-  const std::string range = arg.substr(5);
-  const auto dots = range.find("..");
-  if (dots == std::string::npos) return false;
-  char* end = nullptr;
-  const std::string lo_s = range.substr(0, dots);
-  const std::string hi_s = range.substr(dots + 2);
-  *lo = std::strtoull(lo_s.c_str(), &end, 10);
-  if (end == lo_s.c_str() || *end != '\0') return false;
-  *hi = std::strtoull(hi_s.c_str(), &end, 10);
-  if (end == hi_s.c_str() || *end != '\0') return false;
-  return *lo <= *hi;
+// Parses "seed=LO..HI": 0 <= LO <= HI < 2^63, at most kMaxSweepRuns runs.
+Expected<std::pair<std::uint64_t, std::uint64_t>> parse_sweep(
+    const std::string& arg) {
+  const auto dots = arg.find("..");
+  if (arg.rfind("seed=", 0) != 0 || dots == std::string::npos) {
+    return make_error(str_cat("bad range '", arg, "' (want seed=LO..HI)"));
+  }
+  constexpr auto kMaxSeed = std::numeric_limits<std::int64_t>::max();
+  const auto lo = parse_int<std::int64_t>(arg.substr(5, dots - 5), "LO", 0,
+                                          kMaxSeed);
+  if (!lo) return make_error(lo.error());
+  const auto hi = parse_int<std::int64_t>(
+      arg.substr(dots + 2), "HI", *lo,
+      *lo + std::min<std::int64_t>(kMaxSweepRuns - 1, kMaxSeed - *lo));
+  if (!hi) return make_error(hi.error());
+  return std::make_pair(static_cast<std::uint64_t>(*lo),
+                        static_cast<std::uint64_t>(*hi));
 }
 
 bool write_file(const std::string& path, const std::string& contents) {
@@ -195,28 +170,19 @@ bool export_trace(const trace::Tracer& tracer, const std::string& json_path,
 // the minimized script on stderr so it can be replayed via --faults).
 int run_chaos_cli(const std::string& knobs) {
   chaos::ChaosOptions options;
-  std::stringstream ss(knobs);
-  std::string knob;
-  while (std::getline(ss, knob, ',')) {
-    if (knob.empty() || knob == "on") continue;
-    const auto eq = knob.find('=');
-    const std::string key = knob.substr(0, eq);
-    const std::string val =
-        eq == std::string::npos ? "" : knob.substr(eq + 1);
-    if (key == "seed") {
-      options.seed = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "events") {
-      options.event_budget = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "trials") {
-      options.max_trials = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "detect_ms") {
-      options.detect_ms = std::atoi(val.c_str());
-    } else if (key == "inject-bug") {
-      options.inject_recover_loss_bug = true;
-    } else {
-      std::fprintf(stderr, "--chaos: unknown knob '%s'\n", knob.c_str());
-      return 1;
-    }
+  constexpr auto kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  const KnobTable table = {
+      knob_word("on", [] {}),
+      knob_int<std::uint64_t>("seed", &options.seed, 0, kMaxU64),
+      knob_int<std::uint64_t>("events", &options.event_budget, 1, kMaxU64),
+      knob_int<std::uint64_t>("trials", &options.max_trials, 1, kMaxU64),
+      knob_int<int>("detect_ms", &options.detect_ms, 0, 1000),
+      knob_word("inject-bug",
+                [&options] { options.inject_recover_loss_bug = true; }),
+  };
+  if (const auto ok = apply_knobs(knobs, "chaos", table); !ok) {
+    std::fprintf(stderr, "--chaos: %s\n", ok.error().c_str());
+    return 1;
   }
   const chaos::ChaosReport report = chaos::run_chaos(options);
   std::printf("%s\n", report.summary().c_str());
@@ -235,52 +201,48 @@ int run_chaos_cli(const std::string& knobs) {
 int main(int argc, char** argv) {
   std::string scenario_arg;
   std::string json_path;
-  std::string faults_arg;
-  std::string ilp_arg;
-  std::string zones_arg;
-  std::string admit_arg;
-  std::string radio_arg;
+  // Scenario lines appended by the sugar flags, in flag order.
+  std::string extra_lines;
   std::string trace_path;
   std::uint32_t trace_cats = 0;
   bool sweep = false;
-  bool audit = false;
-  bool audit_fail_fast = false;
   std::uint64_t sweep_lo = 0, sweep_hi = 0;
   int jobs = 1;
 
+  // Flag -> the scenario key it is sugar for.
+  const std::pair<const char*, const char*> kSugar[] = {
+      {"--faults", "fault"}, {"--ilp", "ilp"},     {"--zones", "zones"},
+      {"--admit", "admit"},  {"--radio", "radio"},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--audit") {
-      audit = true;
-      if (i + 1 < argc && std::string(argv[i + 1]) == "fail-fast") {
-        audit_fail_fast = true;
-        ++i;
-      }
+    const auto sugar = std::find_if(
+        std::begin(kSugar), std::end(kSugar),
+        [&arg](const auto& s) { return arg == s.first; });
+    if (sugar != std::end(kSugar) && i + 1 < argc) {
+      extra_lines += str_cat("\n", sugar->second, " = ", argv[++i], "\n");
+    } else if (arg == "--audit") {
+      const bool fail_fast =
+          i + 1 < argc && std::string(argv[i + 1]) == "fail-fast";
+      if (fail_fast) ++i;
+      extra_lines += fail_fast ? "\naudit = fail-fast\n" : "\naudit = on\n";
     } else if (arg == "--sweep" && i + 1 < argc) {
-      if (!parse_sweep(argv[++i], &sweep_lo, &sweep_hi)) {
-        std::fprintf(stderr, "bad --sweep range '%s' (want seed=LO..HI)\n",
-                     argv[i]);
+      const auto range = parse_sweep(argv[++i]);
+      if (!range) {
+        std::fprintf(stderr, "--sweep: %s\n", range.error().c_str());
         return 1;
       }
+      std::tie(sweep_lo, sweep_hi) = *range;
       sweep = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs must be >= 1\n");
+      const auto k = parse_int<int>(argv[++i], "--jobs", 1, 1024);
+      if (!k) {
+        std::fprintf(stderr, "%s\n", k.error().c_str());
         return 1;
       }
+      jobs = *k;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--faults" && i + 1 < argc) {
-      faults_arg = argv[++i];
-    } else if (arg == "--ilp" && i + 1 < argc) {
-      ilp_arg = argv[++i];
-    } else if (arg == "--zones" && i + 1 < argc) {
-      zones_arg = argv[++i];
-    } else if (arg == "--admit" && i + 1 < argc) {
-      admit_arg = argv[++i];
-    } else if (arg == "--radio" && i + 1 < argc) {
-      radio_arg = argv[++i];
     } else if (arg == "--chaos" && i + 1 < argc) {
       return run_chaos_cli(argv[++i]);
     } else if (arg == "--trace" && i + 1 < argc) {
@@ -319,29 +281,10 @@ int main(int argc, char** argv) {
     text = buf.str();
   }
 
-  // --ilp / --admit knobs append scenario lines, so they ride the scenario
-  // grammar (and, coming last, override any matching key in the file).
-  if (!ilp_arg.empty()) text += "\nilp = " + ilp_arg + "\n";
-  if (!zones_arg.empty()) text += "\nzones = " + zones_arg + "\n";
-  if (!admit_arg.empty()) text += "\nadmit = " + admit_arg + "\n";
-  if (!radio_arg.empty()) text += "\nradio = " + radio_arg + "\n";
-
-  auto scenario = parse_scenario(text);
+  auto scenario = parse_scenario(text + extra_lines);
   if (!scenario.has_value()) {
     std::fprintf(stderr, "scenario error: %s\n", scenario.error().c_str());
     return 1;
-  }
-  if (audit) {
-    scenario->config.audit = true;
-    scenario->config.audit_fail_fast = audit_fail_fast;
-  }
-  if (!faults_arg.empty()) {
-    auto fault_plan = faults::parse_fault_plan(faults_arg);
-    if (!fault_plan.has_value()) {
-      std::fprintf(stderr, "faults error: %s\n", fault_plan.error().c_str());
-      return 1;
-    }
-    scenario->config.faults = std::move(*fault_plan);
   }
 
   // Tracing is on when --trace was given or the scenario says 'trace ='.
@@ -417,7 +360,7 @@ int main(int argc, char** argv) {
       failures += o.ok ? 0 : 1;
       if (o.ok) violations += o.result.audit.total_violations();
     }
-    if (audit) {
+    if (scenario->config.audit) {
       std::printf("audit: %llu violation(s) across %zu run(s)\n",
                   static_cast<unsigned long long>(violations),
                   outcomes.size());

@@ -21,6 +21,11 @@
 //   clock-step@T node=N step_us=U  add U microseconds to node N's clock
 //   detect_ms=D                    plan-wide failure-detection delay
 //
+// Ranges: times T, T1 < T2 in [0, 1e6] s; node ids N, A, B in
+// [0, 2^31-1] (a scenario also checks them against its topology); U in
+// [-1e9, 1e9] us, nonzero; burst probabilities in [0, 1]; D in
+// [0, 1e9] ms. Out-of-range values are errors naming the event and key.
+//
 // Structural events (crash/recover/master-fail/link-down/link-up) trigger
 // recovery `detect_ms` later; bursts and clock steps are transient and are
 // absorbed by MAC retries and the next resync wave respectively.

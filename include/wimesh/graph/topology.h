@@ -50,7 +50,11 @@ Topology make_grid(NodeId rows, NodeId cols, double spacing = 100.0);
 
 // n nodes uniform in a side x side square; nodes within `range` metres are
 // connected. Re-draws (up to a bounded number of attempts) until the graph
-// is connected; asserts if connectivity is unattainable.
+// is connected; an error if connectivity is unattainable.
+Expected<Topology> try_make_random_geometric(NodeId n, double side,
+                                             double range, Rng& rng);
+
+// Assertion-checked wrapper over try_make_random_geometric.
 Topology make_random_geometric(NodeId n, double side, double range, Rng& rng);
 
 // Balanced tree: each node has `arity` children, `depth` levels below the

@@ -1,319 +1,193 @@
 #include "wimesh/core/scenario.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <sstream>
-#include <stdexcept>
+#include <tuple>
 
+#include "wimesh/common/parse.h"
 #include "wimesh/common/strings.h"
 #include "wimesh/trace/trace.h"
 
 namespace wimesh {
 namespace {
 
-std::string trim(std::string s) {
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\r';
-  };
-  std::size_t b = 0;
-  while (b < s.size() && is_space(s[b])) ++b;
-  std::size_t e = s.size();
-  while (e > b && is_space(s[e - 1])) --e;
-  return s.substr(b, e - b);
-}
-
-std::vector<std::string> tokenize(const std::string& s) {
-  std::istringstream in(s);
-  std::vector<std::string> out;
-  std::string tok;
-  while (in >> tok) out.push_back(tok);
-  return out;
-}
-
-Expected<double> to_number(const std::string& s, std::size_t line_no) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    return make_error(str_cat("line ", line_no, ": '", s,
-                              "' is not a number"));
-  }
-}
-
-// Parses an integer-valued field, rejecting fractions and values outside
-// [lo, hi] with a line-numbered error naming the field (a plain cast of an
-// out-of-range double is undefined behaviour, and a zero frame or slot
-// count reaches asserts and integer division downstream).
-template <typename Int>
-Expected<Int> to_integer(const std::string& s, std::size_t line_no,
-                         const char* field, Int lo, Int hi) {
-  const auto v = to_number(s, line_no);
-  if (!v) return make_error(v.error());
-  if (!(*v >= static_cast<double>(lo) && *v <= static_cast<double>(hi) &&
-        *v == std::floor(*v))) {
-    return make_error(str_cat("line ", line_no, ": ", field,
-                              " must be an integer in [", lo, ", ", hi,
-                              "] (got '", s, "')"));
-  }
-  return static_cast<Int>(*v);
-}
-
+// Field ranges, documented in core/scenario.h.
+//
 // Slot-count cap per subframe: with frame_ms >= 1 it keeps every
 // minislot at least ~100 ns long and total_slots() far from int overflow.
 constexpr int kMaxSubframeSlots = 4096;
 constexpr NodeId kMaxNodes = std::numeric_limits<NodeId>::max();
+// Positions, spacings and ranges, in metres.
+constexpr RealRange kCoordinate{-1e6, 1e6};
+constexpr RealRange kLength{0.0, 1e6};
+constexpr RealRange kRange{1e-3, 1e6};
+// Seconds; far inside SimTime's +-292 years.
+constexpr double kMaxSeconds = 1e6;
+constexpr std::int64_t kMaxDelayMs = 3'600'000;
+// Rates and packet sizes keep every packet interval >= 1 ns; a video
+// stream also needs a mean frame of at least one byte.
+constexpr RealRange kRateBps{1.0, 1e10};
+constexpr RealRange kVideoRateBps{1e3, 1e10};
+constexpr std::size_t kMaxPacketBytes = 65'535;
+// A voip line declares flows id and id + 1.
+constexpr int kMaxFlowId = std::numeric_limits<int>::max() - 1;
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
-// Applies one comma-separated "ilp =" knob list onto `opt` (repeated lines
-// accumulate, later tokens win). Grammar documented in core/scenario.h.
-Expected<bool> apply_ilp_options(IlpSchedulerOptions& opt,
-                                 const std::string& value,
-                                 std::size_t line_no) {
-  for (const std::string& raw : split(value, ',')) {
-    const std::string tok = trim(raw);
-    if (tok.empty()) continue;
-    const auto flag = [&](const char* name, bool* target) {
-      if (tok == name) {
-        *target = true;
-        return true;
-      }
-      if (tok == std::string("no-") + name) {
-        *target = false;
-        return true;
-      }
-      return false;
-    };
-    if (flag("cuts", &opt.clique_cuts) ||
-        flag("symmetry", &opt.symmetry_breaking) ||
-        flag("warm", &opt.warm_start) || flag("tree", &opt.tree_fast_path)) {
-      continue;
-    }
-    const auto eq = tok.find('=');
-    if (eq != std::string::npos) {
-      const std::string name = trim(tok.substr(0, eq));
-      const auto num = to_number(trim(tok.substr(eq + 1)), line_no);
-      if (!num) return make_error(num.error());
-      if (name == "portfolio") {
-        opt.portfolio = static_cast<int>(*num);
-      } else if (name == "threads") {
-        opt.threads = static_cast<int>(*num);
-      } else if (name == "max_nodes") {
-        opt.max_nodes = static_cast<long>(*num);
-      } else if (name == "time_limit_s") {
-        opt.time_limit_seconds = *num;
-      } else {
-        return make_error(str_cat("line ", line_no, ": unknown ilp knob '",
-                                  name, "'"));
-      }
-      continue;
-    }
-    return make_error(str_cat("line ", line_no, ": unknown ilp token '", tok,
-                              "' (expected [no-]cuts|[no-]symmetry|"
-                              "[no-]warm|[no-]tree|portfolio=N|threads=N|"
-                              "max_nodes=N|time_limit_s=X)"));
-  }
-  return true;
+const Choices<VoipCodec>& codecs() {
+  static const Choices<VoipCodec> kCodecs = {{"g711", VoipCodec::g711()},
+                                             {"g729", VoipCodec::g729()},
+                                             {"g723", VoipCodec::g723()}};
+  return kCodecs;
 }
 
-Expected<VoipCodec> parse_codec(const std::string& name, std::size_t line_no);
-
-// Applies one comma-separated "admit =" knob list (repeated lines
-// accumulate, later tokens win). Grammar documented in core/scenario.h.
-Expected<bool> apply_admit_options(Scenario& sc, const std::string& value,
-                                   std::size_t line_no) {
-  sc.admit_enabled = true;
-  for (const std::string& raw : split(value, ',')) {
-    const std::string tok = trim(raw);
-    if (tok.empty() || tok == "on") continue;
-    if (tok == "degrade") {
-      sc.admit_degrade = true;
-      continue;
-    }
-    if (tok == "no-degrade") {
-      sc.admit_degrade = false;
-      continue;
-    }
-    if (tok == "check") {
-      sc.admit_check = true;
-      continue;
-    }
-    if (tok == "no-check") {
-      sc.admit_check = false;
-      continue;
-    }
-    const auto eq = tok.find('=');
-    if (eq != std::string::npos) {
-      const std::string name = trim(tok.substr(0, eq));
-      const std::string val = trim(tok.substr(eq + 1));
-      if (name == "codec") {
-        auto codec = parse_codec(val, line_no);
-        if (!codec) return make_error(codec.error());
-        sc.admit_churn.codec = *codec;
-        continue;
-      }
-      const auto num = to_number(val, line_no);
-      if (!num) return make_error(num.error());
-      if (name == "rate") {
-        sc.admit_churn.arrival_rate_per_s = *num;
-      } else if (name == "holding") {
-        sc.admit_churn.mean_holding_s = *num;
-      } else if (name == "horizon") {
-        sc.admit_churn.horizon_s = *num;
-      } else if (name == "events") {
-        sc.admit_churn.max_events = static_cast<std::uint64_t>(*num);
-      } else if (name == "max_delay_ms") {
-        sc.admit_churn.max_delay =
-            SimTime::milliseconds(static_cast<std::int64_t>(*num));
-      } else if (name == "be_fraction") {
-        sc.admit_churn.best_effort_fraction = *num;
-      } else if (name == "seed") {
-        sc.admit_churn.seed = static_cast<std::uint64_t>(*num);
-      } else if (name == "compaction") {
-        sc.admit_compaction = static_cast<int>(*num);
-      } else {
-        return make_error(str_cat("line ", line_no, ": unknown admit knob '",
-                                  name, "'"));
-      }
-      continue;
-    }
-    return make_error(str_cat("line ", line_no, ": unknown admit token '",
-                              tok,
-                              "' (expected on|rate=X|holding=S|horizon=S|"
-                              "events=N|codec=NAME|max_delay_ms=N|"
-                              "be_fraction=X|seed=N|compaction=N|"
-                              "[no-]degrade|[no-]check)"));
-  }
-  return true;
+const Choices<bool>& on_off() {
+  static const Choices<bool> kOnOff = {{"on", true}, {"off", false}};
+  return kOnOff;
 }
 
-// Applies one comma-separated "radio =" knob list (repeated lines
-// accumulate, later tokens win). Grammar documented in core/scenario.h.
-// Any 'radio =' line switches the physical model on unless
-// model=protocol explicitly keeps it off.
-Expected<bool> apply_radio_options(radio::RadioConfig& rc,
-                                   const std::string& value,
-                                   std::size_t line_no) {
-  rc.enabled = true;
-  for (const std::string& raw : split(value, ',')) {
-    const std::string tok = trim(raw);
-    if (tok.empty() || tok == "on") continue;
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos) {
-      return make_error(str_cat("line ", line_no, ": unknown radio token '",
-                                tok,
-                                "' (expected on|model=...|shadowing=X|"
-                                "fading=...|doppler=X|oscillators=N|"
-                                "txpower=X|noise=X|capture=X|cs=X|cutoff=X|"
-                                "exponent_los=X|exponent_obstructed=X|"
-                                "floor_loss=X|freq=X|adapt=on/off|probe=N|"
-                                "ewma=X|seed=N)"));
-    }
-    const std::string name = trim(tok.substr(0, eq));
-    const std::string val = trim(tok.substr(eq + 1));
-    if (name == "model") {
-      if (val == "physical") {
-        rc.enabled = true;
-      } else if (val == "protocol") {
-        rc.enabled = false;
-      } else {
-        return make_error(str_cat("line ", line_no, ": unknown radio model '",
-                                  val, "' (physical|protocol)"));
-      }
-      continue;
-    }
-    if (name == "fading") {
-      if (val == "jakes") {
-        rc.fading.kind = radio::FadingConfig::Kind::kJakes;
-      } else if (val == "none") {
-        rc.fading.kind = radio::FadingConfig::Kind::kNone;
-      } else {
-        return make_error(str_cat("line ", line_no,
-                                  ": unknown fading model '", val,
-                                  "' (jakes|none)"));
-      }
-      continue;
-    }
-    if (name == "adapt") {
-      if (val == "on") {
-        rc.rate_adapt.enabled = true;
-      } else if (val == "off") {
-        rc.rate_adapt.enabled = false;
-      } else {
-        return make_error(str_cat("line ", line_no,
-                                  ": radio adapt must be on|off"));
-      }
-      continue;
-    }
-    const auto num = to_number(val, line_no);
-    if (!num) return make_error(num.error());
-    if (name == "shadowing") {
-      if (*num < 0) {
-        return make_error(str_cat("line ", line_no,
-                                  ": shadowing sigma must be >= 0 dB, got ",
-                                  val));
-      }
-      rc.shadowing_sigma_db = *num;
-    } else if (name == "doppler") {
-      if (*num <= 0) {
-        return make_error(str_cat("line ", line_no,
-                                  ": doppler must be > 0 Hz, got ", val));
-      }
-      rc.fading.doppler_hz = *num;
-    } else if (name == "oscillators") {
-      if (*num < 1) {
-        return make_error(str_cat("line ", line_no,
-                                  ": oscillators must be >= 1, got ", val));
-      }
-      rc.fading.oscillators = static_cast<int>(*num);
-    } else if (name == "txpower") {
-      rc.tx_power_dbm = *num;
-    } else if (name == "noise") {
-      rc.noise_floor_dbm = *num;
-    } else if (name == "capture") {
-      rc.capture_threshold_db = *num;
-    } else if (name == "cs") {
-      rc.cs_threshold_dbm = *num;
-    } else if (name == "cutoff") {
-      rc.interference_cutoff_dbm = *num;
-    } else if (name == "exponent_los") {
-      rc.propagation.exponent_los = *num;
-    } else if (name == "exponent_obstructed") {
-      rc.propagation.exponent_obstructed = *num;
-    } else if (name == "floor_loss") {
-      if (*num < 0) {
-        return make_error(str_cat("line ", line_no,
-                                  ": floor_loss must be >= 0 dB, got ", val));
-      }
-      rc.propagation.floor_loss_db = *num;
-    } else if (name == "freq") {
-      if (*num <= 0) {
-        return make_error(str_cat("line ", line_no,
-                                  ": freq must be > 0 GHz, got ", val));
-      }
-      rc.propagation.frequency_ghz = *num;
-    } else if (name == "probe") {
-      if (*num < 2) {
-        return make_error(str_cat("line ", line_no,
-                                  ": probe interval must be >= 2, got ",
-                                  val));
-      }
-      rc.rate_adapt.probe_interval = static_cast<int>(*num);
-    } else if (name == "ewma") {
-      if (*num <= 0 || *num > 1) {
-        return make_error(str_cat("line ", line_no,
-                                  ": ewma must be in (0, 1], got ", val));
-      }
-      rc.rate_adapt.ewma_alpha = *num;
-    } else if (name == "seed") {
-      rc.seed = static_cast<std::uint64_t>(*num);
-    } else {
-      return make_error(str_cat("line ", line_no, ": unknown radio knob '",
-                                name, "'"));
-    }
+// 'ilp =' knobs (repeated lines accumulate, later tokens win).
+KnobTable ilp_knobs(IlpSchedulerOptions& opt) {
+  return {
+      knob_flag("cuts", &opt.clique_cuts),
+      knob_flag("symmetry", &opt.symmetry_breaking),
+      knob_flag("warm", &opt.warm_start),
+      knob_flag("tree", &opt.tree_fast_path),
+      knob_int<int>("portfolio", &opt.portfolio, 1, 64),
+      knob_int<int>("threads", &opt.threads, 1, 1024),
+      knob_int<long>("max_nodes", &opt.max_nodes, 0,
+                     std::numeric_limits<long>::max()),
+      knob_real("time_limit_s", &opt.time_limit_seconds, {0.0, kMaxSeconds}),
+  };
+}
+
+// 'admit =' knobs. Any 'admit =' line enables the churn replay.
+KnobTable admit_knobs(Scenario& sc) {
+  admit::ChurnSpec& churn = sc.admit_churn;
+  return {
+      knob_word("on", [] {}),
+      // Mean inter-arrival and holding times stay <= 1000 s and 10^6 s,
+      // so every sampled gap fits SimTime.
+      knob_real("rate", &churn.arrival_rate_per_s, {1e-3, 1e6}),
+      knob_real("holding", &churn.mean_holding_s, positive(kMaxSeconds)),
+      knob_real("horizon", &churn.horizon_s, {0.0, kMaxSeconds}),
+      knob_int<std::uint64_t>("events", &churn.max_events, 0, kMaxU64),
+      knob_choice<VoipCodec>("codec", &churn.codec, codecs()),
+      knob_int<std::int64_t>("max_delay_ms", 1, kMaxDelayMs,
+                             [&churn](std::int64_t ms) {
+                               churn.max_delay = SimTime::milliseconds(ms);
+                             }),
+      knob_real("be_fraction", &churn.best_effort_fraction, {0.0, 1.0}),
+      knob_int<std::uint64_t>("seed", &churn.seed, 0, kMaxU64),
+      knob_int<int>("compaction", &sc.admit_compaction, 0, 1'000'000),
+      knob_flag("degrade", &sc.admit_degrade),
+      knob_flag("check", &sc.admit_check),
+  };
+}
+
+// 'radio =' knobs. Any 'radio =' line switches the physical model on
+// unless model=protocol explicitly keeps it off.
+KnobTable radio_knobs(radio::RadioConfig& rc) {
+  using Fading = radio::FadingConfig::Kind;
+  return {
+      knob_word("on", [] {}),
+      knob_choice<bool>("model", &rc.enabled,
+                        {{"physical", true}, {"protocol", false}}),
+      knob_real("shadowing", &rc.shadowing_sigma_db, {0.0, 100.0}),
+      knob_choice<Fading>("fading", &rc.fading.kind,
+                          {{"jakes", Fading::kJakes}, {"none", Fading::kNone}}),
+      knob_real("doppler", &rc.fading.doppler_hz, positive(1e6)),
+      knob_int<int>("oscillators", &rc.fading.oscillators, 1, 1024),
+      knob_real("txpower", &rc.tx_power_dbm, kAnyFinite),
+      knob_real("noise", &rc.noise_floor_dbm, kAnyFinite),
+      knob_real("capture", &rc.capture_threshold_db, kAnyFinite),
+      knob_real("cs", &rc.cs_threshold_dbm, kAnyFinite),
+      knob_real("cutoff", &rc.interference_cutoff_dbm, kAnyFinite),
+      knob_real("exponent_los", &rc.propagation.exponent_los, kAnyFinite),
+      knob_real("exponent_obstructed", &rc.propagation.exponent_obstructed,
+                kAnyFinite),
+      knob_real("floor_loss", &rc.propagation.floor_loss_db, {0.0, 1000.0}),
+      knob_real("freq", &rc.propagation.frequency_ghz, positive(1000.0)),
+      knob_choice<bool>("adapt", &rc.rate_adapt.enabled, on_off()),
+      knob_int<int>("probe", &rc.rate_adapt.probe_interval, 2, 1'000'000),
+      knob_real("ewma", &rc.rate_adapt.ewma_alpha, positive(1.0)),
+      knob_int<std::uint64_t>("seed", &rc.seed, 0, kMaxU64),
+  };
+}
+
+Expected<Topology> parse_topology(const std::vector<std::string>& args) {
+  if (args.empty()) return make_error("empty topology");
+  const std::string& kind = args[0];
+  const auto count = [&](std::size_t i, const char* field, NodeId lo) {
+    return parse_int<NodeId>(args[i], str_cat("topology ", kind, " ", field),
+                             lo, kMaxNodes);
+  };
+  const auto real = [&](std::size_t i, const char* field, RealRange range) {
+    return parse_real(args[i], str_cat("topology ", kind, " ", field), range);
+  };
+  if (kind == "chain" && args.size() == 3) {
+    const auto n = count(1, "node count", 1);
+    const auto s = real(2, "spacing", kLength);
+    if (const auto* e = first_error(n, s)) return make_error(*e);
+    return make_chain(*n, *s);
   }
-  return true;
+  if (kind == "grid" && args.size() == 4) {
+    const auto r = count(1, "rows", 1);
+    const auto c = count(2, "columns", 1);
+    const auto s = real(3, "spacing", kLength);
+    if (const auto* e = first_error(r, c, s)) return make_error(*e);
+    return try_make_grid(*r, *c, *s);
+  }
+  if (kind == "ring" && args.size() == 3) {
+    const auto n = count(1, "node count", 3);
+    const auto r = real(2, "radius", kLength);
+    if (const auto* e = first_error(n, r)) return make_error(*e);
+    return make_ring(*n, *r);
+  }
+  if (kind == "random" && args.size() == 5) {
+    const auto n = count(1, "node count", 1);
+    const auto side = real(2, "side", positive(1e6));
+    const auto range = real(3, "range", positive(1e6));
+    const auto seed =
+        parse_int<std::uint64_t>(args[4], "topology random seed");
+    if (const auto* e = first_error(n, side, range, seed)) {
+      return make_error(*e);
+    }
+    Rng rng(*seed);
+    return try_make_random_geometric(*n, *side, *range, rng);
+  }
+  if (kind == "tree" && args.size() == 4) {
+    const auto a = count(1, "arity", 1);
+    const auto d = count(2, "depth", 0);
+    const auto s = real(3, "spacing", kLength);
+    if (const auto* e = first_error(a, d, s)) return make_error(*e);
+    // 1 + a + a^2 + ... + a^d nodes, checked level by level.
+    std::int64_t level = 1;
+    std::int64_t total = 1;
+    for (NodeId i = 0; i < *d; ++i) {
+      level *= *a;
+      total += level;
+      if (total > kMaxNodes) {
+        return make_error(str_cat("topology tree ", *a, " ", *d,
+                                  " exceeds the NodeId range"));
+      }
+    }
+    return make_tree(*a, *d, *s);
+  }
+  return make_error(str_cat("unknown topology '", kind,
+                            "' (or wrong argument count)"));
+}
+
+Expected<PhyMode> parse_phy(const std::string& value,
+                           const std::string& field) {
+  Choices<int> modes;
+  for (int r : {6, 9, 12, 18, 24, 36, 48, 54}) {
+    modes.emplace_back(str_cat("ofdm", r), r);
+  }
+  for (int r : {1, 2, 5, 11}) modes.emplace_back(str_cat("dsss", r), -r);
+  const auto mode = parse_choice<int>(value, field, modes);
+  if (!mode) return make_error(mode.error());
+  return *mode > 0 ? PhyMode::ofdm_802_11a(*mode)
+                   : PhyMode::dsss_802_11b(-*mode);
 }
 
 // Accumulates 'node <id> <x> <y>' / 'link <u> <v>' lines that follow a
@@ -323,13 +197,13 @@ struct CustomTopologyState {
   bool active = false;
   std::size_t header_line = 0;
   struct NodeDecl {
-    std::int64_t id = 0;
+    NodeId id = 0;
     Point pos;
     std::size_t line = 0;
   };
   struct LinkDecl {
-    std::int64_t u = 0;
-    std::int64_t v = 0;
+    NodeId u = 0;
+    NodeId v = 0;
     std::size_t line = 0;
   };
   std::vector<NodeDecl> nodes;
@@ -351,7 +225,7 @@ Expected<Topology> build_custom_topology(const CustomTopologyState& st) {
   t.positions.resize(static_cast<std::size_t>(n));
   std::vector<bool> declared(static_cast<std::size_t>(n), false);
   for (const auto& node : st.nodes) {
-    if (node.id < 0 || node.id >= n) {
+    if (node.id >= n) {
       return make_error(str_cat("line ", node.line, ": node id ", node.id,
                                 " out of range (ids must be dense 0..",
                                 n - 1, ")"));
@@ -364,7 +238,7 @@ Expected<Topology> build_custom_topology(const CustomTopologyState& st) {
     t.positions[static_cast<std::size_t>(node.id)] = node.pos;
   }
   for (const auto& link : st.links) {
-    if (link.u < 0 || link.u >= n || link.v < 0 || link.v >= n) {
+    if (link.u >= n || link.v >= n) {
       return make_error(str_cat("line ", link.line, ": link ", link.u, " ",
                                 link.v, " references an undeclared node"));
     }
@@ -372,436 +246,344 @@ Expected<Topology> build_custom_topology(const CustomTopologyState& st) {
       return make_error(str_cat("line ", link.line, ": link ", link.u, " ",
                                 link.v, " is a self-loop"));
     }
-    const auto u = static_cast<NodeId>(link.u);
-    const auto v = static_cast<NodeId>(link.v);
     // The assertion inside Graph::add_edge would make a malformed input
     // file a crash; here a parallel edge is an ordinary scenario error
     // that names the offending line.
-    if (t.graph.has_edge(u, v)) {
+    if (t.graph.has_edge(link.u, link.v)) {
       return make_error(str_cat("line ", link.line, ": duplicate link ",
                                 link.u, " ", link.v,
                                 " (parallel edges are not allowed)"));
     }
-    t.graph.add_edge(u, v);
+    t.graph.add_edge(link.u, link.v);
   }
   return t;
 }
 
-Expected<Topology> parse_topology(const std::vector<std::string>& args,
-                                  std::size_t line_no) {
-  const auto need = [&](std::size_t n) {
-    return args.size() == n;
+// One parse of a scenario text. Node ids are range-checked as they are
+// read and checked against the topology, which a custom declaration only
+// finishes after the whole file, once the text is consumed.
+class ScenarioParser {
+ public:
+  Expected<Scenario> parse(const std::string& text);
+
+ private:
+  // A node id some line refers to, checked against the final topology.
+  struct NodeRef {
+    NodeId node = 0;
+    std::string what;
+    std::size_t line = 0;
   };
-  const auto num = [&](std::size_t i) { return to_number(args[i], line_no); };
-  if (args.empty()) return make_error(str_cat("line ", line_no,
-                                              ": empty topology"));
-  const std::string& kind = args[0];
-  if (kind == "chain" && need(3)) {
-    const auto n = to_integer<NodeId>(args[1], line_no,
-                                      "topology chain node count", 1,
-                                      kMaxNodes);
-    const auto s = num(2);
-    if (!n || !s) return make_error(n ? s.error() : n.error());
-    return make_chain(*n, *s);
-  }
-  if (kind == "grid" && need(4)) {
-    const auto r = num(1);
-    const auto c = num(2);
-    const auto s = num(3);
-    if (!r || !c || !s) return make_error("bad grid arguments");
-    auto topo = try_make_grid(static_cast<std::int64_t>(*r),
-                              static_cast<std::int64_t>(*c), *s);
-    if (!topo) return make_error(str_cat("line ", line_no, ": ",
-                                         topo.error()));
-    return std::move(*topo);
-  }
-  if (kind == "ring" && need(3)) {
-    const auto n = to_integer<NodeId>(args[1], line_no,
-                                      "topology ring node count", 3,
-                                      kMaxNodes);
-    if (!n) return make_error(n.error());
-    const auto r = num(2);
-    if (!r) return make_error("bad ring arguments");
-    return make_ring(*n, *r);
-  }
-  if (kind == "random" && need(5)) {
-    const auto n = num(1);
-    const auto side = num(2);
-    const auto range = num(3);
-    const auto seed = num(4);
-    if (!n || !side || !range || !seed) {
-      return make_error("bad random arguments");
-    }
-    Rng rng(static_cast<std::uint64_t>(*seed));
-    return make_random_geometric(static_cast<NodeId>(*n), *side, *range, rng);
-  }
-  if (kind == "tree" && need(4)) {
-    const auto a = num(1);
-    const auto d = num(2);
-    const auto s = num(3);
-    if (!a || !d || !s) return make_error("bad tree arguments");
-    return make_tree(static_cast<NodeId>(*a), static_cast<NodeId>(*d), *s);
-  }
-  return make_error(str_cat("line ", line_no, ": unknown topology '", kind,
-                            "' (or wrong argument count)"));
+  struct FloorDecl {
+    NodeId node = 0;
+    int level = 0;
+  };
+
+  KnobTable keys();
+  Expected<bool> declaration(const std::vector<std::string>& t);
+  Expected<bool> add_faults(const std::string& value);
+  Expected<Scenario> finish();
+
+  Scenario sc_;
+  bool have_topology_ = false;
+  CustomTopologyState custom_;
+  std::vector<FloorDecl> floors_;
+  std::vector<NodeRef> node_refs_;
+  std::size_t line_no_ = 0;
+};
+
+// The 'key = value' lines. Hints stay empty: only knob lists render them.
+KnobTable ScenarioParser::keys() {
+  MeshConfig& cfg = sc_.config;
+  using Value = const std::string&;
+  return {
+      knob_value("topology", "",
+                 [this](Value value) -> Expected<bool> {
+                   have_topology_ = true;
+                   if (value == "custom") {
+                     // Node/link lines follow; the topology is assembled
+                     // after the whole file is read.
+                     custom_.active = true;
+                     custom_.header_line = line_no_;
+                     return true;
+                   }
+                   auto topo = parse_topology(tokenize(value));
+                   if (!topo) return make_error(topo.error());
+                   sc_.config.topology = std::move(*topo);
+                   return true;
+                 }),
+      knob_int<int>("zones", &cfg.zones, 0, kMaxNodes),
+      knob_real("comm_range", &cfg.comm_range, kRange),
+      knob_real("interference_range", &cfg.interference_range, kRange),
+      knob_parsed("phy", "", parse_phy, assign_to(&cfg.phy)),
+      knob_int<int>("frame_ms", 1, 1000,
+                    [&cfg](int v) {
+                      cfg.emulation.frame.frame_duration =
+                          SimTime::milliseconds(v);
+                    }),
+      knob_int<int>("control_slots", &cfg.emulation.frame.control_slots, 0,
+                    kMaxSubframeSlots),
+      knob_int<int>("data_slots", &cfg.emulation.frame.data_slots, 1,
+                    kMaxSubframeSlots),
+      knob_value("guard_us", "",
+                 [&cfg](Value value) -> Expected<bool> {
+                   cfg.auto_guard = value == "auto";
+                   if (cfg.auto_guard) return true;
+                   const auto v =
+                       parse_int<int>(value, "guard_us", 0, 1'000'000);
+                   if (!v) return make_error(v.error());
+                   cfg.emulation.guard_time = SimTime::microseconds(*v);
+                   return true;
+                 }),
+      knob_choice<SchedulerKind>(
+          "scheduler", &cfg.scheduler,
+          {{"ilp-delay", SchedulerKind::kIlpDelayAware},
+           {"ilp-nodelay", SchedulerKind::kIlpDelayUnaware},
+           {"greedy", SchedulerKind::kGreedy},
+           {"round-robin", SchedulerKind::kRoundRobin}}),
+      knob_value("ilp", "",
+                 [&cfg](Value value) {
+                   return apply_knobs(value, "ilp", ilp_knobs(cfg.ilp));
+                 }),
+      knob_value("radio", "",
+                 [&cfg](Value value) {
+                   cfg.radio.enabled = true;
+                   return apply_knobs(value, "radio", radio_knobs(cfg.radio));
+                 }),
+      knob_value("admit", "",
+                 [this](Value value) {
+                   sc_.admit_enabled = true;
+                   return apply_knobs(value, "admit", admit_knobs(sc_));
+                 }),
+      knob_choice<RoutingPolicy>("routing", &cfg.routing,
+                                 {{"hop", RoutingPolicy::kHopCount},
+                                  {"load-aware", RoutingPolicy::kLoadAware}}),
+      knob_choice<MacMode>("mac", &sc_.mac,
+                           {{"tdma", MacMode::kTdmaOverlay},
+                            {"dcf", MacMode::kDcf},
+                            {"edca", MacMode::kEdca}}),
+      knob_parsed(
+          "duration_s", "",
+          [](Value v, Value f) { return parse_real(v, f, {0.0, kMaxSeconds}); },
+          [this](double v) { sc_.duration = SimTime::from_seconds(v); }),
+      knob_int<std::uint64_t>("seed", &cfg.seed, 0, kMaxU64),
+      knob_real("packet_error_rate", &cfg.packet_error_rate, {0.0, 1.0}),
+      knob_choice<bool>("rts_cts", &cfg.dcf_rts_cts, on_off()),
+      knob_value("fault", "",
+                 [this](Value value) { return add_faults(value); }),
+      knob_parsed(
+          "audit", "",
+          [](Value v, Value f) {
+            return parse_choice<std::pair<bool, bool>>(  // (on, fail-fast)
+                v, f,
+                {{"off", {false, false}},
+                 {"on", {true, false}},
+                 {"fail-fast", {true, true}}});
+          },
+          [&cfg](std::pair<bool, bool> mode) {
+            std::tie(cfg.audit, cfg.audit_fail_fast) = mode;
+          }),
+      knob_value("trace", "",
+                 [&cfg](Value value) -> Expected<bool> {
+                   std::string error;
+                   cfg.trace_categories =
+                       trace::parse_categories(value, &error);
+                   if (!error.empty()) return make_error(error);
+                   return true;
+                 }),
+  };
 }
 
-Expected<PhyMode> parse_phy(const std::string& value, std::size_t line_no) {
-  if (value.rfind("ofdm", 0) == 0) {
-    const auto rate = to_number(value.substr(4), line_no);
-    if (!rate) return make_error(rate.error());
-    for (int r : {6, 9, 12, 18, 24, 36, 48, 54}) {
-      if (r == static_cast<int>(*rate)) return PhyMode::ofdm_802_11a(r);
+// Multiple 'fault =' lines accumulate into one plan, sorted by time.
+Expected<bool> ScenarioParser::add_faults(const std::string& value) {
+  auto plan = faults::parse_fault_plan(value);
+  if (!plan) return make_error(plan.error());
+  faults::FaultPlan& all = sc_.config.faults;
+  for (const faults::FaultEvent& e : plan->events) {
+    all.events.push_back(e);
+    const std::string what =
+        str_cat("fault '", faults::fault_kind_name(e.kind), "' node");
+    for (const NodeId n : {e.node, e.link_a, e.link_b}) {
+      if (n != kInvalidNode) node_refs_.push_back({n, what, line_no_});
     }
   }
-  if (value.rfind("dsss", 0) == 0) {
-    const auto rate = to_number(value.substr(4), line_no);
-    if (!rate) return make_error(rate.error());
-    for (int r : {1, 2, 5, 11}) {
-      if (r == static_cast<int>(*rate)) return PhyMode::dsss_802_11b(r);
-    }
-  }
-  return make_error(str_cat("line ", line_no, ": unknown phy '", value, "'"));
+  all.detection_delay = plan->detection_delay;
+  std::stable_sort(all.events.begin(), all.events.end(),
+                   [](const faults::FaultEvent& a,
+                      const faults::FaultEvent& b) { return a.at < b.at; });
+  return true;
 }
 
-Expected<VoipCodec> parse_codec(const std::string& name,
-                                std::size_t line_no) {
-  if (name == "g711") return VoipCodec::g711();
-  if (name == "g729") return VoipCodec::g729();
-  if (name == "g723") return VoipCodec::g723();
-  return make_error(str_cat("line ", line_no, ": unknown codec '", name,
-                            "' (g711|g729|g723)"));
+// Declaration lines: "<kind> <args...>" without '='.
+Expected<bool> ScenarioParser::declaration(const std::vector<std::string>& t) {
+  const std::string& kind = t[0];
+  const auto field = [&](const char* name) { return str_cat(kind, " ", name); };
+  const auto real = [&](std::size_t i, const char* name, RealRange range) {
+    return parse_real(t[i], field(name), range);
+  };
+  // A node id, range-checked now and against the topology at the end.
+  const auto node = [&](std::size_t i, const char* name) {
+    auto id = parse_int<NodeId>(t[i], field(name), 0, kMaxNodes);
+    if (id) node_refs_.push_back({*id, field(name), line_no_});
+    return id;
+  };
+
+  if (kind == "node" || kind == "link") {
+    if (!custom_.active) {
+      return make_error(
+          str_cat("'", kind, "' lines require 'topology = custom'"));
+    }
+    // Custom ids are checked for density by build_custom_topology.
+    const auto id = [&](std::size_t i, const char* name) {
+      return parse_int<NodeId>(t[i], field(name), 0, kMaxNodes);
+    };
+    if (kind == "node" && t.size() == 4) {
+      const auto n = id(1, "id");
+      const auto x = real(2, "x", kCoordinate);
+      const auto y = real(3, "y", kCoordinate);
+      if (const auto* e = first_error(n, x, y)) return make_error(*e);
+      custom_.nodes.push_back({*n, Point{*x, *y}, line_no_});
+      return true;
+    }
+    if (kind == "link" && t.size() == 3) {
+      const auto u = id(1, "u");
+      const auto v = id(2, "v");
+      if (const auto* e = first_error(u, v)) return make_error(*e);
+      custom_.links.push_back({*u, *v, line_no_});
+      return true;
+    }
+    return make_error(str_cat("bad ", kind,
+                              " line (expected 'node <id> <x> <y>' / "
+                              "'link <u> <v>')"));
+  }
+  if (kind == "wall") {
+    if (t.size() != 5 && t.size() != 6) {
+      return make_error(
+          "bad wall line (expected 'wall <x1> <y1> <x2> <y2> [loss_db]')");
+    }
+    const auto x1 = real(1, "x1", kCoordinate);
+    const auto y1 = real(2, "y1", kCoordinate);
+    const auto x2 = real(3, "x2", kCoordinate);
+    const auto y2 = real(4, "y2", kCoordinate);
+    if (const auto* e = first_error(x1, y1, x2, y2)) return make_error(*e);
+    radio::WallSegment wall;
+    wall.a = Point{*x1, *y1};
+    wall.b = Point{*x2, *y2};
+    if (t.size() == 6) {
+      const auto loss = real(5, "loss_db", kAnyFinite);
+      if (!loss) return make_error(loss.error());
+      wall.loss_db = *loss;
+    }
+    sc_.config.radio.propagation.walls.push_back(wall);
+    return true;
+  }
+  if (kind == "floor") {
+    if (t.size() != 3) {
+      return make_error("bad floor line (expected 'floor <node> <level>')");
+    }
+    const auto n = node(1, "node");
+    const auto level = parse_int<int>(t[2], field("level"), -1000, 1000);
+    if (const auto* e = first_error(n, level)) return make_error(*e);
+    floors_.push_back({*n, *level});
+    return true;
+  }
+  // Flows: "<kind> <id> <src> <dst> ..."; a voip call is two flows.
+  const bool voip = kind == "voip";
+  if ((voip && t.size() == 6) || (kind == "video" && t.size() == 5) ||
+      (kind == "bulk" && t.size() == 6)) {
+    const auto id = parse_int<int>(t[1], field("id"), 0, kMaxFlowId);
+    const auto src = node(2, voip ? "a" : "src");
+    const auto dst = node(3, voip ? "b" : "dst");
+    if (const auto* e = first_error(id, src, dst)) return make_error(*e);
+    if (voip) {
+      const auto codec = parse_choice(t[4], field("codec"), codecs());
+      const auto delay = parse_int<std::int64_t>(t[5], field("max_delay_ms"),
+                                                 1, kMaxDelayMs);
+      if (const auto* e = first_error(codec, delay)) return make_error(*e);
+      const SimTime bound = SimTime::milliseconds(*delay);
+      sc_.flows.push_back(FlowSpec::voip(*id, *src, *dst, *codec, bound));
+      sc_.flows.push_back(FlowSpec::voip(*id + 1, *dst, *src, *codec, bound));
+    } else if (kind == "video") {
+      const auto rate = real(4, "mean_bps", kVideoRateBps);
+      if (!rate) return make_error(rate.error());
+      sc_.flows.push_back(FlowSpec::video(*id, *src, *dst, *rate));
+    } else {
+      const auto bytes =
+          parse_int<std::size_t>(t[4], field("bytes"), 1, kMaxPacketBytes);
+      const auto rate = real(5, "rate_bps", kRateBps);
+      if (const auto* e = first_error(bytes, rate)) return make_error(*e);
+      sc_.flows.push_back(
+          FlowSpec::best_effort(*id, *src, *dst, *bytes, *rate));
+    }
+    return true;
+  }
+  return make_error(str_cat("unrecognized line '", join(t, " "), "'"));
+}
+
+Expected<Scenario> ScenarioParser::parse(const std::string& text) {
+  const KnobTable key_table = keys();
+  for (const std::string& raw : split(text, '\n')) {
+    ++line_no_;
+    const std::string line =
+        trim(std::string_view(raw).substr(0, raw.find('#')));
+    if (line.empty()) continue;
+    const auto eq = line.find('=');
+    const std::string key = trim(line.substr(0, eq));
+    const Knob* knob = find_knob(key_table, key);
+    const Expected<bool> ok =
+        eq == std::string::npos ? declaration(tokenize(line))
+        : knob != nullptr ? knob->set(trim(line.substr(eq + 1)))
+                          : make_error(str_cat("unknown key '", key, "'"));
+    if (!ok) return make_error(str_cat("line ", line_no_, ": ", ok.error()));
+  }
+  return finish();
+}
+
+Expected<Scenario> ScenarioParser::finish() {
+  if (custom_.active) {
+    auto topo = build_custom_topology(custom_);
+    if (!topo) return make_error(topo.error());
+    sc_.config.topology = std::move(*topo);
+  }
+  if (!have_topology_) return make_error("scenario is missing 'topology'");
+
+  const NodeId n = sc_.config.topology.node_count();
+  for (const NodeRef& ref : node_refs_) {
+    if (ref.node >= n) {
+      return make_error(str_cat("line ", ref.line, ": ", ref.what, " ",
+                                ref.node, " is not a node (the topology has ",
+                                n, " nodes)"));
+    }
+  }
+  // Physical-layer validation: surface misconfiguration as named scenario
+  // errors instead of the asserts the typed factories would otherwise hit.
+  {
+    auto ranges = RadioModel::try_make(sc_.config.comm_range,
+                                       sc_.config.interference_range);
+    if (!ranges) return make_error(str_cat("radio ranges: ", ranges.error()));
+  }
+  if (sc_.config.radio.enabled ||
+      !sc_.config.radio.propagation.walls.empty()) {
+    auto prop = radio::Propagation::try_make(sc_.config.radio.propagation);
+    if (!prop) return make_error(str_cat("radio: ", prop.error()));
+  }
+  if (!floors_.empty()) {
+    sc_.config.radio.floors.assign(static_cast<std::size_t>(n), 0);
+    for (const FloorDecl& f : floors_) {
+      sc_.config.radio.floors[static_cast<std::size_t>(f.node)] = f.level;
+    }
+  }
+  // Churn replays synthesize their own arrivals, so a flow-less scenario
+  // is complete once 'admit =' appears.
+  if (sc_.flows.empty() && !sc_.admit_enabled) {
+    return make_error("scenario declares no traffic");
+  }
+  return std::move(sc_);
 }
 
 }  // namespace
 
 Expected<Scenario> parse_scenario(const std::string& text) {
-  Scenario sc;
-  bool have_topology = false;
-  CustomTopologyState custom;
-  // 'floor <node> <level>' lines; validated against the topology (which a
-  // custom declaration only finishes after the whole file) post-loop.
-  struct FloorDecl {
-    std::int64_t node = 0;
-    int level = 0;
-    std::size_t line = 0;
-  };
-  std::vector<FloorDecl> floor_decls;
-  std::size_t line_no = 0;
-
-  for (const std::string& raw : split(text, '\n')) {
-    ++line_no;
-    std::string line = raw;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    line = trim(line);
-    if (line.empty()) continue;
-
-    // Flow declarations: "<kind> <args...>" without '='.
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      const auto tokens = tokenize(line);
-      const std::string& kind = tokens[0];
-      const auto num = [&](std::size_t i) -> Expected<double> {
-        if (i >= tokens.size()) {
-          return make_error(str_cat("line ", line_no, ": missing argument"));
-        }
-        return to_number(tokens[i], line_no);
-      };
-      if (kind == "node" || kind == "link") {
-        if (!custom.active) {
-          return make_error(str_cat("line ", line_no, ": '", kind,
-                                    "' lines require 'topology = custom'"));
-        }
-        if (kind == "node" && tokens.size() == 4) {
-          const auto id = num(1), x = num(2), y = num(3);
-          if (!id || !x || !y) return make_error("bad node line");
-          custom.nodes.push_back({static_cast<std::int64_t>(*id),
-                                  Point{*x, *y}, line_no});
-          continue;
-        }
-        if (kind == "link" && tokens.size() == 3) {
-          const auto u = num(1), v = num(2);
-          if (!u || !v) return make_error("bad link line");
-          custom.links.push_back({static_cast<std::int64_t>(*u),
-                                  static_cast<std::int64_t>(*v), line_no});
-          continue;
-        }
-        return make_error(str_cat("line ", line_no, ": bad ", kind,
-                                  " line (expected 'node <id> <x> <y>' / "
-                                  "'link <u> <v>')"));
-      }
-      if (kind == "wall") {
-        if (tokens.size() != 5 && tokens.size() != 6) {
-          return make_error(str_cat("line ", line_no,
-                                    ": bad wall line (expected 'wall <x1> "
-                                    "<y1> <x2> <y2> [loss_db]')"));
-        }
-        const auto x1 = num(1), y1 = num(2), x2 = num(3), y2 = num(4);
-        if (!x1 || !y1 || !x2 || !y2) return make_error("bad wall line");
-        radio::WallSegment wall;
-        wall.a = Point{*x1, *y1};
-        wall.b = Point{*x2, *y2};
-        if (tokens.size() == 6) {
-          const auto loss = num(5);
-          if (!loss) return make_error(loss.error());
-          wall.loss_db = *loss;
-        }
-        sc.config.radio.propagation.walls.push_back(wall);
-        continue;
-      }
-      if (kind == "floor") {
-        if (tokens.size() != 3) {
-          return make_error(str_cat("line ", line_no,
-                                    ": bad floor line (expected 'floor "
-                                    "<node> <level>')"));
-        }
-        const auto node = num(1), level = num(2);
-        if (!node || !level) return make_error("bad floor line");
-        floor_decls.push_back({static_cast<std::int64_t>(*node),
-                               static_cast<int>(*level), line_no});
-        continue;
-      }
-      if (kind == "voip" && tokens.size() == 6) {
-        const auto id = num(1), a = num(2), b = num(3), delay = num(5);
-        const auto codec = parse_codec(tokens[4], line_no);
-        if (!id || !a || !b || !delay) return make_error("bad voip line");
-        if (!codec) return make_error(codec.error());
-        const SimTime bound =
-            SimTime::milliseconds(static_cast<std::int64_t>(*delay));
-        sc.flows.push_back(FlowSpec::voip(static_cast<int>(*id),
-                                          static_cast<NodeId>(*a),
-                                          static_cast<NodeId>(*b), *codec,
-                                          bound));
-        sc.flows.push_back(FlowSpec::voip(static_cast<int>(*id) + 1,
-                                          static_cast<NodeId>(*b),
-                                          static_cast<NodeId>(*a), *codec,
-                                          bound));
-        continue;
-      }
-      if (kind == "video" && tokens.size() == 5) {
-        const auto id = num(1), src = num(2), dst = num(3), rate = num(4);
-        if (!id || !src || !dst || !rate) return make_error("bad video line");
-        sc.flows.push_back(FlowSpec::video(static_cast<int>(*id),
-                                           static_cast<NodeId>(*src),
-                                           static_cast<NodeId>(*dst), *rate));
-        continue;
-      }
-      if (kind == "bulk" && tokens.size() == 6) {
-        const auto id = num(1), src = num(2), dst = num(3), bytes = num(4),
-                   rate = num(5);
-        if (!id || !src || !dst || !bytes || !rate) {
-          return make_error("bad bulk line");
-        }
-        sc.flows.push_back(FlowSpec::best_effort(
-            static_cast<int>(*id), static_cast<NodeId>(*src),
-            static_cast<NodeId>(*dst), static_cast<std::size_t>(*bytes),
-            *rate));
-        continue;
-      }
-      return make_error(str_cat("line ", line_no, ": unrecognized line '",
-                                line, "'"));
-    }
-
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    const auto numeric = [&]() { return to_number(value, line_no); };
-
-    if (key == "topology") {
-      if (value == "custom") {
-        // Node/link declarations follow on their own lines; the topology
-        // is assembled after the whole file is read.
-        custom.active = true;
-        custom.header_line = line_no;
-        have_topology = true;
-        continue;
-      }
-      auto topo = parse_topology(tokenize(value), line_no);
-      if (!topo) return make_error(topo.error());
-      sc.config.topology = std::move(*topo);
-      have_topology = true;
-    } else if (key == "zones") {
-      const auto v = to_integer<int>(value, line_no, "zones", 0, kMaxNodes);
-      if (!v) return make_error(v.error());
-      sc.config.zones = *v;
-    } else if (key == "comm_range") {
-      const auto v = numeric();
-      if (!v) return make_error(v.error());
-      sc.config.comm_range = *v;
-    } else if (key == "interference_range") {
-      const auto v = numeric();
-      if (!v) return make_error(v.error());
-      sc.config.interference_range = *v;
-    } else if (key == "phy") {
-      auto phy = parse_phy(value, line_no);
-      if (!phy) return make_error(phy.error());
-      sc.config.phy = std::move(*phy);
-    } else if (key == "frame_ms") {
-      const auto v = to_integer<int>(value, line_no, "frame_ms", 1, 1000);
-      if (!v) return make_error(v.error());
-      sc.config.emulation.frame.frame_duration = SimTime::milliseconds(*v);
-    } else if (key == "control_slots") {
-      const auto v = to_integer<int>(value, line_no, "control_slots", 0,
-                                     kMaxSubframeSlots);
-      if (!v) return make_error(v.error());
-      sc.config.emulation.frame.control_slots = *v;
-    } else if (key == "data_slots") {
-      const auto v = to_integer<int>(value, line_no, "data_slots", 1,
-                                     kMaxSubframeSlots);
-      if (!v) return make_error(v.error());
-      sc.config.emulation.frame.data_slots = *v;
-    } else if (key == "guard_us") {
-      if (value == "auto") {
-        sc.config.auto_guard = true;
-      } else {
-        const auto v = to_integer<int>(value, line_no, "guard_us", 0,
-                                       1'000'000);
-        if (!v) return make_error(v.error());
-        sc.config.auto_guard = false;
-        sc.config.emulation.guard_time = SimTime::microseconds(*v);
-      }
-    } else if (key == "scheduler") {
-      if (value == "ilp-delay") {
-        sc.config.scheduler = SchedulerKind::kIlpDelayAware;
-      } else if (value == "ilp-nodelay") {
-        sc.config.scheduler = SchedulerKind::kIlpDelayUnaware;
-      } else if (value == "greedy") {
-        sc.config.scheduler = SchedulerKind::kGreedy;
-      } else if (value == "round-robin") {
-        sc.config.scheduler = SchedulerKind::kRoundRobin;
-      } else {
-        return make_error(str_cat("line ", line_no, ": unknown scheduler '",
-                                  value, "'"));
-      }
-    } else if (key == "ilp") {
-      auto applied = apply_ilp_options(sc.config.ilp, value, line_no);
-      if (!applied) return make_error(applied.error());
-    } else if (key == "radio") {
-      auto applied = apply_radio_options(sc.config.radio, value, line_no);
-      if (!applied) return make_error(applied.error());
-    } else if (key == "admit") {
-      auto applied = apply_admit_options(sc, value, line_no);
-      if (!applied) return make_error(applied.error());
-    } else if (key == "routing") {
-      if (value == "hop") {
-        sc.config.routing = RoutingPolicy::kHopCount;
-      } else if (value == "load-aware") {
-        sc.config.routing = RoutingPolicy::kLoadAware;
-      } else {
-        return make_error(str_cat("line ", line_no, ": unknown routing '",
-                                  value, "'"));
-      }
-    } else if (key == "mac") {
-      if (value == "tdma") {
-        sc.mac = MacMode::kTdmaOverlay;
-      } else if (value == "dcf") {
-        sc.mac = MacMode::kDcf;
-      } else if (value == "edca") {
-        sc.mac = MacMode::kEdca;
-      } else {
-        return make_error(str_cat("line ", line_no, ": unknown mac '", value,
-                                  "'"));
-      }
-    } else if (key == "duration_s") {
-      const auto v = numeric();
-      if (!v) return make_error(v.error());
-      sc.duration = SimTime::from_seconds(*v);
-    } else if (key == "seed") {
-      const auto v = numeric();
-      if (!v) return make_error(v.error());
-      sc.config.seed = static_cast<std::uint64_t>(*v);
-    } else if (key == "packet_error_rate") {
-      const auto v = numeric();
-      if (!v) return make_error(v.error());
-      sc.config.packet_error_rate = *v;
-    } else if (key == "rts_cts") {
-      if (value == "on") {
-        sc.config.dcf_rts_cts = true;
-      } else if (value == "off") {
-        sc.config.dcf_rts_cts = false;
-      } else {
-        return make_error(str_cat("line ", line_no,
-                                  ": rts_cts must be on|off"));
-      }
-    } else if (key == "fault") {
-      auto plan = faults::parse_fault_plan(value);
-      if (!plan) {
-        return make_error(str_cat("line ", line_no, ": ", plan.error()));
-      }
-      // Multiple fault= lines accumulate into one plan.
-      for (const faults::FaultEvent& e : plan->events) {
-        sc.config.faults.events.push_back(e);
-      }
-      sc.config.faults.detection_delay = plan->detection_delay;
-      std::stable_sort(sc.config.faults.events.begin(),
-                       sc.config.faults.events.end(),
-                       [](const faults::FaultEvent& a,
-                          const faults::FaultEvent& b) { return a.at < b.at; });
-    } else if (key == "audit") {
-      if (value == "on") {
-        sc.config.audit = true;
-        sc.config.audit_fail_fast = false;
-      } else if (value == "fail-fast") {
-        sc.config.audit = true;
-        sc.config.audit_fail_fast = true;
-      } else if (value == "off") {
-        sc.config.audit = false;
-        sc.config.audit_fail_fast = false;
-      } else {
-        return make_error(str_cat("line ", line_no,
-                                  ": audit must be on|off|fail-fast"));
-      }
-    } else if (key == "trace") {
-      std::string trace_error;
-      sc.config.trace_categories = trace::parse_categories(value, &trace_error);
-      if (!trace_error.empty()) {
-        return make_error(str_cat("line ", line_no, ": ", trace_error));
-      }
-    } else {
-      return make_error(str_cat("line ", line_no, ": unknown key '", key,
-                                "'"));
-    }
-  }
-
-  if (custom.active) {
-    auto topo = build_custom_topology(custom);
-    if (!topo) return make_error(topo.error());
-    sc.config.topology = std::move(*topo);
-  }
-  if (!have_topology) return make_error("scenario is missing 'topology'");
-
-  // Physical-layer validation: surface misconfiguration as named scenario
-  // errors instead of the asserts the typed factories would otherwise hit.
-  {
-    auto ranges = RadioModel::try_make(sc.config.comm_range,
-                                       sc.config.interference_range);
-    if (!ranges) return make_error(str_cat("radio ranges: ", ranges.error()));
-  }
-  if (sc.config.radio.enabled ||
-      !sc.config.radio.propagation.walls.empty()) {
-    auto prop = radio::Propagation::try_make(sc.config.radio.propagation);
-    if (!prop) return make_error(str_cat("radio: ", prop.error()));
-  }
-  if (!floor_decls.empty()) {
-    const NodeId n = sc.config.topology.node_count();
-    sc.config.radio.floors.assign(static_cast<std::size_t>(n), 0);
-    for (const auto& decl : floor_decls) {
-      if (decl.node < 0 || decl.node >= n) {
-        return make_error(str_cat("line ", decl.line, ": floor declares node ",
-                                  decl.node, " but the topology has ", n,
-                                  " nodes"));
-      }
-      sc.config.radio.floors[static_cast<std::size_t>(decl.node)] =
-          decl.level;
-    }
-  }
-  // Churn replays synthesize their own arrivals, so a flow-less scenario
-  // is complete once 'admit =' appears.
-  if (sc.flows.empty() && !sc.admit_enabled) {
-    return make_error("scenario declares no traffic");
-  }
-  return sc;
+  return ScenarioParser().parse(text);
 }
 
 std::string format_report(const Scenario& scenario,

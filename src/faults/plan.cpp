@@ -1,8 +1,11 @@
 #include "wimesh/faults/plan.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
+#include <tuple>
+#include <utility>
 
+#include "wimesh/common/parse.h"
 #include "wimesh/common/strings.h"
 
 namespace wimesh::faults {
@@ -29,56 +32,28 @@ const char* fault_kind_name(FaultKind k) {
 
 namespace {
 
-std::string trim(std::string s) {
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-  };
-  std::size_t b = 0;
-  while (b < s.size() && is_space(s[b])) ++b;
-  std::size_t e = s.size();
-  while (e > b && is_space(s[e - 1])) --e;
-  return s.substr(b, e - b);
-}
+// Times and delays stay far inside SimTime's range.
+constexpr double kMaxSeconds = 1e6;
+constexpr NodeId kMaxNodes = std::numeric_limits<NodeId>::max();
 
-std::vector<std::string> split_tokens(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < s.size() && s[j] != ' ' && s[j] != '\t') ++j;
-    if (j > i) out.push_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-Expected<double> to_number(const std::string& s, const std::string& where) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    return make_error(str_cat(where, ": '", s, "' is not a number"));
-  }
-  return v;
+Expected<NodeId> to_node(const std::string& s, const std::string& field) {
+  return parse_int<NodeId>(s, field, 0, kMaxNodes);
 }
 
 // "A-B" -> unordered node pair.
 Expected<std::pair<NodeId, NodeId>> to_link(const std::string& s,
-                                            const std::string& where) {
+                                            const std::string& field) {
   const auto dash = s.find('-');
   if (dash == std::string::npos || dash == 0 || dash + 1 >= s.size()) {
-    return make_error(str_cat(where, ": link must be 'A-B', got '", s, "'"));
+    return make_error(str_cat(field, " must be 'A-B' (got '", s, "')"));
   }
-  const auto a = to_number(s.substr(0, dash), where);
-  const auto b = to_number(s.substr(dash + 1), where);
-  if (!a) return make_error(a.error());
-  if (!b) return make_error(b.error());
-  const auto na = static_cast<NodeId>(*a);
-  const auto nb = static_cast<NodeId>(*b);
-  if (na < 0 || nb < 0 || na == nb) {
-    return make_error(str_cat(where, ": bad link endpoints '", s, "'"));
+  const auto a = to_node(s.substr(0, dash), field);
+  const auto b = to_node(s.substr(dash + 1), field);
+  if (const auto* e = first_error(a, b)) return make_error(*e);
+  if (*a == *b) {
+    return make_error(str_cat(field, " endpoints must differ (got '", s, "')"));
   }
-  return std::make_pair(na, nb);
+  return std::make_pair(*a, *b);
 }
 
 }  // namespace
@@ -89,14 +64,14 @@ Expected<FaultPlan> parse_fault_plan(const std::string& spec) {
   for (const std::string& raw : split(spec, ';')) {
     const std::string entry = trim(raw);
     if (entry.empty()) continue;
-    const auto tokens = split_tokens(entry);
+    const auto tokens = tokenize(entry);
     const std::string& head = tokens[0];
 
     // Plan-level option: "detect_ms=D" (no '@').
     if (head.rfind("detect_ms=", 0) == 0 && tokens.size() == 1) {
-      const auto v = to_number(head.substr(10), "fault option 'detect_ms'");
+      const auto v = parse_real(head.substr(10), "fault option 'detect_ms'",
+                                {0.0, kMaxSeconds * 1e3});
       if (!v) return make_error(v.error());
-      if (*v < 0) return make_error("fault option 'detect_ms': must be >= 0");
       plan.detection_delay = SimTime::from_seconds(*v / 1e3);
       continue;
     }
@@ -110,115 +85,88 @@ Expected<FaultPlan> parse_fault_plan(const std::string& spec) {
     const std::string when = head.substr(at_pos + 1);
     const std::string where = str_cat("fault '", head, "'");
 
-    FaultEvent e;
-    if (kind_name == "node-crash") {
-      e.kind = FaultKind::kNodeCrash;
-    } else if (kind_name == "node-recover") {
-      e.kind = FaultKind::kNodeRecover;
-    } else if (kind_name == "master-fail") {
-      e.kind = FaultKind::kMasterFail;
-    } else if (kind_name == "link-down") {
-      e.kind = FaultKind::kLinkDown;
-    } else if (kind_name == "link-up") {
-      e.kind = FaultKind::kLinkUp;
-    } else if (kind_name == "burst") {
-      e.kind = FaultKind::kLinkBurst;
-    } else if (kind_name == "clock-step") {
-      e.kind = FaultKind::kClockStep;
-    } else {
-      return make_error(str_cat(where, ": unknown fault kind '", kind_name,
-                                "'"));
+    Choices<FaultKind> kinds;
+    for (const FaultKind k :
+         {FaultKind::kNodeCrash, FaultKind::kNodeRecover,
+          FaultKind::kMasterFail, FaultKind::kLinkDown, FaultKind::kLinkUp,
+          FaultKind::kLinkBurst, FaultKind::kClockStep}) {
+      kinds.emplace_back(fault_kind_name(k), k);
     }
+    const auto kind = parse_choice(kind_name, str_cat(where, " kind"), kinds);
+    if (!kind) return make_error(kind.error());
+    FaultEvent e;
+    e.kind = *kind;
 
     // Time: "T" or, for bursts, "T1..T2".
     const auto dots = when.find("..");
-    if (e.kind == FaultKind::kLinkBurst) {
-      if (dots == std::string::npos) {
-        return make_error(str_cat(where, ": burst needs a window 'T1..T2'"));
-      }
-      const auto t1 = to_number(when.substr(0, dots), where);
-      const auto t2 = to_number(when.substr(dots + 2), where);
-      if (!t1) return make_error(t1.error());
-      if (!t2) return make_error(t2.error());
-      if (*t1 < 0 || *t2 <= *t1) {
-        return make_error(str_cat(where, ": burst window must satisfy "
-                                         "0 <= T1 < T2"));
-      }
-      e.at = SimTime::from_seconds(*t1);
-      e.until = SimTime::from_seconds(*t2);
-    } else {
-      if (dots != std::string::npos) {
-        return make_error(str_cat(where, ": only bursts take a 'T1..T2' "
-                                         "window"));
-      }
-      const auto t = to_number(when, where);
-      if (!t) return make_error(t.error());
-      if (*t < 0) return make_error(str_cat(where, ": time must be >= 0"));
-      e.at = SimTime::from_seconds(*t);
+    const bool burst = e.kind == FaultKind::kLinkBurst;
+    if (burst != (dots != std::string::npos)) {
+      return make_error(str_cat(where, burst ? ": burst needs a window 'T1..T2'"
+                                             : ": only bursts take a 'T1..T2' "
+                                               "window"));
     }
+    const auto t1 = parse_real(when.substr(0, dots), str_cat(where, " time"),
+                               {0.0, kMaxSeconds});
+    const auto t2 = burst ? parse_real(when.substr(dots + 2),
+                                       str_cat(where, " end"),
+                                       {0.0, kMaxSeconds})
+                          : t1;
+    if (const auto* err = first_error(t1, t2)) return make_error(*err);
+    if (burst && *t2 <= *t1) {
+      return make_error(str_cat(where, ": burst window must satisfy "
+                                       "0 <= T1 < T2"));
+    }
+    e.at = SimTime::from_seconds(*t1);
+    if (burst) e.until = SimTime::from_seconds(*t2);
 
-    // key=value arguments.
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      const std::string& tok = tokens[i];
-      const auto eq = tok.find('=');
-      if (eq == std::string::npos) {
-        return make_error(str_cat(where, ": expected key=value, got '", tok,
-                                  "'"));
-      }
-      const std::string key = tok.substr(0, eq);
-      const std::string value = tok.substr(eq + 1);
-      const auto num = [&]() { return to_number(value, where); };
-
-      if (key == "node" && (e.kind == FaultKind::kNodeCrash ||
+    // key=value arguments; each kind accepts its own keys.
+    const bool node_event = e.kind == FaultKind::kNodeCrash ||
                             e.kind == FaultKind::kNodeRecover ||
-                            e.kind == FaultKind::kClockStep)) {
-        const auto v = num();
-        if (!v) return make_error(v.error());
-        if (*v < 0) return make_error(str_cat(where, ": node must be >= 0"));
-        e.node = static_cast<NodeId>(*v);
-      } else if (key == "link" && (e.kind == FaultKind::kLinkDown ||
-                                   e.kind == FaultKind::kLinkUp ||
-                                   e.kind == FaultKind::kLinkBurst)) {
-        const auto pair = to_link(value, where);
-        if (!pair) return make_error(pair.error());
-        e.link_a = pair->first;
-        e.link_b = pair->second;
-      } else if (key == "step_us" && e.kind == FaultKind::kClockStep) {
-        const auto v = num();
-        if (!v) return make_error(v.error());
-        e.step = SimTime::nanoseconds(
-            static_cast<std::int64_t>(*v * 1e3 + (*v >= 0 ? 0.5 : -0.5)));
-      } else if (key == "p_gb" && e.kind == FaultKind::kLinkBurst) {
-        const auto v = num();
-        if (!v) return make_error(v.error());
-        e.ge.p_good_to_bad = *v;
-      } else if (key == "p_bg" && e.kind == FaultKind::kLinkBurst) {
-        const auto v = num();
-        if (!v) return make_error(v.error());
-        e.ge.p_bad_to_good = *v;
-      } else if (key == "per_good" && e.kind == FaultKind::kLinkBurst) {
-        const auto v = num();
-        if (!v) return make_error(v.error());
-        e.ge.per_good = *v;
-      } else if (key == "per_bad" && e.kind == FaultKind::kLinkBurst) {
-        const auto v = num();
-        if (!v) return make_error(v.error());
-        e.ge.per_bad = *v;
-      } else {
-        return make_error(str_cat(where, ": unknown key '", key, "'"));
+                            e.kind == FaultKind::kClockStep;
+    const bool link_event = e.kind == FaultKind::kLinkDown ||
+                            e.kind == FaultKind::kLinkUp ||
+                            e.kind == FaultKind::kLinkBurst;
+    KnobTable keys;
+    if (node_event) {
+      keys.push_back(knob_parsed("node", "N", to_node, assign_to(&e.node)));
+    }
+    if (link_event) {
+      keys.push_back(knob_parsed("link", "A-B", to_link,
+                                 [&e](std::pair<NodeId, NodeId> link) {
+                                   std::tie(e.link_a, e.link_b) = link;
+                                 }));
+    }
+    if (e.kind == FaultKind::kClockStep) {
+      keys.push_back(knob_parsed(
+          "step_us", "U",
+          [](const std::string& v, const std::string& f) {
+            return parse_real(v, f, {-1e9, 1e9});
+          },
+          [&e](double us) {
+            e.step = SimTime::nanoseconds(
+                static_cast<std::int64_t>(us * 1e3 + (us >= 0 ? 0.5 : -0.5)));
+          }));
+    }
+    if (burst) {
+      GilbertElliottParams& ge = e.ge;
+      for (const auto& [name, target] :
+           {std::pair{"p_gb", &ge.p_good_to_bad},
+            std::pair{"p_bg", &ge.p_bad_to_good},
+            std::pair{"per_good", &ge.per_good},
+            std::pair{"per_bad", &ge.per_bad}}) {
+        keys.push_back(knob_real(name, target, {0.0, 1.0}));
       }
+    }
+    const std::vector<std::string> args(tokens.begin() + 1, tokens.end());
+    if (const auto ok = apply_knobs(join(args, ","), where, keys); !ok) {
+      return make_error(ok.error());
     }
 
     // Required arguments per kind.
-    if ((e.kind == FaultKind::kNodeCrash ||
-         e.kind == FaultKind::kNodeRecover ||
-         e.kind == FaultKind::kClockStep) &&
-        e.node == kInvalidNode) {
+    if (node_event && e.node == kInvalidNode) {
       return make_error(str_cat(where, ": missing 'node=N'"));
     }
-    if ((e.kind == FaultKind::kLinkDown || e.kind == FaultKind::kLinkUp ||
-         e.kind == FaultKind::kLinkBurst) &&
-        e.link_a == kInvalidNode) {
+    if (link_event && e.link_a == kInvalidNode) {
       return make_error(str_cat(where, ": missing 'link=A-B'"));
     }
     if (e.kind == FaultKind::kClockStep && e.step == SimTime::zero()) {

@@ -80,7 +80,8 @@ Topology make_grid(NodeId rows, NodeId cols, double spacing) {
   return *std::move(t);
 }
 
-Topology make_random_geometric(NodeId n, double side, double range, Rng& rng) {
+Expected<Topology> try_make_random_geometric(NodeId n, double side,
+                                             double range, Rng& rng) {
   WIMESH_ASSERT(n >= 1);
   WIMESH_ASSERT(side > 0 && range > 0);
   constexpr int kMaxAttempts = 200;
@@ -102,10 +103,15 @@ Topology make_random_geometric(NodeId n, double side, double range, Rng& rng) {
     }
     if (is_connected(t.graph)) return t;
   }
-  WIMESH_ASSERT_MSG(false,
-                    "could not draw a connected random geometric graph; "
-                    "increase range or shrink the area");
-  return {};
+  return make_error(
+      "could not draw a connected random geometric graph; increase range or "
+      "shrink the area");
+}
+
+Topology make_random_geometric(NodeId n, double side, double range, Rng& rng) {
+  auto t = try_make_random_geometric(n, side, range, rng);
+  WIMESH_ASSERT_MSG(t.has_value(), t.has_value() ? std::string{} : t.error());
+  return *std::move(t);
 }
 
 Topology make_tree(NodeId arity, NodeId depth, double spacing) {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "wimesh/common/parse.h"
 #include "wimesh/common/strings.h"
 
 namespace wimesh::trace {
@@ -32,21 +33,13 @@ std::size_t category_index(Category cat) {
   return i;
 }
 
-std::string trim_token(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t')) --e;
-  return s.substr(b, e - b);
-}
-
 }  // namespace
 
 std::uint32_t parse_categories(const std::string& csv, std::string* error) {
   if (error != nullptr) error->clear();
   std::uint32_t mask = 0;
   for (const std::string& raw : split(csv, ',')) {
-    const std::string token = trim_token(raw);
+    const std::string token = trim(raw);
     if (token.empty()) continue;
     if (token == "all" || token == "on") {
       mask |= kAll;

@@ -1,8 +1,8 @@
 #include "wimesh/traffic/sources.h"
 
 #include <algorithm>
-#include <stdexcept>
 
+#include "wimesh/common/parse.h"
 #include "wimesh/common/strings.h"
 
 namespace wimesh {
@@ -150,42 +150,28 @@ Expected<std::vector<TraceReplaySource::Entry>> TraceReplaySource::parse(
   std::size_t line_no = 0;
   for (const std::string& raw : split(text, '\n')) {
     ++line_no;
-    std::string line = raw;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    // Trim whitespace.
-    while (!line.empty() && (line.back() == ' ' || line.back() == '\r' ||
-                             line.back() == '\t')) {
-      line.pop_back();
-    }
-    std::size_t begin = 0;
-    while (begin < line.size() &&
-           (line[begin] == ' ' || line[begin] == '\t')) {
-      ++begin;
-    }
-    line = line.substr(begin);
+    const std::string line =
+        trim(std::string_view(raw).substr(0, raw.find('#')));
     if (line.empty()) continue;
     const auto comma = line.find(',');
     if (comma == std::string::npos) {
       return make_error(str_cat("line ", line_no, ": expected 'us,bytes'"));
     }
-    try {
-      const long long us = std::stoll(line.substr(0, comma));
-      const long long bytes = std::stoll(line.substr(comma + 1));
-      if (us < 0 || bytes <= 0) {
-        return make_error(str_cat("line ", line_no, ": values out of range"));
-      }
-      Entry e{SimTime::microseconds(us), static_cast<std::size_t>(bytes)};
-      if (e.offset < prev) {
-        return make_error(
-            str_cat("line ", line_no, ": offsets must be non-decreasing"));
-      }
-      prev = e.offset;
-      out.push_back(e);
-    } catch (const std::exception&) {
-      return make_error(str_cat("line ", line_no, ": parse failure"));
+    // Offsets up to ~11.6 days keep the nanosecond conversion exact.
+    const auto us = parse_int<std::int64_t>(trim(line.substr(0, comma)),
+                                            "offset_us", 0, 1'000'000'000'000);
+    const auto bytes = parse_int<std::size_t>(trim(line.substr(comma + 1)),
+                                              "bytes", 1, 1'000'000'000);
+    if (const auto* err = first_error(us, bytes)) {
+      return make_error(str_cat("line ", line_no, ": ", *err));
     }
+    const Entry e{SimTime::microseconds(*us), *bytes};
+    if (e.offset < prev) {
+      return make_error(
+          str_cat("line ", line_no, ": offsets must be non-decreasing"));
+    }
+    prev = e.offset;
+    out.push_back(e);
   }
   if (out.empty()) return make_error("trace is empty");
   return out;

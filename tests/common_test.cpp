@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "wimesh/common/expected.h"
+#include "wimesh/common/parse.h"
 #include "wimesh/common/rng.h"
 #include "wimesh/common/strings.h"
 #include "wimesh/common/time.h"
@@ -204,6 +205,77 @@ TEST(StringsTest, JoinAndSplit) {
   EXPECT_EQ(parts[0], "a");
   EXPECT_EQ(parts[2], "");
   EXPECT_EQ(parts[3], "c");
+}
+
+// ------------------------------------------------------------------ parse
+
+TEST(ParseTest, TrimAndTokenize) {
+  EXPECT_EQ(trim(" \t a b \r\n"), "a b");
+  EXPECT_EQ(trim("   "), "");
+  EXPECT_EQ(tokenize("  a \t bb  c "),
+            (std::vector<std::string>{"a", "bb", "c"}));
+  EXPECT_TRUE(tokenize(" \t ").empty());
+}
+
+TEST(ParseTest, IntegersAreExactAndRangeChecked) {
+  EXPECT_EQ(*parse_int<int>("42", "f", 0, 100), 42);
+  EXPECT_EQ(*parse_int<int>("1e2", "f", 0, 100), 100);  // exact exponent form
+  EXPECT_EQ(*parse_int<std::int64_t>("-7", "f", -10, 10), -7);
+  EXPECT_EQ(*parse_int<std::uint64_t>("9007199254740992", "f"),
+            9007199254740992u);  // 2^53
+  EXPECT_EQ(*parse_int<std::uint64_t>("1e19", "f"), 10000000000000000000u);
+  for (const char* bad : {"0.5", "nan", "inf", "-1", "101", "1e30", "", " 5",
+                          "5x", "18446744073709551616"}) {
+    const auto v = parse_int<int>(bad, "knob", 0, 100);
+    ASSERT_FALSE(v.has_value()) << bad;
+    EXPECT_EQ(v.error(), str_cat("knob must be an integer in [0, 100] (got '",
+                                 bad, "')"));
+  }
+  // Decimal literals a double cannot hold are errors, not silently rounded.
+  for (const char* inexact : {"9007199254740993", "18446744073709551615"}) {
+    const auto v = parse_int<std::uint64_t>(inexact, "seed");
+    ASSERT_FALSE(v.has_value()) << inexact;
+    EXPECT_NE(v.error().find("not exactly representable"), std::string::npos)
+        << v.error();
+  }
+}
+
+TEST(ParseTest, RealsAreFiniteAndRangeChecked) {
+  EXPECT_DOUBLE_EQ(*parse_real("2.5", "f", {0.0, 10.0}), 2.5);
+  EXPECT_DOUBLE_EQ(*parse_real("-1e3", "f"), -1000.0);
+  EXPECT_FALSE(parse_real("0", "f", positive(1.0)).has_value());
+  EXPECT_TRUE(parse_real("1", "f", positive(1.0)).has_value());
+  EXPECT_EQ(parse_real("nan", "x", {0.0, 1.0}).error(),
+            "x must be a number in [0, 1] (got 'nan')");
+  EXPECT_EQ(parse_real("0", "x", positive(1.0)).error(),
+            "x must be a number in (0, 1] (got '0')");
+  EXPECT_EQ(parse_real("1e400", "x").error(),
+            "x must be a finite number (got '1e400')");
+}
+
+TEST(ParseTest, KnobTableAppliesListsAndNamesUnknownTokens) {
+  bool flag = true;
+  int n = 0;
+  double x = 0.0;
+  bool on = false;
+  const KnobTable table = {
+      knob_word("on", [&on] { on = true; }),
+      knob_flag("cuts", &flag),
+      knob_int<int>("n", &n, 1, 9),
+      knob_real("x", &x, {0.0, 1.0}),
+  };
+  ASSERT_TRUE(apply_knobs(" on, no-cuts , n = 3,x=0.5,,", "demo", table));
+  EXPECT_TRUE(on);
+  EXPECT_FALSE(flag);
+  EXPECT_EQ(n, 3);
+  EXPECT_DOUBLE_EQ(x, 0.5);
+  EXPECT_EQ(apply_knobs("bogus", "demo", table).error(),
+            "unknown demo token 'bogus' (expected on|[no-]cuts|n=N|x=X)");
+  EXPECT_EQ(apply_knobs("y=1", "demo", table).error(),
+            "unknown demo knob 'y'");
+  EXPECT_EQ(apply_knobs("n=10", "demo", table).error(),
+            "demo n must be an integer in [1, 9] (got '10')");
+  EXPECT_EQ(n, 3);  // a rejected value leaves the target alone
 }
 
 }  // namespace

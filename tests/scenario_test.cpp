@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "wimesh/common/strings.h"
 #include "wimesh/core/scenario.h"
 
 namespace wimesh {
@@ -151,6 +152,82 @@ TEST(ScenarioParserTest, IntegerFieldsRejectOutOfRangeValues) {
   EXPECT_EQ(edge->config.emulation.frame.frame_duration,
             SimTime::milliseconds(1000));
   EXPECT_EQ(edge->config.emulation.frame.data_slots, 4096);
+}
+
+// Every other numeric field and node id is range-checked too, on a grid-3x3
+// base: knob integers, topology arguments, fault plans and flow lines.
+// Each input used to reach undefined behaviour (float->int casts,
+// SimTime overflow, division by a zero packet interval) or an assert in
+// the planner, scheduler or fault runtime; now it is a named error that
+// carries its line number.
+TEST(ScenarioParserTest, OutOfRangeInputsAreNamedLineErrors) {
+  struct Case {
+    const char* lines;  // inserted after the topology line
+    int line;           // line the error must name
+    const char* field;  // text the error must carry
+  };
+  const Case cases[] = {
+      {"ilp = threads=1e30", 2, "ilp threads"},
+      {"ilp = portfolio=1e30", 2, "ilp portfolio"},
+      {"ilp = max_nodes=1e300", 2, "ilp max_nodes"},
+      {"admit = rate=0", 2, "admit rate"},
+      {"admit = holding=-1", 2, "admit holding"},
+      {"admit = events=-1", 2, "admit events"},
+      {"admit = seed=1e30", 2, "admit seed"},
+      {"admit = max_delay_ms=1e300", 2, "admit max_delay_ms"},
+      {"admit = compaction=1e30", 2, "admit compaction"},
+      {"radio = oscillators=1e30", 2, "radio oscillators"},
+      {"radio = probe=1e30", 2, "radio probe"},
+      {"radio = seed=-1", 2, "radio seed"},
+      {"seed = 1e30", 2, "seed"},
+      {"duration_s = 1e300", 2, "duration_s"},
+      {"floor 1e30 2", 2, "floor node"},
+      {"voip 1e30 8 0 g729 100", 2, "voip id"},
+      {"topology = grid 1e30 1 100", 2, "grid rows"},
+      {"topology = random 1e30 500 110 1", 2, "random node count"},
+      {"topology = random 0 500 110 1", 2, "random node count"},
+      {"topology = random 5 500 1 1", 2, "connected random geometric"},
+      {"topology = tree 1e30 2 100", 2, "tree arity"},
+      {"topology = tree 0 2 100", 2, "tree arity"},
+      {"topology = tree 1000 5 100", 2, "NodeId range"},
+      {"topology = custom\nnode 1e30 0 0", 3, "node id"},
+      {"fault = node-crash@1e300 node=4", 2, "time"},
+      {"fault = node-crash@0.1 node=1e30", 2, "node"},
+      {"fault = clock-step@0.1 node=1 step_us=1e300", 2, "step_us"},
+      {"fault = link-down@0.1 link=0-1e30", 2, "link"},
+      {"fault = detect_ms=1e300", 2, "detect_ms"},
+      // Flow and fault node ids are checked against the topology.
+      {"video 0 -1 0 500000", 2, "video src"},
+      {"voip 0 99 0 g729 100", 2, "voip a 99"},
+      {"bulk 50 2 6 1200 3e14", 2, "bulk rate_bps"},
+      {"bulk 50 2 6 -5 2000000", 2, "bulk bytes"},
+      {"video 0 8 0 -1", 2, "video mean_bps"},
+      {"video 0 8 0 999", 2, "video mean_bps"},
+      {"fault = node-crash@0.1 node=99", 2, "node 99"},
+      {"fault = link-down@0.1 link=0-9", 2, "node 9"},
+  };
+  for (const Case& c : cases) {
+    const auto sc = parse_scenario(std::string("topology = grid 3 3 100\n") +
+                                   c.lines + "\nvoip 0 8 0 g729 100\n");
+    ASSERT_FALSE(sc.has_value()) << c.lines;
+    EXPECT_NE(sc.error().find(str_cat("line ", c.line, ":")),
+              std::string::npos)
+        << c.lines << ": " << sc.error();
+    EXPECT_NE(sc.error().find(c.field), std::string::npos)
+        << c.lines << ": " << sc.error();
+  }
+  // In-range values at the same places still parse.
+  const auto ok = parse_scenario(
+      "topology = grid 3 3 100\n"
+      "ilp = threads=8,portfolio=4,max_nodes=1e6\n"
+      "admit = rate=0.5,holding=60,events=0,seed=18446744073709549568\n"
+      "radio = oscillators=16,probe=2,seed=0\n"
+      "fault = node-crash@0.1 node=8; link-down@1 link=0-1; detect_ms=0\n"
+      "video 0 8 0 1000\n"
+      "bulk 50 2 6 1 1e10\n");
+  ASSERT_TRUE(ok.has_value()) << ok.error();
+  EXPECT_EQ(ok->config.ilp.max_nodes, 1'000'000);
+  EXPECT_EQ(ok->admit_churn.seed, 18446744073709549568u);  // 2^64 - 2048
 }
 
 TEST(ScenarioParserTest, AuditKeyParsesAllModes) {
