@@ -97,7 +97,7 @@ void run_ilp(benchmark::State& state, const SchedulingProblem& p, int slack,
   const int s = probe->frame_slots + slack;
 
   const IlpSchedulerOptions opt = solver_options(solver);
-  long nodes = 0, lp_iters = 0;
+  long nodes = 0, lp_iters = 0, install_pivots = 0;
   bool solved = true, tree = false;
   for (auto _ : state) {
     auto r = schedule_ilp(p, s, opt);
@@ -108,6 +108,7 @@ void run_ilp(benchmark::State& state, const SchedulingProblem& p, int slack,
     }
     nodes = r->ilp_nodes;
     lp_iters = r->lp_iterations;
+    install_pivots = r->install_pivots;
     tree = r->used_tree_fast_path;
     benchmark::DoNotOptimize(r);
   }
@@ -115,6 +116,7 @@ void run_ilp(benchmark::State& state, const SchedulingProblem& p, int slack,
   state.counters["conflict_pairs"] = p.conflicts.edge_count();
   state.counters["bnb_nodes"] = static_cast<double>(nodes);
   state.counters["lp_pivots"] = static_cast<double>(lp_iters);
+  state.counters["install_pivots"] = static_cast<double>(install_pivots);
   state.counters["slots"] = s;
   state.counters["solved"] = solved ? 1 : 0;
   // 1 when S is the proven minimum (no stage skipped on limits), i.e. the
@@ -235,7 +237,8 @@ int tree_smoke() {
 
 // --portfolio-smoke: the portfolio result must be bit-identical for any
 // thread count. Forces branch & bound (no heuristics, no tree path) on the
-// grid so the portfolio genuinely runs. Returns 0 on pass.
+// grid so the portfolio genuinely runs, and checks that cold nodes
+// (warm_start off) find the same minimal S. Returns the failure count.
 int portfolio_smoke() {
   const SchedulingProblem p = grid_problem(3);
   const auto probe = min_slots_search(p, 96);
@@ -265,13 +268,31 @@ int portfolio_smoke() {
     const std::string grants = render_grants(p, r->schedule);
     if (reference.empty()) reference = grants;
     if (grants == reference) {
-      std::printf("portfolio-smoke threads=%d: PASS (nodes=%ld)\n", threads,
-                  r->ilp_nodes);
+      std::printf(
+          "portfolio-smoke threads=%d: PASS (nodes=%ld install_pivots=%ld)\n",
+          threads, r->ilp_nodes, r->install_pivots);
     } else {
       std::printf("portfolio-smoke threads=%d: FAIL\n  got  %s\n  want %s\n",
                   threads, grants.c_str(), reference.c_str());
       ++failures;
     }
+  }
+  opt.threads = 1;
+  IlpSchedulerOptions cold = opt;
+  cold.warm_start = false;
+  const auto warm_min = min_slots_search(p, 96, opt);
+  const auto cold_min = min_slots_search(p, 96, cold);
+  if (warm_min.has_value() && cold_min.has_value() &&
+      warm_min->frame_slots == cold_min->frame_slots &&
+      warm_min->frame_slots == probe->frame_slots) {
+    std::printf("portfolio-smoke warm_start=off: PASS (min S=%d)\n",
+                cold_min->frame_slots);
+  } else {
+    std::printf("portfolio-smoke warm_start=off: FAIL (warm S=%d, cold S=%d, "
+                "probe S=%d)\n",
+                warm_min ? warm_min->frame_slots : -1,
+                cold_min ? cold_min->frame_slots : -1, probe->frame_slots);
+    ++failures;
   }
   return failures;
 }

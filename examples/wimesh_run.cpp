@@ -410,6 +410,7 @@ int main(int argc, char** argv) {
     outcome.derived_seed = scenario->config.seed;
     outcome.label = "single";
     outcome.ok = true;
+    outcome.plan = batch::summarize_plan(**plan);
     outcome.result = result;
     if (!write_file(json_path, batch::results_json({outcome}))) {
       std::fprintf(stderr, "cannot write '%s'\n", json_path.c_str());

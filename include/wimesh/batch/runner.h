@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,18 @@ struct RunSpec {
   std::string label;
 };
 
+// Solver work behind a run's guaranteed schedule. Counts only (no wall
+// time), so the JSON stays byte-identical across job counts.
+struct PlanSummary {
+  int guaranteed_slots = 0;
+  int search_stages = 0;
+  long ilp_nodes = 0;
+  long lp_iterations = 0;
+  long install_pivots = 0;
+};
+
+PlanSummary summarize_plan(const MeshPlan& plan);
+
 struct RunOutcome {
   std::uint64_t run_index = 0;
   std::uint64_t derived_seed = 0;
@@ -48,6 +61,8 @@ struct RunOutcome {
   bool ok = false;
   std::string error;  // planning/admission failure when !ok
   SimulationResult result;
+  // Present when the run computed a plan (TDMA overlay runs).
+  std::optional<PlanSummary> plan;
   // Per-run event trace, present when tracing was requested (via
   // BatchOptions::trace or the scenario's trace_categories). A run's
   // records are bound to the worker thread executing it, so the virtual-

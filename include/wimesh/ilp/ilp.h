@@ -73,6 +73,7 @@ struct IlpResult {
   std::vector<double> x;        // incumbent point (integers snapped exactly)
   long nodes_explored = 0;      // LP relaxations solved, summed over strategies
   long lp_iterations = 0;       // total simplex pivots across all nodes
+  long install_pivots = 0;      // pivots spent installing warm bases
   // True dual bound on the optimum (in the model's objective sense): for a
   // maximization, objective <= optimum <= best_bound; for a minimization,
   // best_bound <= optimum <= objective. Equal to the objective only when
@@ -124,7 +125,9 @@ struct IlpOptions {
   // as always, can stop the search at a nondeterministic point).
   int threads = 1;
   // Reuse each parent node's optimal LP basis to warm-start its children
-  // (dual-simplex repair instead of a fresh phase 1).
+  // (dual-simplex repair instead of a fresh phase 1). Each strategy's
+  // round keeps one live LP tableau, so a child is repaired in place from
+  // whatever node the round solved last. Off: every node cold-starts.
   bool warm_start = true;
   // Optional warm basis for the root LP (e.g. from the previous stage of a
   // linear search over schedule lengths), and a slot to receive this

@@ -6,16 +6,21 @@
 // (CBC/GLPK/CPLEX) is available offline, so this module implements the LP
 // relaxation engine from scratch: a dense two-phase primal simplex with
 // general variable bounds (so binary 0/1 bounds cost nothing extra), bound
-// flips, and Bland anti-cycling fallback. The ILP branch & bound in
-// wimesh/ilp sits on top.
+// flips, and Bland anti-cycling fallback, plus a dual simplex that repairs
+// a warm-started basis after bound changes. LpSolver keeps its tableau
+// between solves of one model, so a sequence of bound-only changes (the
+// nodes of a branch & bound dive) is repaired in place instead of being
+// rebuilt. The ILP branch & bound in wimesh/ilp sits on top.
 //
 // Problem form:
 //   minimize / maximize   c'x
 //   subject to            lhs_i : a_i'x (<= | = | >=) rhs_i
 //                         lo_j <= x_j <= up_j   (either side may be infinite)
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,6 +61,8 @@ class LpModel {
 
   int variable_count() const { return static_cast<int>(vars_.size()); }
   int constraint_count() const { return static_cast<int>(rows_.size()); }
+  // Stored (merged) constraint coefficients over all rows.
+  std::size_t nonzero_count() const { return nonzeros_; }
 
   double lower_bound(VarId v) const { return vars_[check_var(v)].lo; }
   double upper_bound(VarId v) const { return vars_[check_var(v)].up; }
@@ -96,6 +103,7 @@ class LpModel {
 
   std::vector<Var> vars_;
   std::vector<Row> rows_;
+  std::size_t nonzeros_ = 0;
   ObjSense obj_sense_ = ObjSense::kMinimize;
 };
 
@@ -127,6 +135,7 @@ struct LpResult {
   double objective = 0.0;       // valid when kOptimal
   std::vector<double> x;        // primal values, valid when kOptimal
   long iterations = 0;          // simplex pivots performed
+  long install_pivots = 0;      // pivots spent installing a warm basis
   bool warm_start_used = false; // true when a supplied basis was installed
 };
 
@@ -148,5 +157,33 @@ LpResult solve_lp(const LpModel& model, const LpOptions& options = {});
 // the optimal basis still contains an artificial column).
 LpResult solve_lp(const LpModel& model, const LpOptions& options,
                   const LpBasis* warm_start, LpBasis* basis_out);
+
+namespace detail {
+class Simplex;
+}
+
+// A solver that keeps its tableau alive between solves of one model. The
+// first solve (and every solve without a warm basis) builds the tableau
+// anew from the model, exactly as solve_lp does. A later warm-started solve
+// re-reads the variable bounds (and objective) from the model, shifts the
+// tableau to them in place, pivots in only the hinted columns that are not
+// basic already, and repairs primal feasibility with the dual simplex.
+// An in-place optimum whose point violates the model by more than the
+// feasibility tolerance is re-solved from a fresh build. The rows must not
+// change between solves. `model` and `options` are not owned and must
+// outlive the solver.
+class LpSolver {
+ public:
+  LpSolver(const LpModel& model, const LpOptions& options);
+  ~LpSolver();
+  LpSolver(const LpSolver&) = delete;
+  LpSolver& operator=(const LpSolver&) = delete;
+
+  // Same contract as the warm-started solve_lp above.
+  LpResult solve(const LpBasis* warm_start, LpBasis* basis_out);
+
+ private:
+  std::unique_ptr<detail::Simplex> simplex_;
+};
 
 }  // namespace wimesh

@@ -77,7 +77,10 @@ struct MeshPlan {
   std::vector<FlowPlan> guaranteed;
   std::vector<FlowPlan> best_effort;
   int guaranteed_slots_used = 0;
+  // Solver work behind the guaranteed schedule (zeros without an ILP).
   long ilp_nodes = 0;
+  long lp_iterations = 0;
+  long install_pivots = 0;
   int search_stages = 0;
   // Zone-partitioned solve accounting (zone_count stays 0 for global
   // solves). With zoning, per-flow delay_bound_met is reported but not

@@ -34,6 +34,8 @@ struct CachedSchedule {
   std::string error;  // solver error when !feasible
   MeshSchedule schedule;
   long ilp_nodes = 0;
+  long lp_iterations = 0;
+  long install_pivots = 0;
   int search_stages = 0;
 };
 

@@ -84,6 +84,7 @@ struct ScheduleResult {
   // Solver diagnostics (zeros for non-ILP schedulers).
   long ilp_nodes = 0;
   long lp_iterations = 0;
+  long install_pivots = 0;  // LP pivots spent installing warm bases
   // True when the exact tree-topology fast path produced the schedule
   // without touching the LP/ILP machinery at all.
   bool used_tree_fast_path = false;

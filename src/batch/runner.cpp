@@ -63,6 +63,7 @@ std::vector<RunOutcome> run_batch(const std::vector<RunSpec>& specs,
         out.error = plan.error();
         return;
       }
+      out.plan = summarize_plan(**plan);
     }
     out.result = net.run(spec.scenario.mac, spec.scenario.duration);
     out.ok = true;
@@ -70,7 +71,28 @@ std::vector<RunOutcome> run_batch(const std::vector<RunSpec>& specs,
   return outcomes;
 }
 
+PlanSummary summarize_plan(const MeshPlan& plan) {
+  return PlanSummary{plan.guaranteed_slots_used, plan.search_stages,
+                     plan.ilp_nodes, plan.lp_iterations, plan.install_pivots};
+}
+
 namespace {
+
+void plan_json(JsonWriter& w, const PlanSummary& p) {
+  w.key("plan");
+  w.begin_object();
+  w.key("guaranteed_slots");
+  w.value(p.guaranteed_slots);
+  w.key("search_stages");
+  w.value(p.search_stages);
+  w.key("ilp_nodes");
+  w.value(static_cast<std::int64_t>(p.ilp_nodes));
+  w.key("lp_iterations");
+  w.value(static_cast<std::int64_t>(p.lp_iterations));
+  w.key("install_pivots");
+  w.value(static_cast<std::int64_t>(p.install_pivots));
+  w.end_object();
+}
 
 const char* class_name(const FlowSpec& spec) {
   if (spec.shape == TrafficShape::kVbrVideo) return "video";
@@ -268,6 +290,7 @@ std::string results_json(const std::vector<RunOutcome>& outcomes) {
       w.end_object();
       continue;
     }
+    if (run.plan.has_value()) plan_json(w, *run.plan);
     const SimulationResult& r = run.result;
     w.key("interval_s");
     w.value(r.measured_interval.to_seconds());

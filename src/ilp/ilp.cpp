@@ -101,6 +101,7 @@ struct Strategy {
 
   long nodes = 0;
   long lp_iterations = 0;
+  long install_pivots = 0;
   long warm_hits = 0;
   long warm_attempts = 0;
   // Weakest bound among nodes this strategy abandoned unresolved (LP
@@ -147,7 +148,9 @@ class PortfolioBranchAndBound {
 
   // Runs one synchronized round of a single strategy: up to kRoundQuota
   // node LPs, pruning against min(shared incumbent frozen at the barrier,
-  // the strategy's own round-local incumbent).
+  // the strategy's own round-local incumbent). The round owns one live LP
+  // tableau: its first node is built fresh, every later node is repaired
+  // in place from whatever the previous node left.
   void run_round(Strategy& s, long quota);
 
   // Deterministic barrier merge (strategy index order): adopt strictly
@@ -261,6 +264,9 @@ void PortfolioBranchAndBound::run_round(Strategy& s, long quota) {
   // at barriers only, so it is identical no matter how threads interleave);
   // the strategy additionally prunes against its own round-local finds.
   long used = 0;
+  // Created per round, so solver state never crosses a barrier: each
+  // strategy's path depends only on its own node sequence.
+  LpSolver solver(s.work, opt_.lp);
   while (!s.stack.empty() && used < quota) {
     if (time_exhausted()) {
       s.time_hit = true;
@@ -292,9 +298,10 @@ void PortfolioBranchAndBound::run_round(Strategy& s, long quota) {
         opt_.warm_start ? node.warm.get() : nullptr;
     if (warm != nullptr && !warm->empty()) ++s.warm_attempts;
     LpBasis basis_out;
-    const LpResult lp = solve_lp(s.work, opt_.lp, warm, &basis_out);
+    const LpResult lp = solver.solve(warm, &basis_out);
     if (lp.warm_start_used) ++s.warm_hits;
     s.lp_iterations += lp.iterations;
+    s.install_pivots += lp.install_pivots;
 
     if (lp.status == LpStatus::kInfeasible) continue;
     if (lp.status == LpStatus::kIterationLimit) {
@@ -388,6 +395,7 @@ IlpResult PortfolioBranchAndBound::run() {
   const LpResult root_lp =
       solve_lp(root_work, opt_.lp, opt_.root_basis, &root_basis);
   result_.lp_iterations = root_lp.iterations;
+  result_.install_pivots = root_lp.install_pivots;
   if (opt_.root_basis != nullptr && !opt_.root_basis->empty()) {
     ++result_.warm_start_attempts;
     if (root_lp.warm_start_used) ++result_.warm_start_hits;
@@ -487,6 +495,7 @@ IlpResult PortfolioBranchAndBound::run() {
   for (const Strategy& s : strategies_) {
     result_.nodes_explored += s.nodes;
     result_.lp_iterations += s.lp_iterations;
+    result_.install_pivots += s.install_pivots;
     result_.warm_start_hits += s.warm_hits;
     result_.warm_start_attempts += s.warm_attempts;
     result_.nodes_per_strategy.push_back(s.nodes);

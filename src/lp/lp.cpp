@@ -36,6 +36,7 @@ RowId LpModel::add_constraint(const std::vector<LpTerm>& terms, RowSense sense,
     }
   }
   row.terms = std::move(merged);
+  nonzeros_ += row.terms.size();
   rows_.push_back(std::move(row));
   return static_cast<RowId>(rows_.size() - 1);
 }
@@ -82,19 +83,20 @@ double LpModel::max_violation(const std::vector<double>& x) const {
   return worst;
 }
 
-namespace {
+namespace detail {
 
 // Dense two-phase primal simplex with general (possibly infinite) variable
 // bounds. Column layout: [structural | slack (one per row) | artificial
 // (one per row)]. The full tableau T = B^-1 * A is maintained explicitly;
 // per-pivot cost is O(rows * cols), which is fine at the scale of the
-// scheduling ILP relaxations this repo solves (hundreds of rows).
+// scheduling ILP relaxations this repo solves (hundreds of rows). The
+// tableau survives between solve() calls; see LpSolver.
 class Simplex {
  public:
   Simplex(const LpModel& model, const LpOptions& opt)
       : model_(model), opt_(opt) {}
 
-  LpResult run(const LpBasis* warm, LpBasis* basis_out);
+  LpResult solve(const LpBasis* warm, LpBasis* basis_out);
 
  private:
   enum class Status : std::uint8_t { kBasic, kAtLower, kAtUpper, kFreeZero };
@@ -114,6 +116,16 @@ class Simplex {
   }
 
   void build();
+  // Moves the tableau onto the model's current variable bounds: a
+  // nonbasic column whose bound moved shifts xb_ by its tableau column; a
+  // basic column only takes the new lo_/up_ (the dual simplex repairs any
+  // violation, since reduced costs do not depend on bounds).
+  void refresh_bounds();
+  // The nonbasic status a column takes for a wanted status under its
+  // current bounds (a missing bound falls back to the other one, or free).
+  Status status_on_bounds(int j, LpVarStatus want) const;
+  // xb_ -= T[:, j] * delta: nonbasic column j moved by delta.
+  void shift_nonbasic(int j, double delta);
   void install_phase1_costs();
   void install_phase2_costs();
   void recompute_reduced_costs();
@@ -130,7 +142,19 @@ class Simplex {
   bool install_warm(const LpBasis& hint);
   bool primal_feasible() const;
   bool dual_feasible() const;
-  DualOutcome run_dual();
+  // Gives up (kStalled) after `max_pivots` pivots of this run.
+  DualOutcome run_dual(long max_pivots);
+  // Length at which a run of pivots counts as stuck: Bland's rule takes
+  // over in the primal, the dual gives up.
+  int stall_limit() const { return 2 * (m_ + cols_) + 64; }
+  // Finishes a solve from an installed warm basis: phase 2 directly when
+  // it is primal feasible, after a dual-simplex repair of at most
+  // `dual_budget` pivots when it is dual feasible. Returns false (result
+  // untouched) when neither works and the caller must start over.
+  bool solve_warm(LpResult* result, LpBasis* basis_out, long dual_budget);
+  // Primal simplex iterations from the current basis to the end of phase 2
+  // (through phase 1 first when phase1_ is set).
+  void run_primal(LpResult* result, LpBasis* basis_out);
   double basic_objective() const;
   void extract_solution(LpResult* out) const;
   void extract_basis(LpBasis* out) const;
@@ -149,7 +173,10 @@ class Simplex {
   std::vector<int> basis_;      // basis_[r] = column basic in row r
   std::vector<double> xb_;      // values of basic variables by row
   long iters_ = 0;
+  long install_pivots_ = 0;
   bool phase1_ = true;
+  bool built_ = false;          // tableau holds a basis of this model
+  std::size_t built_nonzeros_ = 0;
 };
 
 void Simplex::build() {
@@ -200,9 +227,13 @@ void Simplex::build() {
   basis_.assign(idx(m_), -1);
   xb_.assign(idx(m_), 0.0);
   for (int r = 0; r < m_; ++r) {
-    double residual = model_.row(r).rhs;
-    for (int j = 0; j < n_ + m_; ++j) {
-      if (t_at(r, j) != 0.0) residual -= t_at(r, j) * nonbasic_value(j);
+    // The terms are merged and sorted by variable: the same nonzeros in
+    // the same order as a scan over the tableau row. The slack starts at
+    // zero, so it contributes nothing.
+    const LpModel::Row& row = model_.row(r);
+    double residual = row.rhs;
+    for (const LpTerm& t : row.terms) {
+      if (t.coef != 0.0) residual -= t.coef * nonbasic_value(t.var);
     }
     const int a = n_ + m_ + r;
     lo_[idx(a)] = 0.0;
@@ -216,6 +247,57 @@ void Simplex::build() {
     basis_[idx(r)] = a;
     status_[idx(a)] = Status::kBasic;
     xb_[idx(r)] = std::abs(residual);
+  }
+  built_ = true;
+  built_nonzeros_ = model_.nonzero_count();
+}
+
+void Simplex::refresh_bounds() {
+  for (int j = 0; j < n_; ++j) {
+    const double lo = model_.lower_bound(j);
+    const double up = model_.upper_bound(j);
+    if (lo == lo_[idx(j)] && up == up_[idx(j)]) continue;
+    if (status_[idx(j)] == Status::kBasic) {
+      lo_[idx(j)] = lo;
+      up_[idx(j)] = up;
+      continue;
+    }
+    const double old_val = nonbasic_value(j);
+    const LpVarStatus keep =
+        status_[idx(j)] == Status::kAtUpper    ? LpVarStatus::kAtUpper
+        : status_[idx(j)] == Status::kFreeZero ? LpVarStatus::kFree
+                                               : LpVarStatus::kAtLower;
+    lo_[idx(j)] = lo;
+    up_[idx(j)] = up;
+    status_[idx(j)] = status_on_bounds(j, keep);
+    const double delta = nonbasic_value(j) - old_val;
+    if (delta != 0.0) shift_nonbasic(j, delta);
+  }
+}
+
+Simplex::Status Simplex::status_on_bounds(int j, LpVarStatus want) const {
+  const bool has_lo = lo_[idx(j)] > -kLpInfinity;
+  const bool has_up = up_[idx(j)] < kLpInfinity;
+  switch (want) {
+    case LpVarStatus::kAtUpper:
+      return has_up ? Status::kAtUpper
+                    : (has_lo ? Status::kAtLower : Status::kFreeZero);
+    case LpVarStatus::kFree:
+      return (!has_lo && !has_up)
+                 ? Status::kFreeZero
+                 : (has_lo ? Status::kAtLower : Status::kAtUpper);
+    case LpVarStatus::kAtLower:
+    case LpVarStatus::kBasic:
+    default:
+      return has_lo ? Status::kAtLower
+                    : (has_up ? Status::kAtUpper : Status::kFreeZero);
+  }
+}
+
+void Simplex::shift_nonbasic(int j, double delta) {
+  for (int r = 0; r < m_; ++r) {
+    const double w = t_at(r, j);
+    if (w != 0.0) xb_[idx(r)] -= w * delta;
   }
 }
 
@@ -297,7 +379,7 @@ bool Simplex::step(const Pick& pick, bool* progressed) {
   // Maximum movement before the entering variable hits its own far bound.
   double t_limit = kLpInfinity;
   int leave_row = -1;
-  double leave_to_upper = false;
+  bool leave_to_upper = false;
   if (lo_[idx(q)] > -kLpInfinity && up_[idx(q)] < kLpInfinity) {
     t_limit = up_[idx(q)] - lo_[idx(q)];
   }
@@ -419,48 +501,29 @@ bool Simplex::install_warm(const LpBasis& hint) {
     hint_basic[idx(q)] = 1;
   }
 
-  // Move every hint-nonbasic column onto its hinted bound, clamped to the
-  // CURRENT bounds (the hint may come from a model with different bounds,
-  // e.g. the branch & bound parent). xb_ is kept consistent as the rhs
-  // column B^-1 (b - N x_N) throughout.
+  // Move every nonbasic hint-nonbasic column onto its hinted bound, clamped
+  // to the CURRENT bounds (the hint may come from a model with different
+  // bounds, e.g. the branch & bound parent). xb_ is kept consistent as the
+  // rhs column B^-1 (b - N x_N) throughout.
   for (int j = 0; j < nm; ++j) {
-    if (hint_basic[idx(j)] != 0) continue;
-    const bool has_lo = lo_[idx(j)] > -kLpInfinity;
-    const bool has_up = up_[idx(j)] < kLpInfinity;
-    Status want;
-    switch (hint.status[idx(j)]) {
-      case LpVarStatus::kAtUpper:
-        want = has_up ? Status::kAtUpper
-                      : (has_lo ? Status::kAtLower : Status::kFreeZero);
-        break;
-      case LpVarStatus::kFree:
-        want = (!has_lo && !has_up)
-                   ? Status::kFreeZero
-                   : (has_lo ? Status::kAtLower : Status::kAtUpper);
-        break;
-      case LpVarStatus::kAtLower:
-      case LpVarStatus::kBasic:  // unreachable (validated above)
-      default:
-        want = has_lo ? Status::kAtLower
-                      : (has_up ? Status::kAtUpper : Status::kFreeZero);
-        break;
-    }
+    if (hint_basic[idx(j)] != 0 || status_[idx(j)] == Status::kBasic) continue;
+    const Status want = status_on_bounds(j, hint.status[idx(j)]);
     if (want == status_[idx(j)]) continue;
     const double old_val = nonbasic_value(j);
     status_[idx(j)] = want;
     const double delta = nonbasic_value(j) - old_val;
     if (delta == 0.0) continue;
-    for (int r = 0; r < m_; ++r) {
-      const double w = t_at(r, j);
-      if (w != 0.0) xb_[idx(r)] -= w * delta;
-    }
+    shift_nonbasic(j, delta);
   }
 
-  // Pivot the hinted columns into the basis, displacing one artificial per
-  // pivot. Row choice is the largest available pivot magnitude; a column
-  // with no usable pivot means the hinted basis is singular under the new
-  // coefficients, and the caller cold-starts instead.
+  // Pivot the hinted columns that are not basic yet into the basis, each
+  // into a row whose basic column is not hinted (on a fresh build: one
+  // artificial per pivot). Row choice is the largest available pivot
+  // magnitude; a column with no usable pivot means the hinted basis is
+  // singular under the new coefficients, and the caller starts over.
+  std::vector<int> displaced;  // hint-nonbasic columns pivoted out
   for (std::int32_t q : hint.basic) {
+    if (status_[idx(q)] == Status::kBasic) continue;
     const double val_q = nonbasic_value(q);
     if (val_q != 0.0) {
       // Remove q's nonbasic contribution before it enters the basis.
@@ -472,7 +535,8 @@ bool Simplex::install_warm(const LpBasis& hint) {
     int best_row = -1;
     double best_piv = 1e-7;
     for (int r = 0; r < m_; ++r) {
-      if (basis_[idx(r)] < nm) continue;  // row already claimed by a hint col
+      const int b = basis_[idx(r)];
+      if (b < nm && hint_basic[idx(b)] != 0) continue;  // row already claimed
       const double w = std::abs(t_at(r, q));
       if (w > best_piv) {
         best_piv = w;
@@ -482,9 +546,19 @@ bool Simplex::install_warm(const LpBasis& hint) {
     if (best_row < 0) return false;
     const int leaving = basis_[idx(best_row)];
     pivot_tableau(best_row, q, /*update_rhs=*/true, /*update_costs=*/false);
+    ++install_pivots_;
     basis_[idx(best_row)] = q;
     status_[idx(q)] = Status::kBasic;
-    status_[idx(leaving)] = Status::kAtLower;  // artificial back to zero
+    // The rhs pivot leaves the outgoing column at zero: an artificial
+    // stays there, any other column takes its hinted bound below.
+    status_[idx(leaving)] = leaving >= nm ? Status::kAtLower
+                                          : Status::kFreeZero;
+    if (leaving < nm) displaced.push_back(leaving);
+  }
+  for (const int j : displaced) {
+    status_[idx(j)] = status_on_bounds(j, hint.status[idx(j)]);
+    const double val = nonbasic_value(j);
+    if (val != 0.0) shift_nonbasic(j, val);
   }
   return true;
 }
@@ -513,12 +587,11 @@ bool Simplex::dual_feasible() const {
   return true;
 }
 
-Simplex::DualOutcome Simplex::run_dual() {
+Simplex::DualOutcome Simplex::run_dual(long max_pivots) {
   const double ftol = opt_.feasibility_tol;
-  int stall = 0;
-  const int stall_threshold = 2 * (m_ + cols_) + 64;
-  for (;;) {
+  for (long pivots = 0;; ++pivots) {
     if (iters_ >= opt_.max_iterations) return DualOutcome::kIterationLimit;
+    if (pivots >= max_pivots) return DualOutcome::kStalled;
 
     // Leaving row: the basic variable with the worst bound violation.
     int leave_row = -1;
@@ -593,8 +666,6 @@ Simplex::DualOutcome Simplex::run_dual() {
     xb_[idx(leave_row)] = entering_value;
     pivot_tableau(leave_row, q, /*update_rhs=*/false, /*update_costs=*/true);
     ++iters_;
-    stall = std::abs(dt) > ftol ? 0 : stall + 1;
-    if (stall > stall_threshold) return DualOutcome::kStalled;
   }
 }
 
@@ -662,103 +733,145 @@ void Simplex::extract_basis(LpBasis* out) const {
   }
 }
 
-LpResult Simplex::run(const LpBasis* warm, LpBasis* basis_out) {
-  LpResult result;
-
-  // Empty domains (from branch & bound) mean immediate infeasibility.
-  for (int j = 0; j < model_.variable_count(); ++j) {
-    if (model_.lower_bound(j) > model_.upper_bound(j)) {
-      result.status = LpStatus::kInfeasible;
-      return result;
+bool Simplex::solve_warm(LpResult* result, LpBasis* basis_out,
+                         long dual_budget) {
+  install_phase2_costs();
+  if (!primal_feasible()) {
+    if (!dual_feasible()) return false;
+    switch (run_dual(dual_budget)) {
+      case DualOutcome::kFeasible:
+        break;
+      case DualOutcome::kInfeasible:
+        result->status = LpStatus::kInfeasible;
+        result->warm_start_used = true;
+        return true;
+      case DualOutcome::kIterationLimit:
+        result->status = LpStatus::kIterationLimit;
+        result->warm_start_used = true;
+        return true;
+      case DualOutcome::kStalled:
+        return false;  // numerically stuck, or over budget
     }
   }
+  result->warm_start_used = true;
+  phase1_ = false;
+  run_primal(result, basis_out);
+  return true;
+}
 
-  // Warm path: install the hinted basis; enter phase 2 directly when it is
-  // primal feasible, repair with dual simplex when it is dual feasible, and
-  // otherwise fall back to an ordinary cold start.
-  bool warm_ready = false;
-  if (warm != nullptr && !warm->empty()) {
-    build();
-    if (install_warm(*warm)) {
-      install_phase2_costs();
-      if (primal_feasible()) {
-        warm_ready = true;
-      } else if (dual_feasible()) {
-        switch (run_dual()) {
-          case DualOutcome::kFeasible:
-            warm_ready = true;
-            break;
-          case DualOutcome::kInfeasible:
-            result.status = LpStatus::kInfeasible;
-            result.iterations = iters_;
-            result.warm_start_used = true;
-            return result;
-          case DualOutcome::kIterationLimit:
-            result.status = LpStatus::kIterationLimit;
-            result.iterations = iters_;
-            result.warm_start_used = true;
-            return result;
-          case DualOutcome::kStalled:
-            break;  // numerically stuck: cold start below
-        }
-      }
-    }
-  }
-
-  if (warm_ready) {
-    result.warm_start_used = true;
-    phase1_ = false;
-  } else {
-    build();
-    install_phase1_costs();
-    phase1_ = true;
-  }
-
+void Simplex::run_primal(LpResult* result, LpBasis* basis_out) {
   // A pivot that moves nothing is degenerate; long degenerate runs switch
   // to Bland's rule, which guarantees termination.
   int degenerate_run = 0;
-  const int bland_threshold = 2 * (m_ + cols_) + 64;
 
   for (;;) {
     if (iters_ >= opt_.max_iterations) {
-      result.status = LpStatus::kIterationLimit;
-      result.iterations = iters_;
-      return result;
+      result->status = LpStatus::kIterationLimit;
+      return;
     }
-    const Pick pick = choose_entering(degenerate_run > bland_threshold);
+    const Pick pick = choose_entering(degenerate_run > stall_limit());
     if (pick.col < 0) {
       // Phase optimum reached.
       if (phase1_) {
         if (basic_objective() > 1e-6) {
-          result.status = LpStatus::kInfeasible;
-          result.iterations = iters_;
-          return result;
+          result->status = LpStatus::kInfeasible;
+          return;
         }
         phase1_ = false;
         install_phase2_costs();
         degenerate_run = 0;
         continue;
       }
-      result.status = LpStatus::kOptimal;
-      result.iterations = iters_;
-      extract_solution(&result);
+      result->status = LpStatus::kOptimal;
+      extract_solution(result);
       extract_basis(basis_out);
-      return result;
+      return;
     }
     bool progressed = false;
     if (!step(pick, &progressed)) {
       // Unbounded can only legitimately happen in phase 2.
       WIMESH_ASSERT_MSG(!phase1_, "phase-1 objective cannot be unbounded");
-      result.status = LpStatus::kUnbounded;
-      result.iterations = iters_;
-      return result;
+      result->status = LpStatus::kUnbounded;
+      return;
     }
     ++iters_;
     degenerate_run = progressed ? 0 : degenerate_run + 1;
   }
 }
 
-}  // namespace
+LpResult Simplex::solve(const LpBasis* warm, LpBasis* basis_out) {
+  const auto clear_basis_out = [basis_out] {
+    if (basis_out == nullptr) return;
+    basis_out->status.clear();
+    basis_out->basic.clear();
+  };
+  clear_basis_out();
+  if (built_) {
+    WIMESH_ASSERT_MSG(model_.variable_count() == n_ &&
+                          model_.constraint_count() == m_ &&
+                          model_.nonzero_count() == built_nonzeros_,
+                      "LpSolver model rows changed between solves");
+  }
+  iters_ = 0;
+  install_pivots_ = 0;
+  LpResult result;
+  const auto finish = [&](LpResult r) {
+    r.iterations = iters_;
+    r.install_pivots = install_pivots_;
+    return r;
+  };
+
+  // Empty domains (from branch & bound) mean immediate infeasibility.
+  for (int j = 0; j < model_.variable_count(); ++j) {
+    if (model_.lower_bound(j) > model_.upper_bound(j)) {
+      result.status = LpStatus::kInfeasible;
+      return finish(std::move(result));
+    }
+  }
+
+  // Warm path: install the hinted basis and finish from it (solve_warm);
+  // otherwise fall back to an ordinary cold start. A dual repair is
+  // capped: on a zero objective every dual step is degenerate, and the
+  // repair can cycle while still moving basic values. A live tableau is
+  // repaired in place first. The in-place attempt is redone from a fresh
+  // build when its repair needs more pivots than a fresh install costs
+  // (m), or when its optimum fails the model's own feasibility check.
+  const bool hinted = warm != nullptr && !warm->empty();
+  if (hinted && built_) {
+    refresh_bounds();
+    if (install_warm(*warm) && solve_warm(&result, basis_out, m_)) {
+      if (result.status != LpStatus::kOptimal ||
+          model_.max_violation(result.x) <= opt_.feasibility_tol) {
+        return finish(std::move(result));
+      }
+    }
+    result = LpResult{};
+    clear_basis_out();
+  }
+  if (hinted) {
+    build();
+    if (install_warm(*warm) &&
+        solve_warm(&result, basis_out, stall_limit())) {
+      return finish(std::move(result));
+    }
+  }
+  build();
+  install_phase1_costs();
+  phase1_ = true;
+  run_primal(&result, basis_out);
+  return finish(std::move(result));
+}
+
+}  // namespace detail
+
+LpSolver::LpSolver(const LpModel& model, const LpOptions& options)
+    : simplex_(std::make_unique<detail::Simplex>(model, options)) {}
+
+LpSolver::~LpSolver() = default;
+
+LpResult LpSolver::solve(const LpBasis* warm_start, LpBasis* basis_out) {
+  return simplex_->solve(warm_start, basis_out);
+}
 
 LpResult solve_lp(const LpModel& model, const LpOptions& options) {
   return solve_lp(model, options, nullptr, nullptr);
@@ -766,12 +879,8 @@ LpResult solve_lp(const LpModel& model, const LpOptions& options) {
 
 LpResult solve_lp(const LpModel& model, const LpOptions& options,
                   const LpBasis* warm_start, LpBasis* basis_out) {
-  if (basis_out != nullptr) {
-    basis_out->status.clear();
-    basis_out->basic.clear();
-  }
-  Simplex simplex(model, options);
-  return simplex.run(warm_start, basis_out);
+  LpSolver solver(model, options);
+  return solver.solve(warm_start, basis_out);
 }
 
 }  // namespace wimesh

@@ -277,6 +277,8 @@ Expected<MeshPlan> QosPlanner::plan(const std::vector<FlowSpec>& flows,
             }
             out.schedule = std::move(r->schedule);
             out.ilp_nodes = r->ilp_nodes;
+            out.lp_iterations = r->lp_iterations;
+            out.install_pivots = r->install_pivots;
           }
           out.search_stages = 1;
         } else {
@@ -287,6 +289,8 @@ Expected<MeshPlan> QosPlanner::plan(const std::vector<FlowSpec>& flows,
           }
           out.schedule = std::move(r->result.schedule);
           out.ilp_nodes = r->result.ilp_nodes;
+          out.lp_iterations = r->result.lp_iterations;
+          out.install_pivots = r->result.install_pivots;
           out.search_stages = r->stages;
         }
         break;
@@ -353,6 +357,8 @@ Expected<MeshPlan> QosPlanner::plan(const std::vector<FlowSpec>& flows,
   }
   if (!solved.feasible) return make_error(std::move(solved.error));
   plan.ilp_nodes = solved.ilp_nodes;
+  plan.lp_iterations = solved.lp_iterations;
+  plan.install_pivots = solved.install_pivots;
   plan.search_stages = solved.search_stages;
   // The solved schedule may be sized to the minimal S; re-house the grants
   // in the full data subframe so the leftover slots exist for best-effort

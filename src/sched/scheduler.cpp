@@ -48,15 +48,16 @@ std::vector<LinkId> active_links(const SchedulingProblem& p) {
 // running the Bellman–Ford reconstruction and validating.
 Expected<ScheduleResult> finish_from_order(const SchedulingProblem& problem,
                                            TransmissionOrder order,
-                                           int frame_slots, long ilp_nodes,
-                                           long lp_iterations) {
+                                           int frame_slots,
+                                           const IlpResult& ilp) {
   auto schedule = order_to_schedule(problem, order, frame_slots);
   if (!schedule.has_value()) {
     return make_error("order reconstruction failed (cyclic or too long)");
   }
   WIMESH_ASSERT(validate_schedule(problem, *schedule));
-  ScheduleResult result{std::move(*schedule), std::move(order), ilp_nodes,
-                        lp_iterations};
+  ScheduleResult result{std::move(*schedule), std::move(order),
+                        ilp.nodes_explored, ilp.lp_iterations,
+                        ilp.install_pivots};
   return result;
 }
 
@@ -539,7 +540,7 @@ Expected<ScheduleResult> schedule_ilp_impl(const SchedulingProblem& problem,
         if (!options.delay_aware || budgets_satisfied(problem, *schedule)) {
           WIMESH_ASSERT(validate_schedule(problem, *schedule));
           return ScheduleResult{std::move(*schedule), std::move(rounded), 0,
-                                root.iterations};
+                                root.iterations, root.install_pivots};
         }
       }
     }
@@ -561,8 +562,7 @@ Expected<ScheduleResult> schedule_ilp_impl(const SchedulingProblem& problem,
   if (!r.has_solution()) return make_error("limit");
 
   TransmissionOrder order = om.extract_order(r.x);
-  return finish_from_order(problem, std::move(order), frame_slots,
-                           r.nodes_explored, r.lp_iterations);
+  return finish_from_order(problem, std::move(order), frame_slots, r);
 }
 
 }  // namespace
@@ -646,8 +646,7 @@ Expected<MinMaxDelayResult> schedule_ilp_min_max_delay(
   if (!r.has_solution()) return make_error("limit");
 
   TransmissionOrder order = om.extract_order(r.x);
-  auto finished = finish_from_order(problem, std::move(order), frame_slots,
-                                    r.nodes_explored, r.lp_iterations);
+  auto finished = finish_from_order(problem, std::move(order), frame_slots, r);
   if (!finished.has_value()) return make_error(finished.error());
   MinMaxDelayResult out;
   out.result = std::move(*finished);

@@ -129,6 +129,96 @@ TEST_P(LpRandomSweep, MaximizeIsNegatedMinimize) {
   }
 }
 
+// Replays a scripted branch & bound walk on one live LpSolver: each step
+// rewrites the variable bounds and warm-starts from the basis of the node
+// it branches from, as the ILP does within a portfolio round. The walk
+// covers a dive, a sibling, a backtrack over several levels, an empty-
+// domain child and a relaxed bound. Every step must agree with a cold
+// solve of the same bounds.
+TEST_P(LpRandomSweep, LiveSolverMatchesColdSolverOverBranchWalk) {
+  Rng rng(GetParam() ^ 0x5eed);
+  for (int trial = 0; trial < 10; ++trial) {
+    const int n = 3 + static_cast<int>(rng.next_below(4));
+    RandomLp lp = make_random_lp(rng, n, 6);
+    LpModel& m = lp.model;
+    const LpOptions opt;
+    LpSolver live(m, opt);
+
+    struct Node {
+      std::vector<double> lo, up;
+      LpBasis basis;
+      std::vector<double> x;
+      long install_pivots = 0;
+    };
+    const auto solve_step = [&](const Node* parent, std::vector<double> lo,
+                                std::vector<double> up, const char* what) {
+      for (int j = 0; j < n; ++j) {
+        m.set_bounds(j, lo[static_cast<std::size_t>(j)],
+                     up[static_cast<std::size_t>(j)]);
+      }
+      Node node{std::move(lo), std::move(up), {}, {}, 0};
+      const LpResult got =
+          live.solve(parent != nullptr ? &parent->basis : nullptr,
+                     &node.basis);
+      node.install_pivots = got.install_pivots;
+      const LpResult cold = solve_lp(m);
+      EXPECT_EQ(got.status, cold.status) << what << ", trial " << trial;
+      if (got.status == LpStatus::kOptimal &&
+          cold.status == LpStatus::kOptimal) {
+        EXPECT_NEAR(got.objective, cold.objective, 1e-6)
+            << what << ", trial " << trial;
+        EXPECT_LE(m.max_violation(got.x), opt.feasibility_tol)
+            << what << ", trial " << trial;
+        node.x = got.x;
+      }
+      return node;
+    };
+    // Branches `parent` on variable v at its LP value (or mid-domain when
+    // the parent has no point): down keeps v <= split, up keeps v > split.
+    const auto child = [&](const Node& parent, int v, bool down,
+                           const char* what) {
+      const auto k = static_cast<std::size_t>(v);
+      const double split =
+          parent.x.empty()
+              ? std::floor((parent.lo[k] + parent.up[k]) / 2.0)
+              : std::min(std::floor(parent.x[k]), parent.up[k] - 1.0);
+      std::vector<double> lo = parent.lo, up = parent.up;
+      if (down) {
+        up[k] = split;
+      } else {
+        lo[k] = split + 1.0;
+      }
+      return solve_step(&parent, std::move(lo), std::move(up), what);
+    };
+
+    std::vector<double> lo0, up0;
+    for (int j = 0; j < n; ++j) {
+      lo0.push_back(m.lower_bound(j));
+      up0.push_back(m.upper_bound(j));
+    }
+    const Node root = solve_step(nullptr, lo0, up0, "root");
+    const Node d1 = child(root, 0, true, "dive 1");
+    // The live tableau already holds the root's basis: nothing to install.
+    if (!root.basis.empty()) {
+      EXPECT_EQ(d1.install_pivots, 0) << "trial " << trial;
+    }
+    const Node d2 = child(d1, 1, true, "dive 2");
+    child(d2, 2, true, "dive 3");
+    child(d2, 2, false, "sibling of dive 3");
+    const Node s1 = child(root, 0, false, "backtrack to sibling of dive 1");
+    // Empty domain on the last variable: infeasible without an LP.
+    std::vector<double> empty_lo = s1.lo;
+    empty_lo.back() = s1.up.back() + 1.0;
+    solve_step(&s1, std::move(empty_lo), s1.up, "empty-domain child");
+    // Relaxed bound: the last variable's domain grows past the root's.
+    std::vector<double> wide_up = s1.up;
+    wide_up.back() += 3.0;
+    const Node relaxed = solve_step(&s1, s1.lo, std::move(wide_up),
+                                    "relaxed bound");
+    child(relaxed, n - 1, true, "dive after relaxing");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LpRandomSweep,
                          ::testing::Values(101u, 202u, 303u, 404u, 505u));
 
@@ -224,6 +314,41 @@ TEST_P(IlpRandomSweep, BranchPriorityDoesNotChangeTheOptimum) {
     ASSERT_EQ(ra.status, IlpStatus::kOptimal);
     ASSERT_EQ(rb.status, IlpStatus::kOptimal);
     EXPECT_NEAR(ra.objective, rb.objective, 1e-9);
+  }
+}
+
+TEST_P(IlpRandomSweep, WarmStartDoesNotChangeTheOptimum) {
+  Rng rng(GetParam() ^ 0xa11);
+  for (int trial = 0; trial < 8; ++trial) {
+    IlpModel m;
+    m.set_objective_sense(ObjSense::kMaximize);
+    std::vector<VarId> vars;
+    for (int j = 0; j < 10; ++j) {
+      vars.push_back(m.add_binary(std::floor(rng.uniform(-2.0, 9.0))));
+    }
+    vars.push_back(m.add_integer(0, 4, std::floor(rng.uniform(-1.0, 5.0))));
+    for (int i = 0; i < 4; ++i) {
+      std::vector<LpTerm> terms;
+      double cap = 0.0;
+      for (VarId v : vars) {
+        if (!rng.chance(0.7)) continue;
+        const double c = std::floor(rng.uniform(1.0, 7.0));
+        terms.push_back({v, c});
+        cap += c;
+      }
+      if (terms.empty()) continue;
+      m.add_constraint(terms, RowSense::kLessEqual, std::floor(cap / 3.0));
+    }
+
+    IlpOptions cold;
+    cold.warm_start = false;
+    const IlpResult rw = solve_ilp(m);
+    const IlpResult rc = solve_ilp(m, cold);
+    ASSERT_EQ(rw.status, rc.status) << "trial " << trial;
+    EXPECT_EQ(rc.install_pivots, 0) << "trial " << trial;
+    if (rw.status != IlpStatus::kOptimal) continue;
+    EXPECT_NEAR(rw.objective, rc.objective, 1e-9) << "trial " << trial;
+    EXPECT_LE(m.lp().max_violation(rw.x), 1e-6) << "trial " << trial;
   }
 }
 

@@ -561,6 +561,42 @@ TEST(IlpSchedulerTest, AcceleratorsPreserveTheMinimumScheduleLength) {
   EXPECT_TRUE(budgets_satisfied(p, base->result.schedule));
 }
 
+TEST(IlpSchedulerTest, BranchAndBoundNodesReuseTheLiveTableau) {
+  // A tight grid instance with the accelerators that make it root-integral
+  // turned off, so branch & bound genuinely branches. Re-installing every
+  // warm node's basis from a fresh tableau costs one pivot per row per
+  // node; repairing the round's live tableau must cost a small fraction.
+  const Topology t = make_grid(3, 3, 100.0);
+  const RadioModel radio(100.0, 200.0);
+  const auto p = make_problem(
+      t, radio, {{0, 1, 2, 5}, {6, 7, 8, 5}, {0, 3, 6}}, 1, 1);
+  const auto probe = min_slots_search(p, 96);
+  ASSERT_TRUE(probe.has_value()) << probe.error();
+
+  IlpSchedulerOptions opt;
+  opt.try_heuristics = false;
+  opt.tree_fast_path = false;
+  opt.clique_cuts = false;
+  opt.symmetry_breaking = false;
+  opt.time_limit_seconds = 600.0;  // node counts must not depend on load
+  const auto r = schedule_ilp(p, probe->frame_slots, opt);
+  ASSERT_TRUE(r.has_value()) << r.error();
+  ASSERT_GE(r->ilp_nodes, 20) << "instance no longer branches";
+
+  // Two big-M rows per conflicting pair of active links: a lower bound on
+  // the order model's rows, which makes the check stricter.
+  long rows = 0;
+  for (LinkId a = 0; a < p.links.count(); ++a) {
+    for (LinkId b = a + 1; b < p.links.count(); ++b) {
+      if (p.conflicts.has_edge(a, b)) rows += 2;
+    }
+  }
+  const long warm_nodes = r->ilp_nodes - 1;  // every node but the root
+  EXPECT_LT(r->install_pivots * 10, warm_nodes * rows)
+      << "nodes=" << r->ilp_nodes << " install_pivots=" << r->install_pivots
+      << " rows>=" << rows;
+}
+
 TEST(IlpSchedulerTest, SymmetryBreakingKeepsParallelLinksFeasible) {
   // Four identical cross flows over one bottleneck column: heavily
   // symmetric, the classic case the lexicographic fix collapses.
