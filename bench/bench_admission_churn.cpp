@@ -21,7 +21,7 @@
 
 #include "bench_util.h"
 #include "wimesh/admit/engine.h"
-#include "wimesh/batch/json.h"
+#include "wimesh/common/json.h"
 #include "wimesh/exec/executor.h"
 #include "wimesh/sched/schedule_cache.h"
 
@@ -105,7 +105,7 @@ ItemResult run_item(const Topology& topo, double rate, std::uint64_t events,
 
 // --smoke: differential oracle checks, one per topology, run in parallel
 // with a shared cache. Returns the number of failing replays.
-int run_smoke(int jobs, std::uint64_t events, batch::JsonWriter* json) {
+int run_smoke(int jobs, std::uint64_t events, JsonWriter* json) {
   struct SmokeCase {
     const char* tag;
     Topology topo;
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   const std::uint64_t events = args.events;
   const bool smoke = args.smoke;
 
-  batch::JsonWriter w;
+  JsonWriter w;
   w.begin_object();
   w.key("bench");
   w.value("admission_churn");
@@ -187,8 +187,7 @@ int main(int argc, char** argv) {
     const std::uint64_t smoke_events = events > 400 ? 400 : events;
     const int failures = run_smoke(jobs, smoke_events, &w);
     w.end_object();
-    if (!json_path.empty() && !write_text_file(json_path, w.str())) {
-      std::fprintf(stderr, "cannot write '%s'\n", json_path.c_str());
+    if (!json_path.empty() && !written(write_text_file(json_path, w.str()))) {
       return 1;
     }
     return failures == 0 ? 0 : 1;
@@ -296,8 +295,7 @@ int main(int argc, char** argv) {
   }
   w.end_array();
   w.end_object();
-  if (!json_path.empty() && !write_text_file(json_path, w.str())) {
-    std::fprintf(stderr, "cannot write '%s'\n", json_path.c_str());
+  if (!json_path.empty() && !written(write_text_file(json_path, w.str()))) {
     return 1;
   }
   return 0;

@@ -13,7 +13,7 @@
 // already-seen call mix hit the cache. Output is identical for any K.
 
 #include "bench_util.h"
-#include "wimesh/batch/json.h"
+#include "wimesh/common/json.h"
 #include "wimesh/exec/executor.h"
 #include "wimesh/qos/call_dynamics.h"
 #include "wimesh/sched/schedule_cache.h"
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", cache.report().c_str());
 
   if (!args.json_path.empty()) {
-    batch::JsonWriter w;
+    JsonWriter w;
     w.begin_object();
     w.key("bench");
     w.value("call_blocking");
@@ -168,8 +168,7 @@ int main(int argc, char** argv) {
     }
     w.end_array();
     w.end_object();
-    if (!write_text_file(args.json_path, w.str())) {
-      std::fprintf(stderr, "cannot write '%s'\n", args.json_path.c_str());
+    if (!written(write_text_file(args.json_path, w.str()))) {
       return 1;
     }
   }

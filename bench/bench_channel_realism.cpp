@@ -21,11 +21,9 @@
 // (seed, pair, t)); --smoke shrinks durations and the sweep for CI, and
 // --json writes BENCH_phy.json for the artifact trajectory.
 
-#include <fstream>
-#include <sstream>
 
 #include "bench_util.h"
-#include "wimesh/batch/json.h"
+#include "wimesh/common/json.h"
 #include "wimesh/core/scenario.h"
 #include "wimesh/exec/executor.h"
 
@@ -33,17 +31,6 @@ using namespace wimesh;
 using namespace wimesh::bench;
 
 namespace {
-
-std::string read_file_or_die(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "cannot open scenario '%s'\n", path.c_str());
-    std::exit(1);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 struct FamilyResult {
   std::string file;
@@ -53,7 +40,7 @@ struct FamilyResult {
 };
 
 // Panel 1: the shipped scenario families, audited.
-std::uint64_t run_families(int jobs, bool smoke, batch::JsonWriter* json) {
+std::uint64_t run_families(int jobs, bool smoke, JsonWriter* json) {
   const char* files[] = {"office_3floor.wimesh", "campus_outdoor.wimesh",
                          "mixed_rate.wimesh"};
   const std::string dir = WIMESH_SCENARIO_DIR;
@@ -61,7 +48,12 @@ std::uint64_t run_families(int jobs, bool smoke, batch::JsonWriter* json) {
   exec::run_indexed(jobs, 3, [&](std::size_t i) {
     FamilyResult& out = results[i];
     out.file = files[i];
-    auto sc = parse_scenario(read_file_or_die(dir + "/" + files[i]));
+    const auto text = read_text_file(dir + "/" + files[i]);
+    if (!text.has_value()) {
+      out.error = text.error();
+      return;
+    }
+    auto sc = parse_scenario(*text);
     if (!sc.has_value()) {
       out.error = sc.error();
       return;
@@ -153,7 +145,7 @@ MeshConfig guard_config(double guard_us, bool fading) {
 }
 
 // Panel 2 (R-P1): outage vs guard slots, idealized channel vs drift+fading.
-std::uint64_t run_guard_sweep(int jobs, bool smoke, batch::JsonWriter* json) {
+std::uint64_t run_guard_sweep(int jobs, bool smoke, JsonWriter* json) {
   const std::vector<double> guards =
       smoke ? std::vector<double>{20.0, 54.0}
             : std::vector<double>{5.0, 20.0, 54.0, 100.0};
@@ -221,7 +213,7 @@ int main(int argc, char** argv) {
   const int jobs = args.jobs;
   const bool smoke = args.smoke;
 
-  batch::JsonWriter w;
+  JsonWriter w;
   w.begin_object();
   w.key("bench");
   w.value("channel_realism");
@@ -233,8 +225,8 @@ int main(int argc, char** argv) {
   violations += run_guard_sweep(jobs, smoke, &w);
   w.end_object();
 
-  if (!args.json_path.empty() && !write_text_file(args.json_path, w.str())) {
-    std::fprintf(stderr, "cannot write '%s'\n", args.json_path.c_str());
+  if (!args.json_path.empty() &&
+      !written(write_text_file(args.json_path, w.str()))) {
     return 1;
   }
   if (violations != 0) {

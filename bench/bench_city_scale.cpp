@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "wimesh/batch/json.h"
+#include "wimesh/common/json.h"
 #include "wimesh/core/mesh_network.h"
 #include "wimesh/graph/topology.h"
 #include "wimesh/qos/flow.h"
@@ -130,7 +130,7 @@ bool run_size(NodeId side, const bench::BenchArgs& args, SizeResult* out) {
 }
 
 std::string to_json(const std::vector<SizeResult>& results, int jobs) {
-  batch::JsonWriter w;
+  JsonWriter w;
   w.begin_object();
   w.key("bench");
   w.value("city_scale");
@@ -217,14 +217,13 @@ int main(int argc, char** argv) {
   }
 
   if (!args.json_path.empty() &&
-      !bench::write_text_file(args.json_path,
-                              to_json(results, args.jobs))) {
-    std::fprintf(stderr, "cannot write '%s'\n",
-                 args.json_path.c_str());
+      !bench::written(
+          write_text_file(args.json_path, to_json(results, args.jobs)))) {
     return 1;
   }
   if (tracer != nullptr &&
-      !bench::export_bench_trace(*tracer, args.trace.path, 1, "city_scale")) {
+      !bench::written(
+          trace::write_trace(*tracer, args.trace.path, {1, "city_scale"}))) {
     return 1;
   }
   return ok ? 0 : 1;

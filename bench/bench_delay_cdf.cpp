@@ -11,7 +11,7 @@
 // (--jobs K); output is identical for any K.
 
 #include "bench_util.h"
-#include "wimesh/batch/json.h"
+#include "wimesh/common/json.h"
 #include "wimesh/exec/executor.h"
 #include "wimesh/sched/schedule_cache.h"
 
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", cache.report().c_str());
 
   if (!args.json_path.empty()) {
-    batch::JsonWriter w;
+    JsonWriter w;
     w.begin_object();
     w.key("bench");
     w.value("delay_cdf");
@@ -116,8 +116,7 @@ int main(int argc, char** argv) {
     w.key("analytic_worst_ms");
     w.value(analytic);
     w.end_object();
-    if (!write_text_file(args.json_path, w.str())) {
-      std::fprintf(stderr, "cannot write '%s'\n", args.json_path.c_str());
+    if (!written(write_text_file(args.json_path, w.str()))) {
       return 1;
     }
   }

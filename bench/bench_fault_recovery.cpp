@@ -134,10 +134,10 @@ int main(int argc, char** argv) {
     for (const auto& o : outcomes) {
       if (!o.trace) continue;
       tracers.push_back(o.trace.get());
-      if (!export_bench_trace(*o.trace,
-                              trace::labeled_path(targs.path, o.label),
-                              static_cast<std::int64_t>(o.run_index),
-                              o.label)) {
+      const trace::ExportOptions opts{
+          static_cast<std::int64_t>(o.run_index), o.label};
+      if (!written(trace::write_trace(
+              *o.trace, trace::labeled_path(targs.path, o.label), opts))) {
         return 1;
       }
     }
@@ -157,8 +157,8 @@ int main(int argc, char** argv) {
   }
 
   if (!args.json_path.empty() &&
-      !write_text_file(args.json_path, batch::results_json(outcomes))) {
-    std::fprintf(stderr, "cannot write '%s'\n", args.json_path.c_str());
+      !written(
+          write_text_file(args.json_path, batch::results_json(outcomes)))) {
     return 1;
   }
   return failures == 0 && violations == 0 ? 0 : 1;

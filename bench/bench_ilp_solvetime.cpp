@@ -357,7 +357,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   if (tracer) {
-    if (!export_bench_trace(*tracer, targs.path, 0, "bench_ilp_solvetime")) {
+    if (!written(trace::write_trace(*tracer, targs.path,
+                                    {0, "bench_ilp_solvetime"}))) {
       return 1;
     }
     std::fputs(trace::span_summary(*tracer).c_str(), stdout);

@@ -8,12 +8,12 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "wimesh/common/parse.h"
+#include "wimesh/common/strings.h"
 #include "wimesh/core/mesh_network.h"
 #include "wimesh/trace/export.h"
 #include "wimesh/trace/trace.h"
@@ -129,35 +129,10 @@ inline std::uint64_t audit_violations(const std::string& where,
   return v;
 }
 
-inline bool write_text_file(const std::string& path,
-                            const std::string& contents) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << contents;
-  return static_cast<bool>(out);
-}
-
-// Writes one tracer's Perfetto JSON and reports ring overflow, if any.
-inline bool export_bench_trace(const trace::Tracer& tracer,
-                               const std::string& path,
-                               std::int64_t pid,
-                               const std::string& label) {
-  trace::ExportOptions opts;
-  opts.pid = pid;
-  opts.process_label = label;
-  if (!write_text_file(path, trace::to_chrome_json(tracer, opts))) {
-    std::fprintf(stderr, "cannot write trace '%s'\n", path.c_str());
-    return false;
-  }
-  if (tracer.dropped() > 0) {
-    std::fprintf(stderr,
-                 "trace %s: ring overflow dropped %llu oldest of %llu "
-                 "records\n",
-                 label.c_str(),
-                 static_cast<unsigned long long>(tracer.dropped()),
-                 static_cast<unsigned long long>(tracer.recorded()));
-  }
-  return true;
+// Prints the error of a failed write; true when the write succeeded.
+inline bool written(const Expected<bool>& ok) {
+  if (!ok) std::fprintf(stderr, "%s\n", ok.error().c_str());
+  return static_cast<bool>(ok);
 }
 
 // The canonical emulation parameters used across experiments unless a

@@ -1,32 +1,13 @@
 #pragma once
 
-// Minimal leveled logger. Off by default above Warn so benchmarks stay
-// quiet; tests and examples can raise verbosity per-run.
+// Warning log: one line per call on stderr.
 
 #include <string>
 
 namespace wimesh {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-// Writes "[level] component: message\n" to stderr if level is enabled.
-void log(LogLevel level, const std::string& component,
-         const std::string& message);
-
-inline void log_debug(const std::string& c, const std::string& m) {
-  log(LogLevel::kDebug, c, m);
-}
-inline void log_info(const std::string& c, const std::string& m) {
-  log(LogLevel::kInfo, c, m);
-}
-inline void log_warn(const std::string& c, const std::string& m) {
-  log(LogLevel::kWarn, c, m);
-}
-inline void log_error(const std::string& c, const std::string& m) {
-  log(LogLevel::kError, c, m);
-}
+// Writes "[warn] component: message\n" to stderr. Whole lines are
+// serialized, so concurrent batch workers cannot interleave mid-line.
+void log_warn(const std::string& component, const std::string& message);
 
 }  // namespace wimesh

@@ -1,10 +1,12 @@
 #pragma once
 
-// Small string helpers (gcc 12 lacks std::format).
+// Small string and text-file helpers (gcc 12 lacks std::format).
 
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "wimesh/common/expected.h"
 
 namespace wimesh {
 
@@ -25,5 +27,10 @@ std::string join(const std::vector<std::string>& items,
 
 // Splits on a single-character delimiter; keeps empty fields.
 std::vector<std::string> split(const std::string& s, char delim);
+
+// Whole-file text I/O, byte for byte; the error names the path.
+Expected<std::string> read_text_file(const std::string& path);
+Expected<bool> write_text_file(const std::string& path,
+                               const std::string& contents);
 
 }  // namespace wimesh

@@ -39,6 +39,14 @@ std::string to_chrome_json(const Tracer& tracer,
 // with slot_len 0.
 std::string to_slot_csv(const Tracer& tracer);
 
+// Writes to_chrome_json(tracer, opts) to `json_path` and, with
+// `with_slot_csv`, to_slot_csv(tracer) next to it ("t.json" ->
+// "t.slots.csv"). Warns on stderr when the ring dropped records. The
+// error names the file that could not be written.
+Expected<bool> write_trace(const Tracer& tracer, const std::string& json_path,
+                           const ExportOptions& opts,
+                           bool with_slot_csv = false);
+
 // Aligned table of wall-clock span totals/self times aggregated by span
 // name across the given tracers (rows in fixed SpanName order).
 std::string span_summary(const std::vector<const Tracer*>& tracers);

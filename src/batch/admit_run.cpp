@@ -3,7 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "wimesh/batch/json.h"
+#include "wimesh/common/json.h"
 #include "wimesh/core/mesh_network.h"
 
 namespace wimesh::batch {

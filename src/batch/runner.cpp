@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "wimesh/batch/json.h"
+#include "wimesh/common/json.h"
 #include "wimesh/common/rng.h"
 #include "wimesh/common/strings.h"
 #include "wimesh/exec/executor.h"

@@ -1,5 +1,6 @@
 #include "wimesh/common/json.h"
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -103,6 +104,92 @@ std::string json_escape(const std::string& s) {
     i += len;
   }
   return out;
+}
+
+void JsonWriter::comma() {
+  if (pending_key_) {
+    pending_key_ = false;
+    return;  // "key": already emitted the separator
+  }
+  if (!scope_has_item_.empty()) {
+    if (scope_has_item_.back()) out_ += ',';
+    scope_has_item_.back() = true;
+  }
+}
+
+void JsonWriter::begin_object() {
+  comma();
+  out_ += '{';
+  scope_has_item_.push_back(false);
+}
+
+void JsonWriter::end_object() {
+  scope_has_item_.pop_back();
+  out_ += '}';
+}
+
+void JsonWriter::begin_array() {
+  comma();
+  out_ += '[';
+  scope_has_item_.push_back(false);
+}
+
+void JsonWriter::end_array() {
+  scope_has_item_.pop_back();
+  out_ += ']';
+}
+
+void JsonWriter::key(const std::string& name) {
+  comma();
+  out_ += '"';
+  out_ += json_escape(name);
+  out_ += "\":";
+  pending_key_ = true;
+}
+
+void JsonWriter::value(const std::string& s) {
+  comma();
+  out_ += '"';
+  out_ += json_escape(s);
+  out_ += '"';
+}
+
+void JsonWriter::value(const char* s) { value(std::string(s)); }
+
+void JsonWriter::value(double d) {
+  if (!std::isfinite(d)) {
+    null();
+    return;
+  }
+  comma();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  out_ += buf;
+}
+
+void JsonWriter::value(std::int64_t i) {
+  comma();
+  out_ += std::to_string(i);
+}
+
+void JsonWriter::value(std::uint64_t u) {
+  comma();
+  out_ += std::to_string(u);
+}
+
+void JsonWriter::value(bool b) {
+  comma();
+  out_ += b ? "true" : "false";
+}
+
+void JsonWriter::null() {
+  comma();
+  out_ += "null";
+}
+
+void JsonWriter::number(const std::string& formatted) {
+  comma();
+  out_ += formatted;
 }
 
 }  // namespace wimesh

@@ -1,39 +1,14 @@
 #include "wimesh/common/log.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace wimesh {
-namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-// Serializes whole lines so concurrent batch workers cannot interleave
-// their output mid-line.
-std::mutex g_write_mutex;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
-void log(LogLevel level, const std::string& component,
-         const std::string& message) {
-  if (level < g_level.load()) return;
-  std::lock_guard<std::mutex> lock(g_write_mutex);
-  std::fprintf(stderr, "[%s] %s: %s\n", level_name(level), component.c_str(),
-               message.c_str());
+void log_warn(const std::string& component, const std::string& message) {
+  static std::mutex write_mutex;
+  const std::lock_guard<std::mutex> lock(write_mutex);
+  std::fprintf(stderr, "[warn] %s: %s\n", component.c_str(), message.c_str());
 }
 
 }  // namespace wimesh

@@ -1,5 +1,6 @@
 #include "wimesh/common/strings.h"
 
+#include <fstream>
 #include <iomanip>
 
 namespace wimesh {
@@ -33,6 +34,23 @@ std::vector<std::string> split(const std::string& s, char delim) {
   }
   out.push_back(field);
   return out;
+}
+
+Expected<std::string> read_text_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return make_error(str_cat("cannot open '", path, "'"));
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+Expected<bool> write_text_file(const std::string& path,
+                               const std::string& contents) {
+  std::ofstream out(path, std::ios::binary);
+  if (!(out << contents << std::flush)) {
+    return make_error(str_cat("cannot write '", path, "'"));
+  }
+  return true;
 }
 
 }  // namespace wimesh

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "wimesh/batch/json.h"
+#include "wimesh/common/json.h"
 #include "wimesh/batch/runner.h"
 #include "wimesh/common/rng.h"
 #include "wimesh/exec/executor.h"
@@ -190,7 +190,7 @@ TEST(BatchRunner, SeedsVaryAcrossRuns) {
 }
 
 TEST(JsonWriterTest, EscapesAndFormats) {
-  batch::JsonWriter w;
+  JsonWriter w;
   w.begin_object();
   w.key("s");
   w.value("a\"b\\c\nd");

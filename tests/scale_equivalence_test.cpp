@@ -6,12 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "wimesh/common/rng.h"
+#include "wimesh/common/strings.h"
 #include "wimesh/core/scenario.h"
 #include "wimesh/graph/topology.h"
 #include "wimesh/phy/radio_model.h"
@@ -97,21 +96,16 @@ TEST(ScaleEquivalenceTest, SparseBuildersMatchNaiveOnLinkSubsets) {
                     "grid7x7 subset connectivity");
 }
 
-std::string read_file_or_die(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 // Every shipped scenario's BuiltProblem — the exact conflict graph the
 // planner schedules against — must be reproduced by the naive builder.
 TEST(ScaleEquivalenceTest, ScenarioFileProblemsMatchNaive) {
   const std::string dir = WIMESH_SCENARIO_DIR;
-  for (const char* file : {"community.wimesh", "hidden_terminal.wimesh",
+  for (const char* file : {"community.wimesh", "community_random.wimesh",
+                           "hidden_terminal.wimesh",
                            "video_surveillance.wimesh"}) {
-    const auto sc = parse_scenario(read_file_or_die(dir + "/" + file));
+    const auto text = read_text_file(dir + "/" + file);
+    ASSERT_TRUE(text.has_value()) << text.error();
+    const auto sc = parse_scenario(*text);
     ASSERT_TRUE(sc.has_value()) << file << ": " << sc.error();
     const RadioModel radio(sc->config.comm_range,
                            sc->config.interference_range);

@@ -10,13 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
-#include <fstream>
+#include <filesystem>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "wimesh/common/strings.h"
 #include "wimesh/core/scenario.h"
 
 namespace wimesh {
@@ -42,15 +43,21 @@ bulk 50 2 6 1200 2000000
 )";
 
 std::vector<std::string> corpus() {
+  // Every shipped scenario, in name order so the mutants are reproducible.
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(WIMESH_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".wimesh") {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_GE(files.size(), 7u);
   std::vector<std::string> texts;
-  for (const char* file :
-       {"campus_outdoor.wimesh", "community.wimesh", "hidden_terminal.wimesh",
-        "mixed_rate.wimesh", "office_3floor.wimesh",
-        "video_surveillance.wimesh"}) {
-    std::ifstream in(std::string(WIMESH_SCENARIO_DIR) + "/" + file);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    texts.push_back(buf.str());
+  for (const std::string& file : files) {
+    const auto text = read_text_file(file);
+    EXPECT_TRUE(text.has_value()) << text.error();
+    if (text.has_value()) texts.push_back(*text);
   }
   texts.emplace_back(kDemo);
   for (const char* plan :
