@@ -98,6 +98,9 @@ struct IlpResult {
   }
 };
 
+// An integer variable counts as integral within this distance.
+inline constexpr double kIlpIntegralityTol = 1e-6;
+
 struct IlpOptions {
   long max_nodes = 200'000;
   double time_limit_seconds = 60.0;
@@ -105,11 +108,9 @@ struct IlpOptions {
   // schedule-length linear search uses: each stage is a pure feasibility
   // program.
   bool stop_at_first_feasible = false;
-  double integrality_tol = 1e-6;
   // Prune nodes whose LP bound cannot beat the incumbent by more than this
   // (set to ~1 when the objective is integral to prune aggressively).
   double objective_gap_tol = 1e-9;
-  LpOptions lp;
 
   // --- Portfolio branch & bound ---
   // Number of independent search strategies explored in synchronized

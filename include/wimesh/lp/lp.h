@@ -139,24 +139,21 @@ struct LpResult {
   bool warm_start_used = false; // true when a supplied basis was installed
 };
 
-struct LpOptions {
-  long max_iterations = 200'000;
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-9;
-};
+// Simplex limits: pivots per solve (kIterationLimit beyond), the primal
+// feasibility tolerance and the reduced-cost optimality tolerance.
+inline constexpr long kLpMaxIterations = 200'000;
+inline constexpr double kLpFeasibilityTol = 1e-7;
+inline constexpr double kLpOptimalityTol = 1e-9;
 
-// Solves the LP. Deterministic; no randomness.
-LpResult solve_lp(const LpModel& model, const LpOptions& options = {});
-
-// Warm-started solve: when `warm_start` is non-null, non-empty and
-// installable, the simplex starts from that basis (restoring primal
-// feasibility with a dual-simplex pass when the basis is dual-feasible but
-// primal-infeasible) instead of running phase 1 from scratch; otherwise it
-// silently cold-starts. When `basis_out` is non-null and the solve ends
-// kOptimal, the final basis is stored there for reuse (left empty when
-// the optimal basis still contains an artificial column).
-LpResult solve_lp(const LpModel& model, const LpOptions& options,
-                  const LpBasis* warm_start, LpBasis* basis_out);
+// Solves the LP. Deterministic; no randomness. When `warm_start` is
+// non-null, non-empty and installable, the simplex starts from that basis
+// (restoring primal feasibility with a dual-simplex pass when the basis is
+// dual-feasible but primal-infeasible) instead of running phase 1 from
+// scratch; otherwise it silently cold-starts. When `basis_out` is non-null
+// and the solve ends kOptimal, the final basis is stored there for reuse
+// (left empty when the optimal basis still contains an artificial column).
+LpResult solve_lp(const LpModel& model, const LpBasis* warm_start = nullptr,
+                  LpBasis* basis_out = nullptr);
 
 namespace detail {
 class Simplex;
@@ -170,11 +167,11 @@ class Simplex;
 // basic already, and repairs primal feasibility with the dual simplex.
 // An in-place optimum whose point violates the model by more than the
 // feasibility tolerance is re-solved from a fresh build. The rows must not
-// change between solves. `model` and `options` are not owned and must
-// outlive the solver.
+// change between solves. `model` is not owned and must outlive the
+// solver.
 class LpSolver {
  public:
-  LpSolver(const LpModel& model, const LpOptions& options);
+  explicit LpSolver(const LpModel& model);
   ~LpSolver();
   LpSolver(const LpSolver&) = delete;
   LpSolver& operator=(const LpSolver&) = delete;

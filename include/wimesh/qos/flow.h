@@ -32,10 +32,6 @@ struct FlowSpec {
   std::size_t packet_bytes = 0;
   SimTime packet_interval{};
 
-  // VBR video profile knobs (used when shape == kVbrVideo).
-  int video_gop = 12;
-  double video_intra_scale = 2.5;
-
   // End-to-end delay bound; guaranteed flows only.
   SimTime max_delay = SimTime::milliseconds(100);
 

@@ -31,13 +31,15 @@ struct WallSegment {
   double loss_db = 12.0;
 };
 
+// Open path loss is A*log10(d/d0) + B + 20*log10(f/5GHz). B is the loss at
+// the reference distance d0, for a line-of-sight and an obstructed path.
+inline constexpr double kInterceptLosDb = 46.8;
+inline constexpr double kInterceptObstructedDb = 46.4;
+inline constexpr double kReferenceDistanceM = 1.0;  // d0
+
 struct PropagationConfig {
-  // Open (line-of-sight) path loss: A*log10(d/d0) + B + 20*log10(f/5GHz).
   double exponent_los = 18.7;       // A when the path crosses no wall
   double exponent_obstructed = 20.0; // A when at least one wall intersects
-  double intercept_los_db = 46.8;    // B (loss at the reference distance)
-  double intercept_obstructed_db = 46.4;
-  double reference_distance_m = 1.0;
   double frequency_ghz = 5.0;        // 802.11a band by default
   // Per-wall penetration loss for every wall the direct path crosses.
   std::vector<WallSegment> walls;
@@ -53,8 +55,8 @@ class Propagation {
   explicit Propagation(PropagationConfig config);
 
   // Validating factory (scenario parsing path): rejects non-positive
-  // exponents or reference distance, zero-length walls and negative wall
-  // or floor losses with a named error.
+  // exponents or frequency, zero-length walls and negative wall or floor
+  // losses with a named error.
   static Expected<Propagation> try_make(PropagationConfig config);
 
   // Mean path loss in dB between two positions on the given floors.

@@ -4,7 +4,8 @@
 //
 // Implements the distributed coordination function over WifiChannel:
 // DIFS deferral, slotted binary-exponential backoff with freezing, unicast
-// ACK after SIFS, retry with CW doubling, drop after the retry limit.
+// ACK after SIFS, retry with CW doubling, drop after kMacRetryLimit
+// retries.
 // Broadcast data is sent once, unacknowledged (used by sync beacons).
 //
 // Simplifications, documented for reviewers: no RTS/CTS and no NAV (the
@@ -22,7 +23,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "wimesh/common/rng.h"
@@ -46,7 +46,6 @@ class DcfMac : public MacInterface {
   };
 
   struct Config {
-    int retry_limit = 7;
     std::size_t max_queue = 1024;
     // TDMA-overlay mode: contention is eliminated by the schedule, so the
     // random backoff is forced to zero and per-packet service time becomes
@@ -168,13 +167,7 @@ class DcfMac : public MacInterface {
 
   std::deque<MacPacket> queue_;
   std::optional<MacPacket> current_;
-  // Duplicate filter, as 802.11 does with per-(transmitter, TID) sequence
-  // caches: a retry whose original ACK was lost must be re-ACKed but not
-  // delivered upward twice. Keyed by (sender, flow) — not sender alone —
-  // because a deadline requeue re-sends a packet in a *later* block, and a
-  // guaranteed-class packet from the same sender may legitimately arrive in
-  // between; within one flow delivery stays FIFO, so last-seen id suffices.
-  std::unordered_map<std::uint64_t, std::uint64_t> last_seen_from_;
+  DuplicateFilter duplicates_;
   State state_ = State::kIdle;
   int busy_count_ = 0;
   bool transmitting_ = false;  // data or ACK on the air from this node

@@ -46,6 +46,12 @@ struct DistributedScheduleResult {
   int used_slots() const;
 };
 
+// Cap on one handshake backoff, in rounds.
+inline constexpr int kHandshakeBackoffCapRounds = 32;
+// Seed of the control-loss stream (one draw per handshake; the election
+// stream is untouched).
+inline constexpr std::uint64_t kControlLossSeed = 0x10ad;
+
 struct DistributedSchedulerConfig {
   int max_rounds = 1000;
   std::uint32_t election_seed = 0x5eed;
@@ -55,16 +61,15 @@ struct DistributedSchedulerConfig {
   // it wins until max_rounds.
   int max_link_attempts = 0;
   // After the k-th failure a link waits base << (k-1) rounds (capped at
-  // backoff_cap_rounds) before requesting again; 0 = retry immediately.
+  // kHandshakeBackoffCapRounds) before requesting again; 0 = retry
+  // immediately.
   int backoff_base_rounds = 0;
-  int backoff_cap_rounds = 32;
   // Probability an entire three-way handshake is voided by a lost control
-  // message (one draw per handshake, from loss_seed — the election stream
-  // is untouched). Nonzero loss also disables the no-progress early exit:
-  // a fully rejected round is then indistinguishable from transient loss,
-  // so links must rely on attempt caps/backoff to terminate.
+  // message (drawn from kControlLossSeed). Nonzero loss also disables the
+  // no-progress early exit: a fully rejected round is then
+  // indistinguishable from transient loss, so links must rely on attempt
+  // caps/backoff to terminate.
   double control_loss_rate = 0.0;
-  std::uint64_t loss_seed = 0x10ad;
 };
 
 // Runs the handshake to convergence (or the round cap). `demand[l]` is the

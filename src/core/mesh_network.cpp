@@ -447,11 +447,10 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
             src_rng.split()));
         break;
       case TrafficShape::kVbrVideo: {
-        // Derive a profile whose long-run mean matches the reserved rate.
+        // Derive a profile (default GOP and I-frame scale) whose long-run
+        // mean matches the reserved rate.
         VbrVideoSource::Profile profile;
         profile.mtu_bytes = spec.packet_bytes;
-        profile.gop = spec.video_gop;
-        profile.intra_scale = spec.video_intra_scale;
         const double mean_frame_bits =
             spec.rate_bps() * profile.frame_interval.to_seconds();
         const double gop_d = profile.gop;

@@ -194,7 +194,7 @@ int PortfolioBranchAndBound::pick_branch_var(
     const double v = x[static_cast<std::size_t>(ints[k])];
     const double frac = v - std::floor(v);
     const double dist = std::min(frac, 1.0 - frac);  // distance to integer
-    if (dist <= opt_.integrality_tol) continue;
+    if (dist <= kIlpIntegralityTol) continue;
     const double priority =
         cfg.use_priority ? model_.branch_priority(ints[k]) : 0.0;
     const bool frac_better =
@@ -251,7 +251,7 @@ void PortfolioBranchAndBound::record_incumbent(Strategy& s,
   s.have_incumbent = true;
   s.incumbent_obj = normalized_obj;
   s.incumbent_x = x;
-  // Snap integers exactly; they are within integrality_tol already.
+  // Snap integers exactly; they are within kIlpIntegralityTol already.
   for (VarId v : model_.integer_vars()) {
     auto& val = s.incumbent_x[static_cast<std::size_t>(v)];
     val = std::round(val);
@@ -266,7 +266,7 @@ void PortfolioBranchAndBound::run_round(Strategy& s, long quota) {
   long used = 0;
   // Created per round, so solver state never crosses a barrier: each
   // strategy's path depends only on its own node sequence.
-  LpSolver solver(s.work, opt_.lp);
+  LpSolver solver(s.work);
   while (!s.stack.empty() && used < quota) {
     if (time_exhausted()) {
       s.time_hit = true;
@@ -392,8 +392,7 @@ IlpResult PortfolioBranchAndBound::run() {
   }
   result_.nodes_explored = 1;
   LpBasis root_basis;
-  const LpResult root_lp =
-      solve_lp(root_work, opt_.lp, opt_.root_basis, &root_basis);
+  const LpResult root_lp = solve_lp(root_work, opt_.root_basis, &root_basis);
   result_.lp_iterations = root_lp.iterations;
   result_.install_pivots = root_lp.install_pivots;
   if (opt_.root_basis != nullptr && !opt_.root_basis->empty()) {

@@ -93,8 +93,7 @@ namespace detail {
 // tableau survives between solve() calls; see LpSolver.
 class Simplex {
  public:
-  Simplex(const LpModel& model, const LpOptions& opt)
-      : model_(model), opt_(opt) {}
+  explicit Simplex(const LpModel& model) : model_(model) {}
 
   LpResult solve(const LpBasis* warm, LpBasis* basis_out);
 
@@ -160,7 +159,6 @@ class Simplex {
   void extract_basis(LpBasis* out) const;
 
   const LpModel& model_;
-  const LpOptions& opt_;
 
   int n_ = 0;      // structural variables
   int m_ = 0;      // rows
@@ -347,7 +345,7 @@ void Simplex::recompute_reduced_costs() {
 
 Simplex::Pick Simplex::choose_entering(bool bland) const {
   Pick best;
-  double best_score = opt_.optimality_tol;
+  double best_score = kLpOptimalityTol;
   for (int j = 0; j < cols_; ++j) {
     const Status st = status_[idx(j)];
     if (st == Status::kBasic) continue;
@@ -355,10 +353,10 @@ Simplex::Pick Simplex::choose_entering(bool bland) const {
     const double d = dcost_[idx(j)];
     int dir = 0;
     if ((st == Status::kAtLower || st == Status::kFreeZero) &&
-        d < -opt_.optimality_tol) {
+        d < -kLpOptimalityTol) {
       dir = +1;
     } else if ((st == Status::kAtUpper || st == Status::kFreeZero) &&
-               d > opt_.optimality_tol) {
+               d > kLpOptimalityTol) {
       dir = -1;
     }
     if (dir == 0) continue;
@@ -387,7 +385,7 @@ bool Simplex::step(const Pick& pick, bool* progressed) {
   // Ratio test: basic variable values move by -dir * t * w_r.
   // Two passes (Harris-style): find the tightest ratio, then among rows
   // within tolerance of it choose the one with the largest pivot magnitude.
-  const double tol = opt_.feasibility_tol;
+  const double tol = kLpFeasibilityTol;
   double t_min = t_limit;
   for (int r = 0; r < m_; ++r) {
     const double w = t_at(r, q);
@@ -564,7 +562,7 @@ bool Simplex::install_warm(const LpBasis& hint) {
 }
 
 bool Simplex::primal_feasible() const {
-  const double tol = opt_.feasibility_tol;
+  const double tol = kLpFeasibilityTol;
   for (int r = 0; r < m_; ++r) {
     const int b = basis_[idx(r)];
     const double v = xb_[idx(r)];
@@ -574,7 +572,7 @@ bool Simplex::primal_feasible() const {
 }
 
 bool Simplex::dual_feasible() const {
-  const double tol = opt_.optimality_tol;
+  const double tol = kLpOptimalityTol;
   for (int j = 0; j < cols_; ++j) {
     const Status st = status_[idx(j)];
     if (st == Status::kBasic) continue;
@@ -588,9 +586,9 @@ bool Simplex::dual_feasible() const {
 }
 
 Simplex::DualOutcome Simplex::run_dual(long max_pivots) {
-  const double ftol = opt_.feasibility_tol;
+  const double ftol = kLpFeasibilityTol;
   for (long pivots = 0;; ++pivots) {
-    if (iters_ >= opt_.max_iterations) return DualOutcome::kIterationLimit;
+    if (iters_ >= kLpMaxIterations) return DualOutcome::kIterationLimit;
     if (pivots >= max_pivots) return DualOutcome::kStalled;
 
     // Leaving row: the basic variable with the worst bound violation.
@@ -765,7 +763,7 @@ void Simplex::run_primal(LpResult* result, LpBasis* basis_out) {
   int degenerate_run = 0;
 
   for (;;) {
-    if (iters_ >= opt_.max_iterations) {
+    if (iters_ >= kLpMaxIterations) {
       result->status = LpStatus::kIterationLimit;
       return;
     }
@@ -841,7 +839,7 @@ LpResult Simplex::solve(const LpBasis* warm, LpBasis* basis_out) {
     refresh_bounds();
     if (install_warm(*warm) && solve_warm(&result, basis_out, m_)) {
       if (result.status != LpStatus::kOptimal ||
-          model_.max_violation(result.x) <= opt_.feasibility_tol) {
+          model_.max_violation(result.x) <= kLpFeasibilityTol) {
         return finish(std::move(result));
       }
     }
@@ -864,8 +862,8 @@ LpResult Simplex::solve(const LpBasis* warm, LpBasis* basis_out) {
 
 }  // namespace detail
 
-LpSolver::LpSolver(const LpModel& model, const LpOptions& options)
-    : simplex_(std::make_unique<detail::Simplex>(model, options)) {}
+LpSolver::LpSolver(const LpModel& model)
+    : simplex_(std::make_unique<detail::Simplex>(model)) {}
 
 LpSolver::~LpSolver() = default;
 
@@ -873,13 +871,9 @@ LpResult LpSolver::solve(const LpBasis* warm_start, LpBasis* basis_out) {
   return simplex_->solve(warm_start, basis_out);
 }
 
-LpResult solve_lp(const LpModel& model, const LpOptions& options) {
-  return solve_lp(model, options, nullptr, nullptr);
-}
-
-LpResult solve_lp(const LpModel& model, const LpOptions& options,
-                  const LpBasis* warm_start, LpBasis* basis_out) {
-  LpSolver solver(model, options);
+LpResult solve_lp(const LpModel& model, const LpBasis* warm_start,
+                  LpBasis* basis_out) {
+  LpSolver solver(model);
   return solver.solve(warm_start, basis_out);
 }
 

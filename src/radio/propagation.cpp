@@ -44,7 +44,6 @@ Propagation::Propagation(PropagationConfig config)
     : config_(std::move(config)) {
   WIMESH_ASSERT(config_.exponent_los > 0.0);
   WIMESH_ASSERT(config_.exponent_obstructed > 0.0);
-  WIMESH_ASSERT(config_.reference_distance_m > 0.0);
   WIMESH_ASSERT(config_.frequency_ghz > 0.0);
 }
 
@@ -54,11 +53,6 @@ Expected<Propagation> Propagation::try_make(PropagationConfig config) {
         str_cat("path-loss exponent must be > 0 (got los=",
                 fmt_double(config.exponent_los, 2), ", obstructed=",
                 fmt_double(config.exponent_obstructed, 2), ")"));
-  }
-  if (config.reference_distance_m <= 0.0) {
-    return make_error(str_cat("reference distance must be > 0 (got ",
-                              fmt_double(config.reference_distance_m, 2),
-                              ")"));
   }
   if (config.frequency_ghz <= 0.0) {
     return make_error(str_cat("carrier frequency must be > 0 (got ",
@@ -93,24 +87,24 @@ int Propagation::wall_crossings(const Point& tx, const Point& rx) const {
 }
 
 double Propagation::open_loss_db(double distance_m) const {
-  const double d = std::max(distance_m, config_.reference_distance_m);
+  const double d = std::max(distance_m, kReferenceDistanceM);
   return config_.exponent_los *
-             std::log10(d / config_.reference_distance_m) +
-         config_.intercept_los_db +
+             std::log10(d / kReferenceDistanceM) +
+         kInterceptLosDb +
          20.0 * std::log10(config_.frequency_ghz / 5.0);
 }
 
 double Propagation::distance_for_open_loss(double loss_db) const {
   const double base =
-      config_.intercept_los_db + 20.0 * std::log10(config_.frequency_ghz / 5.0);
-  if (loss_db <= base) return config_.reference_distance_m;
-  return config_.reference_distance_m *
+      kInterceptLosDb + 20.0 * std::log10(config_.frequency_ghz / 5.0);
+  if (loss_db <= base) return kReferenceDistanceM;
+  return kReferenceDistanceM *
          std::pow(10.0, (loss_db - base) / config_.exponent_los);
 }
 
 double Propagation::loss_db(const Point& tx, const Point& rx, int tx_floor,
                             int rx_floor) const {
-  const double d = std::max(distance(tx, rx), config_.reference_distance_m);
+  const double d = std::max(distance(tx, rx), kReferenceDistanceM);
   double wall_loss = 0.0;
   int crossings = 0;
   if (!config_.walls.empty()) {
@@ -125,8 +119,8 @@ double Propagation::loss_db(const Point& tx, const Point& rx, int tx_floor,
   const double exponent =
       obstructed ? config_.exponent_obstructed : config_.exponent_los;
   const double intercept =
-      obstructed ? config_.intercept_obstructed_db : config_.intercept_los_db;
-  const double open = exponent * std::log10(d / config_.reference_distance_m) +
+      obstructed ? kInterceptObstructedDb : kInterceptLosDb;
+  const double open = exponent * std::log10(d / kReferenceDistanceM) +
                       intercept +
                       20.0 * std::log10(config_.frequency_ghz / 5.0);
   const double floor_loss =

@@ -528,8 +528,8 @@ Expected<ScheduleResult> schedule_ilp_impl(const SchedulingProblem& problem,
   // already feasible, skipping branch & bound entirely.
   if (options.try_heuristics) {
     LpBasis root_basis;
-    const LpResult root =
-        solve_lp(om.model.lp(), LpOptions{}, hint, chain ? &root_basis : nullptr);
+    const LpResult root = solve_lp(om.model.lp(), hint,
+                                   chain ? &root_basis : nullptr);
     if (root.status == LpStatus::kOptimal) {
       if (chain && !root_basis.empty()) {
         *stage_basis = root_basis;

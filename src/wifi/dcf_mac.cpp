@@ -181,7 +181,7 @@ void DcfMac::on_cts_timeout() {
 
 void DcfMac::retry_after_failure() {
   ++attempt_;
-  if (attempt_ > config_.retry_limit) {
+  if (attempt_ > kMacRetryLimit) {
     ++drops_;
     const MacPacket dropped = *current_;
     finish_packet(/*post_backoff=*/true);
@@ -339,15 +339,7 @@ void DcfMac::on_frame_received(const WifiFrame& frame) {
     case WifiFrame::Type::kData:
       if (frame.to == self_) {
         send_ack(frame);  // re-ACK duplicates too: the sender needs it
-        const std::uint64_t dedup_key =
-            (static_cast<std::uint64_t>(frame.from) << 32) ^
-            static_cast<std::uint32_t>(frame.packet.flow_id);
-        const auto [it, fresh] =
-            last_seen_from_.try_emplace(dedup_key, frame.packet.id);
-        if (!fresh) {
-          if (it->second == frame.packet.id) return;  // duplicate retry
-          it->second = frame.packet.id;
-        }
+        if (duplicates_.is_duplicate(frame.from, frame.packet)) return;
         if (cb_.on_delivered) cb_.on_delivered(frame.packet);
       } else {  // broadcast
         if (cb_.on_delivered) cb_.on_delivered(frame.packet);

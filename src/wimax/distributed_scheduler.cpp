@@ -50,7 +50,7 @@ DistributedScheduleResult run_distributed_scheduling(
   std::vector<int> failures(static_cast<std::size_t>(links.count()), 0);
   std::vector<int> wait_until(static_cast<std::size_t>(links.count()), 0);
   std::vector<char> given_up(static_cast<std::size_t>(links.count()), 0);
-  Rng loss_rng(config.loss_seed);
+  Rng loss_rng(kControlLossSeed);
   // Under control loss a fully rejected round is indistinguishable from a
   // round of lost messages, so the no-progress stall exit is disabled and
   // termination relies on the attempt cap / round cap instead.
@@ -68,7 +68,7 @@ DistributedScheduleResult run_distributed_scheduling(
     if (config.backoff_base_rounds > 0) {
       const int shift = std::min(failures[i] - 1, 20);
       const int wait = std::min(config.backoff_base_rounds << shift,
-                                config.backoff_cap_rounds);
+                                kHandshakeBackoffCapRounds);
       wait_until[i] = out.rounds + 1 + wait;
     }
   };

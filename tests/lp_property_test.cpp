@@ -141,8 +141,7 @@ TEST_P(LpRandomSweep, LiveSolverMatchesColdSolverOverBranchWalk) {
     const int n = 3 + static_cast<int>(rng.next_below(4));
     RandomLp lp = make_random_lp(rng, n, 6);
     LpModel& m = lp.model;
-    const LpOptions opt;
-    LpSolver live(m, opt);
+    LpSolver live(m);
 
     struct Node {
       std::vector<double> lo, up;
@@ -167,7 +166,7 @@ TEST_P(LpRandomSweep, LiveSolverMatchesColdSolverOverBranchWalk) {
           cold.status == LpStatus::kOptimal) {
         EXPECT_NEAR(got.objective, cold.objective, 1e-6)
             << what << ", trial " << trial;
-        EXPECT_LE(m.max_violation(got.x), opt.feasibility_tol)
+        EXPECT_LE(m.max_violation(got.x), kLpFeasibilityTol)
             << what << ", trial " << trial;
         node.x = got.x;
       }

@@ -234,13 +234,13 @@ TEST(LpWarmStartTest, PerturbedRhsReusesBasisAndMatchesColdOptimum) {
 
   const LpModel base = build(10.0, 15.0);
   LpBasis basis;
-  const LpResult seed = solve_lp(base, LpOptions{}, nullptr, &basis);
+  const LpResult seed = solve_lp(base, nullptr, &basis);
   ASSERT_EQ(seed.status, LpStatus::kOptimal);
   ASSERT_FALSE(basis.empty());
 
   const LpModel bumped = build(11.0, 14.0);
   const LpResult cold = solve_lp(bumped);
-  const LpResult warm = solve_lp(bumped, LpOptions{}, &basis, nullptr);
+  const LpResult warm = solve_lp(bumped, &basis, nullptr);
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
   ASSERT_EQ(warm.status, LpStatus::kOptimal);
   EXPECT_TRUE(warm.warm_start_used);
@@ -254,7 +254,7 @@ TEST(LpWarmStartTest, MismatchedBasisFallsBackToColdStart) {
   const VarId a = small.add_variable(0, 4, 1.0, "a");
   small.add_constraint({{a, 1.0}}, RowSense::kLessEqual, 3.0);
   LpBasis basis;
-  ASSERT_EQ(solve_lp(small, LpOptions{}, nullptr, &basis).status,
+  ASSERT_EQ(solve_lp(small, nullptr, &basis).status,
             LpStatus::kOptimal);
   ASSERT_FALSE(basis.empty());
 
@@ -265,7 +265,7 @@ TEST(LpWarmStartTest, MismatchedBasisFallsBackToColdStart) {
   const VarId y = big.add_variable(0, 5, 1.0, "y");
   big.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::kLessEqual, 6.0);
   big.add_constraint({{x, 2.0}, {y, 1.0}}, RowSense::kLessEqual, 8.0);
-  const LpResult warm = solve_lp(big, LpOptions{}, &basis, nullptr);
+  const LpResult warm = solve_lp(big, &basis, nullptr);
   ASSERT_EQ(warm.status, LpStatus::kOptimal);
   EXPECT_FALSE(warm.warm_start_used);
   EXPECT_NEAR(warm.objective, solve_lp(big).objective, 1e-9);
@@ -298,7 +298,7 @@ TEST(LpWarmStartTest, RandomRhsPerturbationsAgreeWithColdSolves) {
       bumps.push_back(std::floor(rng.uniform(0.0, 4.0)));
     }
     LpBasis basis;
-    const LpResult seed = solve_lp(m, LpOptions{}, nullptr, &basis);
+    const LpResult seed = solve_lp(m, nullptr, &basis);
     ASSERT_EQ(seed.status, LpStatus::kOptimal) << "trial " << trial;
 
     // Rebuild the model with bumped right-hand sides (the LpModel API is
@@ -314,7 +314,7 @@ TEST(LpWarmStartTest, RandomRhsPerturbationsAgreeWithColdSolves) {
                              m.row(k).rhs + bumps[static_cast<std::size_t>(k)]);
     }
     const LpResult cold = solve_lp(relaxed);
-    const LpResult warm = solve_lp(relaxed, LpOptions{}, &basis, nullptr);
+    const LpResult warm = solve_lp(relaxed, &basis, nullptr);
     ASSERT_EQ(cold.status, LpStatus::kOptimal) << "trial " << trial;
     ASSERT_EQ(warm.status, LpStatus::kOptimal) << "trial " << trial;
     EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "trial " << trial;
