@@ -180,7 +180,6 @@ class AdmissionEngine {
   std::vector<int> set_topology_epoch(
       const std::vector<char>& alive, SimTime now,
       const std::vector<std::pair<NodeId, NodeId>>& down_links = {});
-  std::uint64_t topology_epoch() const { return epoch_; }
   // Current island index per node (-1 = dead); empty before the first
   // epoch install (no fault-awareness overhead until then).
   const std::vector<int>& island_of_node() const { return island_of_node_; }
@@ -194,9 +193,6 @@ class AdmissionEngine {
   // still hold grants here until compaction (lazy by design).
   const SchedulingProblem& problem() const { return incumbent_.problem; }
   const MeshSchedule& schedule() const { return incumbent_.schedule; }
-  const std::vector<FlowPlan>& guaranteed_plans() const {
-    return incumbent_.guaranteed;
-  }
   std::uint64_t generation() const { return generation_; }
 
   // Invariant check (test hook): the incumbent schedule validates against

@@ -108,7 +108,6 @@ class Histogram {
 
   void add(double x);
 
-  std::size_t bin_count() const { return counts_.size(); }
   std::uint64_t bin(std::size_t i) const { return counts_[i]; }
   double bin_lower(std::size_t i) const {
     return lo_ + width_ * static_cast<double>(i);

@@ -52,9 +52,6 @@ struct CallDynamicsResult {
   // simulation, so results stay deterministic in the seed.
   SampleSet decision_latency_ns;
 
-  double offered_load_erlangs(const CallDynamicsConfig& cfg) const {
-    return cfg.arrival_rate_per_s * cfg.mean_holding_s;
-  }
   double blocking_probability() const {
     return offered == 0 ? 0.0
                         : static_cast<double>(blocked) /

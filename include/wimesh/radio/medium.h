@@ -95,7 +95,6 @@ class RadioEnvironment {
     return fading_.gain_db(tx, rx, t);
   }
 
-  double noise_floor_mw() const { return noise_floor_mw_; }
   double snr_db(double rx_power_dbm) const {
     return rx_power_dbm - config_.noise_floor_dbm;
   }
@@ -118,7 +117,6 @@ class RadioEnvironment {
   RateTable rates_;
   std::size_t base_rate_index_ = 0;
   std::uint64_t shadow_seed_ = 0;
-  double noise_floor_mw_ = 0.0;
   double interference_cutoff_dbm_ = 0.0;
   // Per-pair shadowing cache. Values are pure functions of (seed, pair),
   // so lazy fill order cannot change results (mutable for const lookups).

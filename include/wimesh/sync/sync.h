@@ -100,11 +100,6 @@ class SyncProtocol {
 
   bool master_alive() const { return master_alive_; }
 
-  // Whether node n is reached by resync waves from the current master.
-  bool synced(NodeId n) const {
-    return depth_[static_cast<std::size_t>(n)] >= 0;
-  }
-
   // Clock error of node n at global time t: local(t) - t.
   SimTime error(NodeId n, SimTime t) const;
 

@@ -127,7 +127,6 @@ class WifiChannel {
 
   // Diagnostics.
   std::uint64_t frames_transmitted() const { return frames_transmitted_; }
-  std::uint64_t frames_delivered() const { return frames_delivered_; }
   std::uint64_t receptions_corrupted() const { return receptions_corrupted_; }
 
  private:
@@ -179,7 +178,6 @@ class WifiChannel {
   std::vector<ActiveTx> active_;
   std::uint64_t next_key_ = 1;
   std::uint64_t frames_transmitted_ = 0;
-  std::uint64_t frames_delivered_ = 0;
   std::uint64_t receptions_corrupted_ = 0;
 };
 

@@ -92,6 +92,11 @@ struct SlotRange {
   friend bool operator==(const SlotRange&, const SlotRange&) = default;
 };
 
+// Gaps of a frame of `frame_slots` slots not overlapping any `busy` range,
+// in slot order (where best-effort grants are fitted).
+std::vector<SlotRange> free_gaps(std::vector<SlotRange> busy,
+                                 int frame_slots);
+
 // Per-frame minislot grants for every link in a LinkSet. In 802.16 mesh
 // terms this is the steady-state result of centralized scheduling carried
 // in MSH-CSCH/MSH-DSCH messages.

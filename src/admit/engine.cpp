@@ -11,26 +11,6 @@ namespace wimesh::admit {
 
 namespace {
 
-// Gaps of the frame not overlapping any `busy` range, in slot order (same
-// as the planner's best-effort fitter).
-std::vector<SlotRange> free_gaps(std::vector<SlotRange> busy,
-                                 int frame_slots) {
-  std::sort(busy.begin(), busy.end(),
-            [](const SlotRange& a, const SlotRange& b) {
-              return a.start < b.start;
-            });
-  std::vector<SlotRange> gaps;
-  int cursor = 0;
-  for (const SlotRange& b : busy) {
-    if (b.start > cursor) gaps.push_back(SlotRange{cursor, b.start - cursor});
-    cursor = std::max(cursor, b.end());
-  }
-  if (cursor < frame_slots) {
-    gaps.push_back(SlotRange{cursor, frame_slots - cursor});
-  }
-  return gaps;
-}
-
 bool is_complete_solver(SchedulerKind kind) {
   return kind == SchedulerKind::kIlpDelayAware ||
          kind == SchedulerKind::kIlpDelayUnaware;

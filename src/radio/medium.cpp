@@ -29,7 +29,6 @@ RadioEnvironment::RadioEnvironment(RadioConfig config,
   WIMESH_ASSERT(config_.floors.empty() ||
                 config_.floors.size() == positions_.size());
   base_rate_index_ = rates_.index_of(base_phy.nominal_rate_mbps());
-  noise_floor_mw_ = dbm_to_mw(config_.noise_floor_dbm);
   interference_cutoff_dbm_ =
       std::isnan(config_.interference_cutoff_dbm)
           ? config_.noise_floor_dbm + 6.0

@@ -385,10 +385,6 @@ void WifiChannel::finish_transmission(std::uint64_t key) {
   for (const Reception& r : done.receptions) {
     const bool ok = decodes(r);
     if (ok) {
-      // Overheard copies inform NAV but do not count as deliveries.
-      if (r.frame.to == kInvalidNode || r.frame.to == r.rx) {
-        ++frames_delivered_;
-      }
       macs_[static_cast<std::size_t>(r.rx)]->on_frame_received(r.frame);
     }
     // Rate adaptation learns from the addressee's fate — a proxy for the

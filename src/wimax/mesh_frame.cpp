@@ -69,4 +69,22 @@ int MeshSchedule::granted_slots() const {
   return total;
 }
 
+std::vector<SlotRange> free_gaps(std::vector<SlotRange> busy,
+                                 int frame_slots) {
+  std::sort(busy.begin(), busy.end(),
+            [](const SlotRange& a, const SlotRange& b) {
+              return a.start < b.start;
+            });
+  std::vector<SlotRange> gaps;
+  int cursor = 0;
+  for (const SlotRange& b : busy) {
+    if (b.start > cursor) gaps.push_back(SlotRange{cursor, b.start - cursor});
+    cursor = std::max(cursor, b.end());
+  }
+  if (cursor < frame_slots) {
+    gaps.push_back(SlotRange{cursor, frame_slots - cursor});
+  }
+  return gaps;
+}
+
 }  // namespace wimesh
