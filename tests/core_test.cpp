@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "wimesh/core/mesh_network.h"
 
 namespace wimesh {
@@ -323,6 +327,103 @@ TEST(MeshNetworkTest, GridMeshEndToEnd) {
     EXPECT_TRUE(f.delay_bound_met);
   }
   EXPECT_EQ(r.receptions_corrupted, 0u);
+}
+
+}  // namespace
+}  // namespace wimesh
+
+namespace wimesh {
+namespace {
+
+// Everything a MAC decision can move, as exact integers: per flow, the
+// delivered packets and their summed delay in ns; then the MAC drops and
+// the frames put on the air.
+std::vector<std::int64_t> mac_fingerprint(const SimulationResult& r) {
+  std::vector<std::int64_t> out;
+  for (const FlowResult& f : r.flows) {
+    std::int64_t delay_ns = 0;
+    for (const double ms : f.stats.delays_ms().samples()) {
+      delay_ns += std::llround(ms * 1e6);
+    }
+    out.push_back(static_cast<std::int64_t>(f.stats.delivered_packets()));
+    out.push_back(delay_ns);
+  }
+  out.push_back(static_cast<std::int64_t>(r.mac_drops));
+  out.push_back(static_cast<std::int64_t>(r.frames_transmitted));
+  return out;
+}
+
+// R-F3's grid: two G.711 calls to the gateway plus 4 Mbit/s of
+// best-effort load crossing the mesh.
+MeshNetwork rf3_grid() {
+  MeshConfig cfg;
+  cfg.topology = make_grid(3, 3, 100.0);
+  cfg.comm_range = 110.0;
+  cfg.interference_range = 220.0;
+  cfg.phy = PhyMode::ofdm_802_11a(54);
+  cfg.emulation.frame.frame_duration = SimTime::milliseconds(10);
+  cfg.emulation.frame.control_slots = 4;
+  cfg.emulation.frame.data_slots = 96;
+  MeshNetwork net(cfg);
+  net.add_voip_call(0, 8, 0, VoipCodec::g711(), SimTime::milliseconds(100));
+  net.add_voip_call(2, 6, 0, VoipCodec::g711(), SimTime::milliseconds(100));
+  net.add_flow(FlowSpec::best_effort(100, 2, 6, 1200, 2e6));
+  net.add_flow(FlowSpec::best_effort(101, 8, 0, 1200, 2e6));
+  return net;
+}
+
+std::vector<std::int64_t> rf3_run(MacMode mode) {
+  MeshNetwork net = rf3_grid();
+  EXPECT_TRUE(net.compute_plan().has_value());
+  return mac_fingerprint(net.run(mode, SimTime::seconds(2)));
+}
+
+// Pins every MAC's output to the packet and the nanosecond, so a change
+// to the MAC that is meant to be behavior-preserving provably is.
+TEST(MacGoldenTest, TdmaOverlayOnRf3Grid) {
+  EXPECT_EQ(rf3_run(MacMode::kTdmaOverlay),
+            (std::vector<std::int64_t>{100, 236922949, 100, 281031396, 100,
+                                       220021783, 100, 246199875, 399,
+                                       159742541397, 368, 97466783902, 0,
+                                       8620}));
+}
+
+TEST(MacGoldenTest, DcfOnRf3Grid) {
+  EXPECT_EQ(rf3_run(MacMode::kDcf),
+            (std::vector<std::int64_t>{100, 365859529, 100, 350835609, 100,
+                                       138172506, 100, 139218758, 397,
+                                       2485317836, 419, 2366894719, 1,
+                                       10880}));
+}
+
+TEST(MacGoldenTest, EdcaOnRf3Grid) {
+  EXPECT_EQ(rf3_run(MacMode::kEdca),
+            (std::vector<std::int64_t>{99, 98201417, 100, 111622165, 100,
+                                       54584843, 100, 50225712, 395,
+                                       3792842456, 417, 3823352264, 6,
+                                       11023}));
+}
+
+// R-F8's hidden-terminal chain under DCF with the RTS/CTS handshake.
+TEST(MacGoldenTest, DcfRtsCtsOnRf8Chain) {
+  MeshConfig cfg;
+  cfg.topology = make_chain(5, 100.0);
+  cfg.comm_range = 110.0;
+  cfg.interference_range = 110.0;
+  cfg.phy = PhyMode::ofdm_802_11a(54);
+  cfg.emulation.frame.frame_duration = SimTime::milliseconds(10);
+  cfg.emulation.frame.control_slots = 4;
+  cfg.emulation.frame.data_slots = 96;
+  cfg.dcf_rts_cts = true;
+  MeshNetwork net(cfg);
+  net.add_voip_call(0, 0, 4, VoipCodec::g711(), SimTime::milliseconds(150));
+  net.add_flow(FlowSpec::best_effort(10, 0, 4, 1400, 2e6));
+  net.add_flow(FlowSpec::best_effort(11, 4, 0, 1400, 2e6));
+  ASSERT_TRUE(net.compute_plan().has_value());
+  EXPECT_EQ(mac_fingerprint(net.run(MacMode::kDcf, SimTime::seconds(2))),
+            (std::vector<std::int64_t>{100, 807459051, 100, 713861080, 381,
+                                       3678508953, 354, 3648108901, 1,
+                                       16383}));
 }
 
 }  // namespace
