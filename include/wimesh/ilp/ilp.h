@@ -6,15 +6,14 @@
 //
 // Typical use by the scheduler:
 //   IlpModel m;
-//   VarId o = m.add_binary("order_ab");
-//   VarId s = m.add_continuous(0, frame_slots, 0.0, "start_ab");
+//   VarId o = m.add_binary();
+//   VarId s = m.add_continuous(0, frame_slots, 0.0);
 //   m.add_constraint({{s, 1.0}, {o, big_m}}, RowSense::kLessEqual, rhs);
 //   IlpResult r = solve_ilp(m, opts);
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "wimesh/lp/lp.h"
@@ -24,18 +23,17 @@ namespace wimesh {
 class IlpModel {
  public:
   // Continuous variable with bounds [lo, up] and objective coefficient obj.
-  VarId add_continuous(double lo, double up, double obj,
-                       std::string name = "");
+  VarId add_continuous(double lo, double up, double obj);
 
   // Integer variable with inclusive bounds [lo, up].
-  VarId add_integer(double lo, double up, double obj, std::string name = "");
+  VarId add_integer(double lo, double up, double obj);
 
   // Binary {0, 1} variable.
-  VarId add_binary(double obj = 0.0, std::string name = "");
+  VarId add_binary(double obj = 0.0);
 
   RowId add_constraint(const std::vector<LpTerm>& terms, RowSense sense,
-                       double rhs, std::string name = "") {
-    return lp_.add_constraint(terms, sense, rhs, std::move(name));
+                       double rhs) {
+    return lp_.add_constraint(terms, sense, rhs);
   }
 
   void set_objective_sense(ObjSense sense) { lp_.set_objective_sense(sense); }

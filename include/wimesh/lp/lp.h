@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "wimesh/common/assert.h"
@@ -46,12 +45,12 @@ struct LpTerm {
 class LpModel {
  public:
   // Adds a variable with bounds [lo, up] and objective coefficient obj.
-  VarId add_variable(double lo, double up, double obj, std::string name = "");
+  VarId add_variable(double lo, double up, double obj);
 
   // Adds a constraint  sum(terms) sense rhs. Terms may repeat a variable
   // (coefficients are summed).
   RowId add_constraint(const std::vector<LpTerm>& terms, RowSense sense,
-                       double rhs, std::string name = "");
+                       double rhs);
 
   void set_objective_sense(ObjSense sense) { obj_sense_ = sense; }
   ObjSense objective_sense() const { return obj_sense_; }
@@ -67,15 +66,11 @@ class LpModel {
   double lower_bound(VarId v) const { return vars_[check_var(v)].lo; }
   double upper_bound(VarId v) const { return vars_[check_var(v)].up; }
   double objective_coef(VarId v) const { return vars_[check_var(v)].obj; }
-  const std::string& variable_name(VarId v) const {
-    return vars_[check_var(v)].name;
-  }
 
   struct Row {
     std::vector<LpTerm> terms;
     RowSense sense = RowSense::kLessEqual;
     double rhs = 0.0;
-    std::string name;
   };
   const Row& row(RowId r) const {
     WIMESH_ASSERT(r >= 0 && r < constraint_count());
@@ -93,7 +88,6 @@ class LpModel {
     double lo = 0.0;
     double up = kLpInfinity;
     double obj = 0.0;
-    std::string name;
   };
 
   std::size_t check_var(VarId v) const {

@@ -1,23 +1,38 @@
 #pragma once
 
-// 802.11 DCF (CSMA/CA) MAC.
+// 802.11 contention MAC: DCF (CSMA/CA) and its 802.11e EDCA extension.
 //
 // Implements the distributed coordination function over WifiChannel:
-// DIFS deferral, slotted binary-exponential backoff with freezing, unicast
+// AIFS deferral, slotted binary-exponential backoff with freezing, unicast
 // ACK after SIFS, retry with CW doubling, drop after kMacRetryLimit
 // retries.
 // Broadcast data is sent once, unacknowledged (used by sync beacons).
 //
-// Simplifications, documented for reviewers: no RTS/CTS and no NAV (the
-// paper's testbed ran without RTS/CTS), no capture effect, and post-TX
-// backoff is applied only when another packet is queued. These affect
-// absolute contention losses slightly, not the qualitative DCF-vs-TDMA
-// comparison.
+// The backoff machine lives in backoff entities, each with its own queue,
+// packet in service, contention window and timer. DCF is the one-entity
+// case: AIFSN 2 (AIFS = DIFS) and the PHY's CW. EDCA runs two entities
+// over one radio, one per access category, with the 802.11e default
+// parameter set derived from the PHY's aCWmin/aCWmax:
+//   AC_VO (voice):       AIFSN 2, CWmin (aCWmin+1)/4-1, CWmax (aCWmin+1)/2-1
+//   AC_BE (best effort): AIFSN 3, CWmin aCWmin,         CWmax aCWmax
+// (3/7 and 15/1023 on OFDM). EDCA *prioritizes* but cannot *guarantee* —
+// voice still contends with voice, collisions and queueing persist across
+// hops — which is precisely the gap the paper's TDMA overlay closes. A
+// category whose countdown ends while the other is on the air suffers a
+// virtual internal collision (CW doubles, new draw, no retry consumed),
+// matching the standard's internal-collision resolution. TXOP bursting is
+// not modelled (TXOP limits for AC_VO are ~1.5 ms — a couple of voice
+// packets — and do not change the qualitative comparison).
 //
-// The same MAC serves double duty: the contention baseline, and the
-// transmission engine the TDMA overlay drives during its slots (where the
-// schedule guarantees a contention-free medium, so access costs collapse to
-// DIFS + backoff + SIFS + ACK).
+// Simplifications: no capture effect, and post-TX backoff is applied
+// only when another packet is queued. These affect absolute contention
+// losses slightly, not the qualitative DCF-vs-TDMA comparison.
+//
+// The same MAC serves three roles: the DCF baseline (with or without
+// RTS/CTS), the EDCA baseline, and the transmission engine the TDMA
+// overlay drives during its slots (where the schedule guarantees a
+// contention-free medium, so access costs collapse to DIFS + SIFS + ACK
+// around the data).
 
 #include <cstdint>
 #include <deque>
@@ -30,6 +45,10 @@
 #include "wimesh/wifi/channel.h"
 
 namespace wimesh {
+
+// 802.11e access category of a packet. Only EDCA tells them apart; DCF and
+// the overlay serve every category from their one queue.
+enum class AccessCategory : std::uint8_t { kVoice = 0, kBestEffort = 1 };
 
 class DcfMac : public MacInterface {
  public:
@@ -45,45 +64,51 @@ class DcfMac : public MacInterface {
     std::function<void(const MacPacket&)> on_sent;
   };
 
-  struct Config {
-    std::size_t max_queue = 1024;
+  enum class Mode {
+    kDcf,
+    // RTS/CTS handshake before every unicast data frame. Requires a channel
+    // constructed with deliver_overheard = true so third parties hear the
+    // reservations (NAV).
+    kDcfRtsCts,
+    kEdca,
     // TDMA-overlay mode: contention is eliminated by the schedule, so the
     // random backoff is forced to zero and per-packet service time becomes
     // deterministic (DIFS + airtime + SIFS + ACK). This mirrors how the
     // paper's emulation configures the WiFi hardware inside its slots.
-    bool zero_backoff = false;
-    // RTS/CTS handshake for unicast data at or above rts_threshold bytes.
-    // Requires a channel constructed with deliver_overheard = true so
-    // third parties hear the reservations (NAV).
-    bool rts_cts = false;
-    std::size_t rts_threshold = 0;
+    kOverlay,
   };
 
+  // Packets a backoff entity queues behind the one in service before it
+  // drops arrivals as kQueueOverflow.
+  static constexpr std::size_t kMaxQueue = 1024;
+
   DcfMac(Simulator& sim, WifiChannel& channel, NodeId self, Rng rng,
-         Callbacks callbacks, Config config);
-  DcfMac(Simulator& sim, WifiChannel& channel, NodeId self, Rng rng,
-         Callbacks callbacks)
-      : DcfMac(sim, channel, self, rng, std::move(callbacks), Config{}) {}
+         Callbacks callbacks, Mode mode = Mode::kDcf);
+  // The channel and pending timers hold this MAC's address.
+  DcfMac(const DcfMac&) = delete;
+  DcfMac& operator=(const DcfMac&) = delete;
 
   // Enqueues a packet for transmission to packet.to (kInvalidNode =
-  // broadcast). packet.from is overwritten with this node.
-  void send(MacPacket packet);
+  // broadcast). packet.from is overwritten with this node. The category
+  // picks the EDCA queue; other modes have one queue for all.
+  void send(MacPacket packet,
+            AccessCategory category = AccessCategory::kBestEffort);
 
   NodeId self() const { return self_; }
-  std::size_t queue_length() const { return queue_.size(); }
-  bool in_service() const { return current_.has_value(); }
-  // Packets this MAC still holds: queued plus the one in service. Used by
-  // the auditor's packet-conservation check at simulation end.
+  // Packets this MAC still holds: queued plus in service. Used by the
+  // overlay's idle check and the auditor's packet-conservation check.
   std::size_t pending_packets() const {
-    return queue_.size() + (current_.has_value() ? 1 : 0);
+    std::size_t total = 0;
+    for (const Entity& e : entities_) {
+      total += e.queue.size() + (e.current.has_value() ? 1 : 0);
+    }
+    return total;
   }
 
   // Worst-case service time of one packet on a contention-free medium:
-  // DIFS + backoff slots (zero in zero_backoff mode, CWmin otherwise) +
-  // data airtime + SIFS + ACK.
+  // DIFS + backoff slots (zero in overlay mode, CWmin otherwise) + data
+  // airtime + SIFS + ACK.
   SimTime max_service_time(std::size_t payload_bytes) const;
-  // Expected service time with mean backoff (CWmin / 2 slots).
-  SimTime mean_service_time(std::size_t payload_bytes) const;
 
   // Deterministic per-packet cost of the contention-free overlay mode for a
   // given PHY: DIFS + data airtime + SIFS + ACK. Static so capacity
@@ -100,16 +125,14 @@ class DcfMac : public MacInterface {
   // the MAC abandons service and hands every packet it still holds back
   // through the deadline handler, newest-first, so a consumer that inserts
   // each at the front of its queue restores the original FIFO order. Never
-  // armed in plain DCF mode, where contention has no block to respect.
+  // armed in the contention modes, where there is no block to respect.
   void set_release_deadline(SimTime deadline) { release_deadline_ = deadline; }
   void set_deadline_handler(
       std::function<void(const std::vector<MacPacket>&)> handler) {
     on_deadline_ = std::move(handler);
   }
-  // Packets handed back across all deadline expiries (diagnostic).
-  std::uint64_t deadline_requeues() const { return deadline_requeues_; }
 
-  // Diagnostics.
+  // Diagnostics, summed over categories.
   std::uint64_t tx_attempts() const { return tx_attempts_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
   std::uint64_t drops() const { return drops_; }
@@ -120,10 +143,10 @@ class DcfMac : public MacInterface {
   void on_frame_received(const WifiFrame& frame) override;
 
  private:
-  enum class State {
+  enum class State : std::uint8_t {
     kIdle,       // nothing to send
     kWaitIdle,   // have a packet, medium busy
-    kWaitDifs,   // medium idle, DIFS running
+    kWaitAifs,   // medium idle, AIFS running
     kBackoff,    // counting down backoff slots
     kTxRts,      // our RTS is on the air
     kWaitCts,    // RTS sent, CTS timer running
@@ -131,51 +154,74 @@ class DcfMac : public MacInterface {
     kWaitAck,    // data sent, ACK timer running
   };
 
+  // One row of the access parameter table.
+  struct AccessParams {
+    int aifsn = 0;
+    int cw_min = 0;
+    int cw_max = 0;
+    // Whether a packet arriving to an idle medium draws a backoff. DCF
+    // grants it AIFS-only access; EDCA always backs off (voice's tiny CW
+    // makes that cheap).
+    bool idle_backoff = false;
+  };
+
+  struct Entity {
+    AccessParams params;
+    std::deque<MacPacket> queue;
+    std::optional<MacPacket> current;
+    State state = State::kIdle;
+    int attempt = 0;
+    int cw = 0;
+    int backoff_slots = 0;
+    EventHandle timer{};
+  };
+
   bool medium_busy() const {
     return busy_count_ > 0 || transmitting_ || sim_.now() < nav_until_;
   }
-  bool use_rts_for_current() const;
-  int draw_backoff();
-  void start_service();
-  void begin_access();
-  void medium_became_busy();
+  int draw_backoff(const Entity& e);
+  // Takes the entity's next queued packet into service; `backoff` says
+  // whether it draws a backoff before access.
+  void start_service(Entity& e, bool backoff);
+  void begin_access(Entity& e);
+  // Cancels every running AIFS/backoff countdown; the entities wait for an
+  // idle medium with their remaining backoff slots frozen.
+  void freeze_countdowns();
   void medium_became_idle();
-  void on_difs_elapsed();
-  void on_backoff_slot();
-  void begin_exchange();
-  void transmit_rts();
-  void on_rts_tx_end();
-  void on_cts_timeout();
-  void transmit_data();
-  void on_data_tx_end();
-  void on_ack_timeout();
-  void retry_after_failure();
+  // Fires when AIFS ends, then once per idle backoff slot; the exchange
+  // begins when no slots remain.
+  void count_down(Entity& e);
+  void begin_exchange(Entity& e);
+  void transmit_rts(Entity& e);
+  void transmit_data(Entity& e);
+  void on_data_tx_end(Entity& e);
+  // Waits for the CTS or ACK answering our frame; retries when it is late.
+  void arm_reply_timeout(Entity& e, State awaiting);
+  Entity* awaiting(State state, std::uint64_t packet_id);
+  void retry_after_failure(Entity& e);
   bool past_deadline(std::size_t payload_bytes) const;
-  void requeue_past_deadline();
+  void requeue_past_deadline(Entity& e);
   void set_nav(SimTime until);
-  void send_ack(const WifiFrame& data);
-  void send_cts(const WifiFrame& rts);
-  void finish_packet(bool post_backoff);
-  void cancel_timer();
+  // Sends an ACK or CTS one SIFS from now.
+  void send_reply(WifiFrame reply);
+  void finish_packet(Entity& e);
+  void cancel_timer(Entity& e);
 
   Simulator& sim_;
   WifiChannel& channel_;
   NodeId self_;
   Rng rng_;
   Callbacks cb_;
-  Config config_;
+  Mode mode_;
 
-  std::deque<MacPacket> queue_;
-  std::optional<MacPacket> current_;
+  // One entity per access category (one under DCF and the overlay). Sized
+  // once in the constructor and never resized: timers capture entity
+  // references.
+  std::vector<Entity> entities_;
   DuplicateFilter duplicates_;
-  State state_ = State::kIdle;
   int busy_count_ = 0;
-  bool transmitting_ = false;  // data or ACK on the air from this node
-  int attempt_ = 0;
-  int cw_ = 15;
-  int backoff_slots_ = 0;
+  bool transmitting_ = false;  // a frame from this node is on the air
   SimTime nav_until_{};  // virtual carrier sense from overheard RTS/CTS
-  EventHandle timer_{};
   // Release discipline (TDMA overlay only; disengaged when unset).
   std::optional<SimTime> release_deadline_;
   std::function<void(const std::vector<MacPacket>&)> on_deadline_;
@@ -183,7 +229,6 @@ class DcfMac : public MacInterface {
   std::uint64_t tx_attempts_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t drops_ = 0;
-  std::uint64_t deadline_requeues_ = 0;
 };
 
 }  // namespace wimesh

@@ -12,7 +12,6 @@
 #include "wimesh/traffic/sources.h"
 #include "wimesh/wifi/channel.h"
 #include "wimesh/wifi/dcf_mac.h"
-#include "wimesh/wifi/edca_mac.h"
 
 namespace wimesh {
 
@@ -81,6 +80,18 @@ std::unique_ptr<radio::RadioEnvironment> make_radio_env(
           : Rng::derive_stream(config.seed, kRadioSeedStream);
   return std::make_unique<radio::RadioEnvironment>(
       config.radio, config.topology.positions, config.phy, seed);
+}
+
+DcfMac::Mode mac_mode(MacMode mode, bool rts_cts) {
+  switch (mode) {
+    case MacMode::kTdmaOverlay:
+      return DcfMac::Mode::kOverlay;
+    case MacMode::kEdca:
+      return DcfMac::Mode::kEdca;
+    case MacMode::kDcf:
+      break;
+  }
+  return rts_cts ? DcfMac::Mode::kDcfRtsCts : DcfMac::Mode::kDcf;
 }
 
 }  // namespace
@@ -168,10 +179,11 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
   const NodeId n = config_.topology.node_count();
   const RadioModel radio(config_.comm_range, config_.interference_range);
 
-  const bool rts_mode = mode == MacMode::kDcf && config_.dcf_rts_cts;
+  const DcfMac::Mode mac_kind = mac_mode(mode, config_.dcf_rts_cts);
   WifiChannel channel(sim, config_.topology.positions, radio, config_.phy,
                       ErrorModel{config_.packet_error_rate}, root.split(),
-                      /*deliver_overheard=*/rts_mode);
+                      /*deliver_overheard=*/mac_kind ==
+                          DcfMac::Mode::kDcfRtsCts);
   // Physical radio model (scenario 'radio =' key). The attach changes no
   // RNG splits, so radio-off runs stay byte-identical to builds without
   // the subsystem.
@@ -208,7 +220,6 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
   }
 
   std::vector<std::unique_ptr<DcfMac>> macs;
-  std::vector<std::unique_ptr<EdcaMac>> edca_macs;
   std::vector<std::unique_ptr<TdmaOverlayNode>> overlays;
   std::unique_ptr<SyncProtocol> sync;
   // Fault injection (constructed last so its RNG split cannot perturb
@@ -227,17 +238,12 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     return fallback;
   };
 
-  // Hands a packet to the node's contention MAC, honoring the flow's
-  // access category under EDCA.
+  // Hands a packet to the node's contention MAC, in the flow's access
+  // category (which only EDCA tells apart).
   const auto mac_send = [&](NodeId at, MacPacket p, ServiceClass service) {
-    if (mode == MacMode::kEdca) {
-      edca_macs[static_cast<std::size_t>(at)]->send(
-          p, service == ServiceClass::kGuaranteed
-                 ? AccessCategory::kVoice
-                 : AccessCategory::kBestEffort);
-    } else {
-      macs[static_cast<std::size_t>(at)]->send(p);
-    }
+    macs[static_cast<std::size_t>(at)]->send(
+        p, service == ServiceClass::kGuaranteed ? AccessCategory::kVoice
+                                                : AccessCategory::kBestEffort);
   };
 
   // ---- Delivery path shared by all MACs.
@@ -299,25 +305,6 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
 
   // ---- MACs.
   for (NodeId node = 0; node < n; ++node) {
-    if (mode == MacMode::kEdca) {
-      EdcaMac::Callbacks cb;
-      cb.on_delivered = [&, node](const MacPacket& p) {
-        on_delivered(node, p);
-      };
-      cb.on_dropped = [&](const MacPacket& p, AccessCategory,
-                          MacDropCause cause) {
-        ++result.mac_drops;
-        if (auditor) {
-          auditor->on_packet_dropped(
-              p, cause == MacDropCause::kQueueOverflow
-                     ? audit::DropReason::kMacQueueOverflow
-                     : audit::DropReason::kRetryExhausted);
-        }
-      };
-      edca_macs.push_back(std::make_unique<EdcaMac>(sim, channel, node,
-                                                    root.split(), std::move(cb)));
-      continue;
-    }
     DcfMac::Callbacks cb;
     cb.on_delivered = [&, node](const MacPacket& p) { on_delivered(node, p); };
     cb.on_dropped = [&](const MacPacket& p, MacDropCause cause) {
@@ -329,11 +316,8 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
                    : audit::DropReason::kRetryExhausted);
       }
     };
-    DcfMac::Config mac_cfg;
-    mac_cfg.zero_backoff = mode == MacMode::kTdmaOverlay;
-    mac_cfg.rts_cts = rts_mode;
     macs.push_back(std::make_unique<DcfMac>(sim, channel, node, root.split(),
-                                            std::move(cb), mac_cfg));
+                                            std::move(cb), mac_kind));
   }
 
   // Per-transmitter grant lists (primary + best-effort extras) of a plan.
@@ -534,7 +518,6 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     std::uint64_t residual = 0;
     for (const auto& overlay : overlays) residual += overlay->total_queued();
     for (const auto& mac : macs) residual += mac->pending_packets();
-    for (const auto& mac : edca_macs) residual += mac->pending_packets();
     auditor->finalize(residual);
     result.audit = auditor->report();
   }

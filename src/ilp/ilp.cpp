@@ -12,22 +12,20 @@
 
 namespace wimesh {
 
-VarId IlpModel::add_continuous(double lo, double up, double obj,
-                               std::string name) {
-  return lp_.add_variable(lo, up, obj, std::move(name));
+VarId IlpModel::add_continuous(double lo, double up, double obj) {
+  return lp_.add_variable(lo, up, obj);
 }
 
-VarId IlpModel::add_integer(double lo, double up, double obj,
-                            std::string name) {
+VarId IlpModel::add_integer(double lo, double up, double obj) {
   WIMESH_ASSERT_MSG(std::floor(lo) == lo && std::floor(up) == up,
                     "integer variable bounds must be integral");
-  const VarId v = lp_.add_variable(lo, up, obj, std::move(name));
+  const VarId v = lp_.add_variable(lo, up, obj);
   integer_vars_.push_back(v);
   return v;
 }
 
-VarId IlpModel::add_binary(double obj, std::string name) {
-  return add_integer(0.0, 1.0, obj, std::move(name));
+VarId IlpModel::add_binary(double obj) {
+  return add_integer(0.0, 1.0, obj);
 }
 
 bool IlpModel::is_integer_var(VarId v) const {

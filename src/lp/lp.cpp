@@ -6,22 +6,20 @@
 
 namespace wimesh {
 
-VarId LpModel::add_variable(double lo, double up, double obj,
-                            std::string name) {
+VarId LpModel::add_variable(double lo, double up, double obj) {
   WIMESH_ASSERT_MSG(lo <= up, "variable created with empty domain");
   WIMESH_ASSERT(!std::isnan(lo) && !std::isnan(up) && std::isfinite(obj));
-  vars_.push_back(Var{lo, up, obj, std::move(name)});
+  vars_.push_back(Var{lo, up, obj});
   return static_cast<VarId>(vars_.size() - 1);
 }
 
 RowId LpModel::add_constraint(const std::vector<LpTerm>& terms, RowSense sense,
-                              double rhs, std::string name) {
+                              double rhs) {
   WIMESH_ASSERT(std::isfinite(rhs));
   // Merge duplicate variables so the solver sees clean rows.
   Row row;
   row.sense = sense;
   row.rhs = rhs;
-  row.name = std::move(name);
   row.terms = terms;
   std::sort(row.terms.begin(), row.terms.end(),
             [](const LpTerm& a, const LpTerm& b) { return a.var < b.var; });

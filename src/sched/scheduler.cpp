@@ -141,7 +141,7 @@ Expected<OrderModel> build_order_model(const SchedulingProblem& problem,
   for (LinkId l : act) {
     const int d = problem.demand[static_cast<std::size_t>(l)];
     start[static_cast<std::size_t>(l)] = out.model.add_continuous(
-        0.0, static_cast<double>(frame_slots - d), 0.0, str_cat("s", l));
+        0.0, static_cast<double>(frame_slots - d), 0.0);
   }
 
   out.pair_var.assign(
@@ -153,7 +153,7 @@ Expected<OrderModel> build_order_model(const SchedulingProblem& problem,
     const int dl = problem.demand[static_cast<std::size_t>(l)];
     const int dm = problem.demand[static_cast<std::size_t>(m)];
     if (dl == 0 || dm == 0) continue;
-    const VarId o = out.model.add_binary(0.0, str_cat("o", l, "_", m));
+    const VarId o = out.model.add_binary(0.0);
     // Heaviest pairs decide the schedule's shape; branch them first.
     out.model.set_branch_priority(o, dl + dm);
     out.pairs.push_back({l, m, o});
@@ -620,8 +620,7 @@ Expected<MinMaxDelayResult> schedule_ilp_min_max_delay(
   for (const FlowPath& f : problem.flows) {
     max_hops = std::max(max_hops, static_cast<int>(f.links.size()));
   }
-  const VarId w = om.model.add_integer(
-      0.0, std::max(0, max_hops - 1), 1.0, "max_wraps");
+  const VarId w = om.model.add_integer(0.0, std::max(0, max_hops - 1), 1.0);
   om.model.set_objective_sense(ObjSense::kMinimize);
   for (const FlowPath& flow : problem.flows) {
     const auto hops = static_cast<int>(flow.links.size());

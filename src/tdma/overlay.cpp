@@ -203,7 +203,7 @@ void TdmaOverlayNode::on_block_start(const TxGrant& grant,
   const auto queue_it = queues_.find(grant.link);
   if (queue_it == queues_.end()) return;  // grant revoked by a hot-swap
   auto& queue = queue_it->second;
-  if (mac_.in_service() || mac_.queue_length() > 0) {
+  if (mac_.pending_packets() > 0) {
     // Previous work has not drained — a symptom of an undersized guard or
     // an invalid schedule. Skip the block rather than collide.
     ++busy_at_slot_start_;

@@ -5,34 +5,53 @@
 namespace wimesh {
 
 DcfMac::DcfMac(Simulator& sim, WifiChannel& channel, NodeId self, Rng rng,
-               Callbacks callbacks, Config config)
+               Callbacks callbacks, Mode mode)
     : sim_(sim),
       channel_(channel),
       self_(self),
       rng_(rng),
       cb_(std::move(callbacks)),
-      config_(config),
-      cw_(channel.phy().cw_min()) {
+      mode_(mode) {
+  const int cw_min = channel.phy().cw_min();
+  const int cw_max = channel.phy().cw_max();
+  if (mode == Mode::kEdca) {
+    // 802.11e default parameter set, indexed by AccessCategory.
+    entities_.resize(2);
+    entities_[0].params =
+        AccessParams{2, (cw_min + 1) / 4 - 1, (cw_min + 1) / 2 - 1, true};
+    entities_[1].params = AccessParams{3, cw_min, cw_max, true};
+  } else {
+    entities_.resize(1);
+    entities_[0].params = AccessParams{2, cw_min, cw_max, false};
+  }
+  for (Entity& e : entities_) e.cw = e.params.cw_min;
   channel_.attach(self, this);
 }
 
-void DcfMac::send(MacPacket packet) {
+void DcfMac::send(MacPacket packet, AccessCategory category) {
   packet.from = self_;
-  if (queue_.size() >= config_.max_queue) {
+  // With one entity, every category maps onto it.
+  Entity& e = entities_[std::min(static_cast<std::size_t>(category),
+                                 entities_.size() - 1)];
+  if (e.queue.size() >= kMaxQueue) {
     ++drops_;
     if (cb_.on_dropped) cb_.on_dropped(packet, MacDropCause::kQueueOverflow);
     return;
   }
-  queue_.push_back(packet);
-  if (state_ == State::kIdle && !current_.has_value()) start_service();
+  e.queue.push_back(packet);
+  if (e.state == State::kIdle && !e.current.has_value()) {
+    // Arriving to an idle medium earns AIFS-only access unless the entity
+    // always backs off; otherwise a fresh backoff is drawn and counted
+    // down once the medium frees up.
+    start_service(e, e.params.idle_backoff || medium_busy());
+  }
 }
 
 SimTime DcfMac::max_service_time(std::size_t payload_bytes) const {
   const PhyMode& phy = channel_.phy();
-  const int worst_backoff = config_.zero_backoff ? 0 : phy.cw_min();
-  return phy.difs() + phy.slot_time() * worst_backoff +
-         phy.airtime(payload_bytes + kMacOverheadBytes) + phy.sifs() +
-         phy.ack_airtime();
+  const int worst_backoff = mode_ == Mode::kOverlay ? 0 : phy.cw_min();
+  return overlay_service_time(phy, payload_bytes) +
+         phy.slot_time() * worst_backoff;
 }
 
 SimTime DcfMac::overlay_service_time(const PhyMode& phy,
@@ -41,61 +60,63 @@ SimTime DcfMac::overlay_service_time(const PhyMode& phy,
          phy.sifs() + phy.ack_airtime();
 }
 
-SimTime DcfMac::mean_service_time(std::size_t payload_bytes) const {
-  const PhyMode& phy = channel_.phy();
-  return phy.difs() + phy.slot_time() * (phy.cw_min() / 2) +
-         phy.airtime(payload_bytes + kMacOverheadBytes) + phy.sifs() +
-         phy.ack_airtime();
-}
-
-int DcfMac::draw_backoff() {
-  if (config_.zero_backoff) return 0;
+int DcfMac::draw_backoff(const Entity& e) {
+  if (mode_ == Mode::kOverlay) return 0;
   return static_cast<int>(
-      rng_.next_below(static_cast<std::uint64_t>(cw_) + 1));
+      rng_.next_below(static_cast<std::uint64_t>(e.cw) + 1));
 }
 
-void DcfMac::start_service() {
-  WIMESH_ASSERT(!current_.has_value());
-  WIMESH_ASSERT(!queue_.empty());
-  current_ = queue_.front();
-  queue_.pop_front();
-  attempt_ = 0;
-  cw_ = channel_.phy().cw_min();
-  // Arriving to an idle medium earns DIFS-only access; otherwise a fresh
-  // backoff is drawn and counted down once the medium frees up.
-  backoff_slots_ = medium_busy() ? draw_backoff() : 0;
-  begin_access();
-}
-
-void DcfMac::begin_access() {
-  WIMESH_ASSERT(current_.has_value());
-  if (medium_busy()) {
-    state_ = State::kWaitIdle;
+void DcfMac::start_service(Entity& e, bool backoff) {
+  WIMESH_ASSERT(!e.current.has_value());
+  WIMESH_ASSERT(!e.queue.empty());
+  e.current = e.queue.front();
+  e.queue.pop_front();
+  if (past_deadline(e.current->bytes)) {
+    // Earlier retries consumed the budget this packet was released against.
+    requeue_past_deadline(e);
     return;
   }
-  state_ = State::kWaitDifs;
-  timer_ = sim_.schedule_in(channel_.phy().difs(), [this] { on_difs_elapsed(); });
+  e.attempt = 0;
+  e.cw = e.params.cw_min;
+  e.backoff_slots = backoff ? draw_backoff(e) : 0;
+  begin_access(e);
 }
 
-void DcfMac::cancel_timer() {
-  sim_.cancel(timer_);
-  timer_ = EventHandle{};
+void DcfMac::begin_access(Entity& e) {
+  WIMESH_ASSERT(e.current.has_value());
+  if (medium_busy()) {
+    e.state = State::kWaitIdle;
+    return;
+  }
+  e.state = State::kWaitAifs;
+  const PhyMode& phy = channel_.phy();
+  const SimTime aifs = phy.sifs() + phy.slot_time() * e.params.aifsn;
+  e.timer = sim_.schedule_in(aifs, [this, &e] { count_down(e); });
 }
 
-void DcfMac::medium_became_busy() {
-  if (state_ == State::kWaitDifs || state_ == State::kBackoff) {
-    cancel_timer();
-    state_ = State::kWaitIdle;  // backoff_slots_ frozen
+void DcfMac::cancel_timer(Entity& e) {
+  sim_.cancel(e.timer);
+  e.timer = EventHandle{};
+}
+
+void DcfMac::freeze_countdowns() {
+  for (Entity& e : entities_) {
+    if (e.state == State::kWaitAifs || e.state == State::kBackoff) {
+      cancel_timer(e);
+      e.state = State::kWaitIdle;  // backoff_slots frozen
+    }
   }
 }
 
 void DcfMac::medium_became_idle() {
-  if (state_ == State::kWaitIdle) begin_access();
+  for (Entity& e : entities_) {
+    if (e.state == State::kWaitIdle) begin_access(e);
+  }
 }
 
 void DcfMac::on_medium_busy() {
   ++busy_count_;
-  if (busy_count_ == 1 && !transmitting_) medium_became_busy();
+  if (busy_count_ == 1 && !transmitting_) freeze_countdowns();
 }
 
 void DcfMac::on_medium_idle() {
@@ -104,101 +125,99 @@ void DcfMac::on_medium_idle() {
   if (!medium_busy()) medium_became_idle();
 }
 
-void DcfMac::on_difs_elapsed() {
-  timer_ = EventHandle{};
-  WIMESH_ASSERT(state_ == State::kWaitDifs);
-  if (backoff_slots_ == 0) {
-    begin_exchange();
-    return;
-  }
-  state_ = State::kBackoff;
-  timer_ = sim_.schedule_in(channel_.phy().slot_time(),
-                            [this] { on_backoff_slot(); });
-}
-
-void DcfMac::on_backoff_slot() {
-  timer_ = EventHandle{};
-  WIMESH_ASSERT(state_ == State::kBackoff);
-  WIMESH_ASSERT(backoff_slots_ > 0);
-  --backoff_slots_;
-  if (backoff_slots_ == 0) {
-    begin_exchange();
-    return;
-  }
-  timer_ = sim_.schedule_in(channel_.phy().slot_time(),
-                            [this] { on_backoff_slot(); });
-}
-
-bool DcfMac::use_rts_for_current() const {
-  return config_.rts_cts && current_.has_value() &&
-         current_->to != kInvalidNode &&
-         current_->bytes >= config_.rts_threshold;
-}
-
-void DcfMac::begin_exchange() {
-  if (use_rts_for_current()) {
-    transmit_rts();
+void DcfMac::count_down(Entity& e) {
+  e.timer = EventHandle{};
+  if (e.state == State::kBackoff) {
+    WIMESH_ASSERT(e.backoff_slots > 0);
+    --e.backoff_slots;
   } else {
-    transmit_data();
+    WIMESH_ASSERT(e.state == State::kWaitAifs);
+    e.state = State::kBackoff;
+  }
+  if (e.backoff_slots == 0) {
+    begin_exchange(e);
+    return;
+  }
+  e.timer = sim_.schedule_in(channel_.phy().slot_time(),
+                             [this, &e] { count_down(e); });
+}
+
+void DcfMac::begin_exchange(Entity& e) {
+  if (transmitting_) {
+    // Another category of this station won the slot: internal collision.
+    // The loser behaves as if it collided on air — CW doubles, redraw —
+    // without consuming a retry.
+    e.cw = std::min(2 * e.cw + 1, e.params.cw_max);
+    e.backoff_slots = draw_backoff(e);
+    e.state = State::kWaitIdle;
+    return;
+  }
+  // Our own transmission silences the other categories' countdowns (this
+  // entity's has already run out).
+  freeze_countdowns();
+  if (mode_ == Mode::kDcfRtsCts && e.current->to != kInvalidNode) {
+    transmit_rts(e);
+  } else {
+    transmit_data(e);
   }
 }
 
-void DcfMac::transmit_rts() {
-  WIMESH_ASSERT(current_.has_value());
+void DcfMac::transmit_rts(Entity& e) {
+  WIMESH_ASSERT(e.current.has_value());
   WIMESH_ASSERT(!transmitting_);
-  state_ = State::kTxRts;
+  e.state = State::kTxRts;
   transmitting_ = true;
   ++tx_attempts_;
   const PhyMode& phy = channel_.phy();
   WifiFrame rts;
   rts.type = WifiFrame::Type::kRts;
-  rts.packet.id = current_->id;
+  rts.packet.id = e.current->id;
   rts.from = self_;
-  rts.to = current_->to;
+  rts.to = e.current->to;
   // Reserve the whole exchange: SIFS+CTS + SIFS+DATA + SIFS+ACK.
   rts.nav = phy.sifs() * 3 + phy.ack_airtime() +
-            phy.airtime(current_->bytes + kMacOverheadBytes) +
+            phy.airtime(e.current->bytes + kMacOverheadBytes) +
             phy.ack_airtime();
   const SimTime duration = channel_.transmit(rts);
-  sim_.schedule_in(duration, [this] { on_rts_tx_end(); });
+  sim_.schedule_in(duration, [this, &e] {
+    transmitting_ = false;
+    WIMESH_ASSERT(e.state == State::kTxRts);
+    arm_reply_timeout(e, State::kWaitCts);
+  });
 }
 
-void DcfMac::on_rts_tx_end() {
-  transmitting_ = false;
-  WIMESH_ASSERT(state_ == State::kTxRts);
-  state_ = State::kWaitCts;
+void DcfMac::arm_reply_timeout(Entity& e, State awaiting) {
+  e.state = awaiting;
   const PhyMode& phy = channel_.phy();
   const SimTime timeout =
       phy.sifs() + phy.ack_airtime() + phy.slot_time() * 2;
-  timer_ = sim_.schedule_in(timeout, [this] { on_cts_timeout(); });
+  e.timer = sim_.schedule_in(timeout, [this, &e] {
+    e.timer = EventHandle{};
+    WIMESH_ASSERT(e.state == State::kWaitCts || e.state == State::kWaitAck);
+    retry_after_failure(e);
+  });
 }
 
-void DcfMac::on_cts_timeout() {
-  timer_ = EventHandle{};
-  WIMESH_ASSERT(state_ == State::kWaitCts);
-  retry_after_failure();
-}
-
-void DcfMac::retry_after_failure() {
-  ++attempt_;
-  if (attempt_ > kMacRetryLimit) {
+void DcfMac::retry_after_failure(Entity& e) {
+  ++e.attempt;
+  if (e.attempt > kMacRetryLimit) {
     ++drops_;
-    const MacPacket dropped = *current_;
-    finish_packet(/*post_backoff=*/true);
+    const MacPacket dropped = *e.current;
+    finish_packet(e);
     if (cb_.on_dropped) cb_.on_dropped(dropped, MacDropCause::kRetryLimit);
     return;
   }
-  if (past_deadline(current_->bytes)) {
+  if (past_deadline(e.current->bytes)) {
     // Another attempt cannot complete inside the granted block; hand the
     // packet (and anything behind it) back rather than spill into slots
     // the schedule promised to someone else.
-    requeue_past_deadline();
+    requeue_past_deadline(e);
     return;
   }
   ++retransmissions_;
-  cw_ = std::min(2 * cw_ + 1, channel_.phy().cw_max());
-  backoff_slots_ = draw_backoff();
-  begin_access();
+  e.cw = std::min(2 * e.cw + 1, e.params.cw_max);
+  e.backoff_slots = draw_backoff(e);
+  begin_access(e);
 }
 
 bool DcfMac::past_deadline(std::size_t payload_bytes) const {
@@ -206,52 +225,43 @@ bool DcfMac::past_deadline(std::size_t payload_bytes) const {
          sim_.now() + max_service_time(payload_bytes) > *release_deadline_;
 }
 
-void DcfMac::requeue_past_deadline() {
+void DcfMac::requeue_past_deadline(Entity& e) {
   // Newest-first, so a consumer that pushes each returned packet onto the
   // front of its queue restores the original FIFO order.
   std::vector<MacPacket> returned;
-  returned.reserve(queue_.size() + 1);
-  while (!queue_.empty()) {
-    returned.push_back(queue_.back());
-    queue_.pop_back();
+  returned.reserve(e.queue.size() + 1);
+  while (!e.queue.empty()) {
+    returned.push_back(e.queue.back());
+    e.queue.pop_back();
   }
-  if (current_.has_value()) {
-    returned.push_back(*current_);
-    current_.reset();
+  if (e.current.has_value()) {
+    returned.push_back(*e.current);
+    e.current.reset();
   }
-  state_ = State::kIdle;
-  deadline_requeues_ += returned.size();
+  e.state = State::kIdle;
   if (on_deadline_) on_deadline_(returned);
 }
 
 void DcfMac::set_nav(SimTime until) {
   if (until <= nav_until_) return;
   nav_until_ = until;
-  if (state_ == State::kWaitDifs || state_ == State::kBackoff) {
-    medium_became_busy();
-  }
+  freeze_countdowns();
   sim_.schedule_at(until, [this] {
     if (!medium_busy()) medium_became_idle();
   });
 }
 
-void DcfMac::send_cts(const WifiFrame& rts) {
-  const SimTime remaining_nav =
-      rts.nav - channel_.phy().sifs() - channel_.phy().ack_airtime();
-  sim_.schedule_in(channel_.phy().sifs(), [this, rts, remaining_nav] {
+void DcfMac::send_reply(WifiFrame reply) {
+  // Replies preempt: SIFS is shorter than any AIFS, so the medium cannot
+  // have been captured by anyone else. If this node happens to be
+  // mid-transmission (pathological hidden-terminal timing), the reply is
+  // skipped and the sender retries.
+  sim_.schedule_in(channel_.phy().sifs(), [this, reply] {
     if (transmitting_) return;
-    if (state_ == State::kWaitDifs || state_ == State::kBackoff) {
-      cancel_timer();
-      state_ = State::kWaitIdle;
-    }
-    WifiFrame cts;
-    cts.type = WifiFrame::Type::kCts;
-    cts.packet.id = rts.packet.id;
-    cts.from = self_;
-    cts.to = rts.from;
-    cts.nav = remaining_nav;
+    // Our own transmission silences AIFS/backoff progress.
+    freeze_countdowns();
     transmitting_ = true;
-    const SimTime duration = channel_.transmit(cts);
+    const SimTime duration = channel_.transmit(reply);
     sim_.schedule_in(duration, [this] {
       transmitting_ = false;
       if (!medium_busy()) medium_became_idle();
@@ -259,74 +269,48 @@ void DcfMac::send_cts(const WifiFrame& rts) {
   });
 }
 
-void DcfMac::transmit_data() {
-  WIMESH_ASSERT(current_.has_value());
+void DcfMac::transmit_data(Entity& e) {
+  WIMESH_ASSERT(e.current.has_value());
   WIMESH_ASSERT(!transmitting_);
-  state_ = State::kTxData;
+  e.state = State::kTxData;
   transmitting_ = true;
   ++tx_attempts_;
   WifiFrame frame;
   frame.type = WifiFrame::Type::kData;
-  frame.packet = *current_;
+  frame.packet = *e.current;
   frame.from = self_;
-  frame.to = current_->to;
-  if (current_->to != kInvalidNode) {
+  frame.to = e.current->to;
+  if (e.current->to != kInvalidNode) {
     // Protect the ACK from third parties that missed the RTS/CTS.
     frame.nav = channel_.phy().sifs() + channel_.phy().ack_airtime();
   }
   const SimTime duration = channel_.transmit(frame);
-  sim_.schedule_in(duration, [this] { on_data_tx_end(); });
+  sim_.schedule_in(duration, [this, &e] { on_data_tx_end(e); });
 }
 
-void DcfMac::on_data_tx_end() {
+void DcfMac::on_data_tx_end(Entity& e) {
   transmitting_ = false;
-  WIMESH_ASSERT(state_ == State::kTxData);
-  if (current_->to == kInvalidNode) {
+  WIMESH_ASSERT(e.state == State::kTxData);
+  if (e.current->to == kInvalidNode) {
     // Broadcast: fire-and-forget.
-    const MacPacket done = *current_;
-    finish_packet(/*post_backoff=*/true);
+    const MacPacket done = *e.current;
+    finish_packet(e);
     if (cb_.on_sent) cb_.on_sent(done);
-    return;
+  } else {
+    arm_reply_timeout(e, State::kWaitAck);
   }
-  state_ = State::kWaitAck;
-  const PhyMode& phy = channel_.phy();
-  const SimTime timeout =
-      phy.sifs() + phy.ack_airtime() + phy.slot_time() * 2;
-  timer_ = sim_.schedule_in(timeout, [this] { on_ack_timeout(); });
-  // The medium may have stayed idle around us; if other packets wait they
-  // resume via finish_packet after the ACK (or its timeout).
+  // Categories frozen by our transmission resume.
+  if (!medium_busy()) medium_became_idle();
 }
 
-void DcfMac::on_ack_timeout() {
-  timer_ = EventHandle{};
-  WIMESH_ASSERT(state_ == State::kWaitAck);
-  retry_after_failure();
-}
-
-void DcfMac::send_ack(const WifiFrame& data) {
-  // ACKs preempt: SIFS is shorter than DIFS, so the medium cannot have been
-  // captured by anyone else. If this node happens to be mid-transmission
-  // (pathological hidden-terminal timing), the ACK is skipped and the
-  // sender retries.
-  sim_.schedule_in(channel_.phy().sifs(), [this, data] {
-    if (transmitting_) return;
-    // Our own transmission silences DIFS/backoff progress.
-    if (state_ == State::kWaitDifs || state_ == State::kBackoff) {
-      cancel_timer();
-      state_ = State::kWaitIdle;
+DcfMac::Entity* DcfMac::awaiting(State state, std::uint64_t packet_id) {
+  for (Entity& e : entities_) {
+    if (e.state == state && e.current.has_value() &&
+        e.current->id == packet_id) {
+      return &e;
     }
-    WifiFrame ack;
-    ack.type = WifiFrame::Type::kAck;
-    ack.packet.id = data.packet.id;
-    ack.from = self_;
-    ack.to = data.from;
-    transmitting_ = true;
-    const SimTime duration = channel_.transmit(ack);
-    sim_.schedule_in(duration, [this] {
-      transmitting_ = false;
-      if (!medium_busy()) medium_became_idle();
-    });
-  });
+  }
+  return nullptr;
 }
 
 void DcfMac::on_frame_received(const WifiFrame& frame) {
@@ -338,55 +322,54 @@ void DcfMac::on_frame_received(const WifiFrame& frame) {
   switch (frame.type) {
     case WifiFrame::Type::kData:
       if (frame.to == self_) {
-        send_ack(frame);  // re-ACK duplicates too: the sender needs it
+        // Re-ACK duplicates too: the sender needs it.
+        WifiFrame ack;
+        ack.type = WifiFrame::Type::kAck;
+        ack.packet.id = frame.packet.id;
+        ack.from = self_;
+        ack.to = frame.from;
+        send_reply(ack);
         if (duplicates_.is_duplicate(frame.from, frame.packet)) return;
-        if (cb_.on_delivered) cb_.on_delivered(frame.packet);
-      } else {  // broadcast
-        if (cb_.on_delivered) cb_.on_delivered(frame.packet);
       }
+      if (cb_.on_delivered) cb_.on_delivered(frame.packet);
       return;
     case WifiFrame::Type::kAck:
-      if (state_ == State::kWaitAck && current_.has_value() &&
-          frame.packet.id == current_->id) {
-        cancel_timer();
-        const MacPacket done = *current_;
-        finish_packet(/*post_backoff=*/true);
+      if (Entity* e = awaiting(State::kWaitAck, frame.packet.id)) {
+        cancel_timer(*e);
+        const MacPacket done = *e->current;
+        finish_packet(*e);
         if (cb_.on_sent) cb_.on_sent(done);
       }
       return;
-    case WifiFrame::Type::kRts:
+    case WifiFrame::Type::kRts: {
       // Respond only if our virtual carrier sense is clear, per standard.
       if (sim_.now() < nav_until_) return;
-      send_cts(frame);
+      WifiFrame cts;
+      cts.type = WifiFrame::Type::kCts;
+      cts.packet.id = frame.packet.id;
+      cts.from = self_;
+      cts.to = frame.from;
+      cts.nav =
+          frame.nav - channel_.phy().sifs() - channel_.phy().ack_airtime();
+      send_reply(cts);
       return;
+    }
     case WifiFrame::Type::kCts:
-      if (state_ == State::kWaitCts && current_.has_value() &&
-          frame.packet.id == current_->id) {
-        cancel_timer();
+      if (Entity* e = awaiting(State::kWaitCts, frame.packet.id)) {
+        cancel_timer(*e);
         // Data follows one SIFS after the CTS, no further contention.
-        sim_.schedule_in(channel_.phy().sifs(), [this] {
-          if (state_ == State::kWaitCts && !transmitting_) transmit_data();
+        sim_.schedule_in(channel_.phy().sifs(), [this, e] {
+          if (e->state == State::kWaitCts && !transmitting_) transmit_data(*e);
         });
       }
       return;
   }
 }
 
-void DcfMac::finish_packet(bool post_backoff) {
-  current_.reset();
-  state_ = State::kIdle;
-  if (queue_.empty()) return;
-  current_ = queue_.front();
-  queue_.pop_front();
-  if (past_deadline(current_->bytes)) {
-    // Earlier retries consumed the budget this packet was released against.
-    requeue_past_deadline();
-    return;
-  }
-  attempt_ = 0;
-  cw_ = channel_.phy().cw_min();
-  backoff_slots_ = post_backoff ? draw_backoff() : 0;
-  begin_access();
+void DcfMac::finish_packet(Entity& e) {
+  e.current.reset();
+  e.state = State::kIdle;
+  if (!e.queue.empty()) start_service(e, /*backoff=*/true);
 }
 
 }  // namespace wimesh

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "wimesh/des/simulator.h"
 #include "wimesh/wifi/dcf_mac.h"
-#include "wimesh/wifi/edca_mac.h"
 
 namespace wimesh {
 namespace {
@@ -13,10 +13,10 @@ namespace {
 struct Rig {
   Simulator sim;
   std::unique_ptr<WifiChannel> channel;
-  std::vector<std::unique_ptr<EdcaMac>> macs;
+  std::vector<std::unique_ptr<DcfMac>> macs;
   std::vector<std::pair<NodeId, MacPacket>> delivered;
-  std::vector<std::pair<MacPacket, AccessCategory>> sent_ok;
-  std::vector<std::pair<MacPacket, AccessCategory>> dropped;
+  std::vector<MacPacket> sent_ok;
+  std::vector<MacPacket> dropped;
 
   Rig(int n, double spacing, double comm, double interference) {
     std::vector<Point> pos;
@@ -26,19 +26,17 @@ struct Rig {
         sim, pos, RadioModel(comm, interference), PhyMode::ofdm_802_11a(54),
         ErrorModel{0.0}, root.split());
     for (NodeId i = 0; i < n; ++i) {
-      EdcaMac::Callbacks cb;
+      DcfMac::Callbacks cb;
       cb.on_delivered = [this, i](const MacPacket& p) {
         delivered.emplace_back(i, p);
       };
-      cb.on_sent = [this](const MacPacket& p, AccessCategory ac) {
-        sent_ok.emplace_back(p, ac);
+      cb.on_sent = [this](const MacPacket& p) { sent_ok.push_back(p); };
+      cb.on_dropped = [this](const MacPacket& p, MacDropCause) {
+        dropped.push_back(p);
       };
-      cb.on_dropped = [this](const MacPacket& p, AccessCategory ac,
-                             MacDropCause) {
-        dropped.emplace_back(p, ac);
-      };
-      macs.push_back(std::make_unique<EdcaMac>(sim, *channel, i, root.split(),
-                                               std::move(cb)));
+      macs.push_back(std::make_unique<DcfMac>(sim, *channel, i, root.split(),
+                                              std::move(cb),
+                                              DcfMac::Mode::kEdca));
     }
   }
 
@@ -101,37 +99,23 @@ TEST(EdcaMacTest, RetryLimitDropsUnreachable) {
   rig.macs[0]->send(rig.packet(1, 1), AccessCategory::kVoice);
   rig.sim.run_until(SimTime::seconds(1));
   ASSERT_EQ(rig.dropped.size(), 1u);
-  EXPECT_EQ(rig.dropped[0].second, AccessCategory::kVoice);
-  EXPECT_EQ(rig.macs[0]->drops(AccessCategory::kVoice), 1u);
+  EXPECT_EQ(rig.dropped[0].id, 1u);
+  EXPECT_EQ(rig.macs[0]->drops(), 1u);
   // 1 initial + 7 retries.
-  EXPECT_EQ(rig.macs[0]->tx_attempts(AccessCategory::kVoice), 8u);
+  EXPECT_EQ(rig.macs[0]->tx_attempts(), 8u);
 }
 
 TEST(EdcaMacTest, QueueOverflowDropsPerCategory) {
-  Rig rig(2, 400.0, 150.0, 300.0);
-  EdcaMac::Config cfg;
-  cfg.max_queue_per_ac = 3;
-  EdcaMac::Callbacks cb;
-  int drops = 0;
-  cb.on_dropped = [&](const MacPacket&, AccessCategory, MacDropCause) {
-    ++drops;
-  };
-  // Third node so the attach is fresh (nodes 0/1 already attached).
-  // Build a private rig instead:
-  Simulator sim;
-  Rng root(5);
-  WifiChannel ch(sim, {{0, 0}, {100, 0}}, RadioModel(150, 300),
-                 PhyMode::ofdm_802_11a(54), ErrorModel{}, root.split());
-  EdcaMac mac(sim, ch, 0, root.split(), std::move(cb), cfg);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    MacPacket p;
-    p.id = i + 1;
-    p.to = 1;
-    p.bytes = 100;
-    mac.send(p, AccessCategory::kBestEffort);
+  Rig rig(2, 100.0, 150.0, 300.0);
+  const std::size_t sent = DcfMac::kMaxQueue + 10;
+  for (std::uint64_t i = 0; i < sent; ++i) {
+    rig.macs[0]->send(rig.packet(i + 1, 1, 100), AccessCategory::kBestEffort);
   }
-  // 10 sent: 1 in service + 3 queued -> 6 dropped synchronously.
-  EXPECT_EQ(drops, 6);
+  // Dropped synchronously: all but 1 in service + kMaxQueue queued.
+  EXPECT_EQ(rig.dropped.size(), sent - 1 - DcfMac::kMaxQueue);
+  // The voice queue is a separate one and still has room.
+  rig.macs[0]->send(rig.packet(sent + 1, 1, 100), AccessCategory::kVoice);
+  EXPECT_EQ(rig.dropped.size(), sent - 1 - DcfMac::kMaxQueue);
 }
 
 TEST(EdcaMacTest, BroadcastUnacknowledged) {
@@ -141,7 +125,7 @@ TEST(EdcaMacTest, BroadcastUnacknowledged) {
   EXPECT_EQ(rig.delivered.size(), 2u);
   EXPECT_EQ(rig.channel->frames_transmitted(), 1u);  // no ACKs
   ASSERT_EQ(rig.sent_ok.size(), 1u);
-  EXPECT_EQ(rig.sent_ok[0].second, AccessCategory::kVoice);
+  EXPECT_EQ(rig.sent_ok[0].id, 9u);
 }
 
 TEST(EdcaMacTest, TwoStationsContendAndAllDeliver) {
@@ -155,20 +139,64 @@ TEST(EdcaMacTest, TwoStationsContendAndAllDeliver) {
   EXPECT_TRUE(rig.dropped.empty());
 }
 
+// Largest backoff, in slots, that one packet of `category` draws on an
+// idle 802.11b medium over seeds 1..64. EDCA backs off even on an idle
+// medium, so each lone exchange ends at AIFS + backoff + DATA + SIFS + ACK.
+int largest_dsss_backoff(AccessCategory category, int aifsn) {
+  const PhyMode phy = PhyMode::dsss_802_11b(11);
+  const std::size_t bytes = 200;
+  const SimTime fixed = phy.sifs() + phy.slot_time() * aifsn +
+                        phy.airtime(bytes + kMacOverheadBytes) + phy.sifs() +
+                        phy.ack_airtime();
+  int largest = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Simulator sim;
+    WifiChannel channel(sim, {{0, 0}, {100, 0}}, RadioModel(150, 300), phy,
+                        ErrorModel{}, Rng(seed));
+    SimTime sent_at = SimTime::zero();
+    DcfMac::Callbacks cb;
+    cb.on_sent = [&](const MacPacket&) { sent_at = sim.now(); };
+    DcfMac sender(sim, channel, 0, Rng(seed), std::move(cb),
+                  DcfMac::Mode::kEdca);
+    DcfMac receiver(sim, channel, 1, Rng(seed + 1000), DcfMac::Callbacks{},
+                    DcfMac::Mode::kEdca);
+    MacPacket p;
+    p.id = 1;
+    p.to = 1;
+    p.bytes = bytes;
+    sender.send(p, category);
+    sim.run_all();
+    EXPECT_EQ((sent_at - fixed).ns() % phy.slot_time().ns(), 0);
+    largest = std::max(largest, static_cast<int>((sent_at - fixed).ns() /
+                                                 phy.slot_time().ns()));
+  }
+  return largest;
+}
+
+// The EDCA table follows the PHY: on 802.11b (aCWmin 31) best effort
+// draws from [0, 31] and voice from [0, 7], not OFDM's 15 and 3.
+TEST(EdcaMacTest, ContentionWindowsFollowDsssPhy) {
+  const int best_effort = largest_dsss_backoff(AccessCategory::kBestEffort, 3);
+  EXPECT_GT(best_effort, 15);
+  EXPECT_LE(best_effort, 31);
+  const int voice = largest_dsss_backoff(AccessCategory::kVoice, 2);
+  EXPECT_GT(voice, 3);
+  EXPECT_LE(voice, 7);
+}
+
 // Replays data frames (flow 0, id 10), (flow 1, id 11), then (flow 0,
 // id 10) again — a retry whose ACK was lost, arriving after a frame of
 // another flow from the same sender — into a MAC at node 1, and counts
 // what it delivers upward.
-template <typename Mac>
-int deliveries_of_late_retry() {
+int deliveries_of_late_retry(DcfMac::Mode mode) {
   Simulator sim;
   Rng root(11);
   WifiChannel channel(sim, {{0, 0}, {100, 0}}, RadioModel(150, 300),
                       PhyMode::ofdm_802_11a(54), ErrorModel{}, root.split());
   int delivered = 0;
-  typename Mac::Callbacks cb;
+  DcfMac::Callbacks cb;
   cb.on_delivered = [&delivered](const MacPacket&) { ++delivered; };
-  Mac mac(sim, channel, 1, root.split(), std::move(cb));
+  DcfMac mac(sim, channel, 1, root.split(), std::move(cb), mode);
   for (const auto& [flow, id] : {std::pair<int, std::uint64_t>{0, 10},
                                  {1, 11},
                                  {0, 10}}) {
@@ -187,8 +215,8 @@ int deliveries_of_late_retry() {
 }
 
 TEST(DuplicateFilterTest, LateRetryIsDeliveredOnceByBothMacs) {
-  EXPECT_EQ(deliveries_of_late_retry<DcfMac>(), 2);
-  EXPECT_EQ(deliveries_of_late_retry<EdcaMac>(), 2);
+  EXPECT_EQ(deliveries_of_late_retry(DcfMac::Mode::kDcf), 2);
+  EXPECT_EQ(deliveries_of_late_retry(DcfMac::Mode::kEdca), 2);
 }
 
 }  // namespace

@@ -11,9 +11,9 @@ namespace {
 
 TEST(IlpModelTest, TracksIntegerVariables) {
   IlpModel m;
-  const VarId c = m.add_continuous(0, 5, 1.0, "c");
-  const VarId i = m.add_integer(0, 5, 1.0, "i");
-  const VarId b = m.add_binary(0.0, "b");
+  const VarId c = m.add_continuous(0, 5, 1.0);
+  const VarId i = m.add_integer(0, 5, 1.0);
+  const VarId b = m.add_binary(0.0);
   EXPECT_FALSE(m.is_integer_var(c));
   EXPECT_TRUE(m.is_integer_var(i));
   EXPECT_TRUE(m.is_integer_var(b));
@@ -23,7 +23,7 @@ TEST(IlpModelTest, TracksIntegerVariables) {
 TEST(IlpSolveTest, PureLpPassesThrough) {
   IlpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  m.add_continuous(0, 4, 3.0, "x");
+  m.add_continuous(0, 4, 3.0);
   const IlpResult r = solve_ilp(m);
   ASSERT_EQ(r.status, IlpStatus::kOptimal);
   EXPECT_NEAR(r.objective, 12.0, 1e-7);
@@ -35,9 +35,9 @@ TEST(IlpSolveTest, KnapsackSmall) {
   // fractional; ILP optimum is {a,c} = 17 or {b,c} = 20? 4+2=6 → 13+7=20.
   IlpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  const VarId a = m.add_binary(10.0, "a");
-  const VarId b = m.add_binary(13.0, "b");
-  const VarId c = m.add_binary(7.0, "c");
+  const VarId a = m.add_binary(10.0);
+  const VarId b = m.add_binary(13.0);
+  const VarId c = m.add_binary(7.0);
   m.add_constraint({{a, 3.0}, {b, 4.0}, {c, 2.0}}, RowSense::kLessEqual, 6.0);
   const IlpResult r = solve_ilp(m);
   ASSERT_EQ(r.status, IlpStatus::kOptimal);
@@ -51,7 +51,7 @@ TEST(IlpSolveTest, IntegerRounding) {
   // max x with 2x <= 7, x integer → 3 (LP gives 3.5).
   IlpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  const VarId x = m.add_integer(0, 100, 1.0, "x");
+  const VarId x = m.add_integer(0, 100, 1.0);
   m.add_constraint({{x, 2.0}}, RowSense::kLessEqual, 7.0);
   const IlpResult r = solve_ilp(m);
   ASSERT_EQ(r.status, IlpStatus::kOptimal);
@@ -62,7 +62,7 @@ TEST(IlpSolveTest, InfeasibleIntegerProgram) {
   // 2 <= 3x <= 4 has no integer solution (x must be in (0.66, 1.33) … x=1
   // gives 3 which IS in [2,4] — so make it tighter: 4 <= 3x <= 5).
   IlpModel m;
-  const VarId x = m.add_integer(0, 10, 1.0, "x");
+  const VarId x = m.add_integer(0, 10, 1.0);
   m.add_constraint({{x, 3.0}}, RowSense::kGreaterEqual, 4.0);
   m.add_constraint({{x, 3.0}}, RowSense::kLessEqual, 5.0);
   EXPECT_EQ(solve_ilp(m).status, IlpStatus::kInfeasible);
@@ -73,8 +73,8 @@ TEST(IlpSolveTest, MixedIntegerProblem) {
   // Optimum: x = 2, y = 1.5 → 5.5.
   IlpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  const VarId x = m.add_integer(0, 10, 2.0, "x");
-  const VarId y = m.add_continuous(0, kLpInfinity, 1.0, "y");
+  const VarId x = m.add_integer(0, 10, 2.0);
+  const VarId y = m.add_continuous(0, kLpInfinity, 1.0);
   m.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::kLessEqual, 3.5);
   m.add_constraint({{x, 1.0}}, RowSense::kLessEqual, 2.2);
   const IlpResult r = solve_ilp(m);
@@ -108,8 +108,8 @@ TEST(IlpSolveTest, NodeLimitReportsLimitReached) {
   // no chance to find an incumbent at the root.
   IlpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  const VarId a = m.add_binary(2.0, "a");
-  const VarId b = m.add_binary(2.0, "b");
+  const VarId a = m.add_binary(2.0);
+  const VarId b = m.add_binary(2.0);
   m.add_constraint({{a, 2.0}, {b, 2.0}}, RowSense::kLessEqual, 1.0);
   IlpOptions opt;
   opt.max_nodes = 1;
@@ -120,9 +120,9 @@ TEST(IlpSolveTest, NodeLimitReportsLimitReached) {
 TEST(IlpSolveTest, EqualityWithBinariesSelectsExactCover) {
   // a + b + c = 2 with costs; min cost picks the two cheapest.
   IlpModel m;
-  const VarId a = m.add_binary(5.0, "a");
-  const VarId b = m.add_binary(1.0, "b");
-  const VarId c = m.add_binary(2.0, "c");
+  const VarId a = m.add_binary(5.0);
+  const VarId b = m.add_binary(1.0);
+  const VarId c = m.add_binary(2.0);
   m.add_constraint({{a, 1.0}, {b, 1.0}, {c, 1.0}}, RowSense::kEqual, 2.0);
   const IlpResult r = solve_ilp(m);
   ASSERT_EQ(r.status, IlpStatus::kOptimal);
@@ -239,8 +239,8 @@ TEST(IlpSolveTest, MatchesBruteForceOnRandomBinaryPrograms) {
 TEST(IlpSolveTest, GapIsInfiniteWithoutIncumbent) {
   IlpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  const VarId a = m.add_binary(2.0, "a");
-  const VarId b = m.add_binary(2.0, "b");
+  const VarId a = m.add_binary(2.0);
+  const VarId b = m.add_binary(2.0);
   m.add_constraint({{a, 2.0}, {b, 2.0}}, RowSense::kLessEqual, 1.0);
   IlpOptions opt;
   opt.max_nodes = 1;

@@ -236,7 +236,7 @@ TEST_P(IlpRandomSweep, MatchesExhaustiveSearchOnMixedPrograms) {
       m.add_binary(obj.back());
     }
     const double int_obj = std::floor(rng.uniform(-2.0, 4.0));
-    const VarId z = m.add_integer(0, 3, int_obj, "z");
+    const VarId z = m.add_integer(0, 3, int_obj);
     std::vector<std::vector<double>> rows;
     std::vector<double> zcoef, rhs;
     const int nrows = 2 + static_cast<int>(rng.next_below(3));

@@ -10,7 +10,7 @@ namespace {
 
 TEST(LpModelTest, MergesDuplicateTerms) {
   LpModel m;
-  const VarId x = m.add_variable(0, 10, 1.0, "x");
+  const VarId x = m.add_variable(0, 10, 1.0);
   m.add_constraint({{x, 1.0}, {x, 2.0}}, RowSense::kLessEqual, 6.0);
   ASSERT_EQ(m.row(0).terms.size(), 1u);
   EXPECT_DOUBLE_EQ(m.row(0).terms[0].coef, 3.0);
@@ -18,8 +18,8 @@ TEST(LpModelTest, MergesDuplicateTerms) {
 
 TEST(LpModelTest, ObjectiveValueAndViolation) {
   LpModel m;
-  const VarId x = m.add_variable(0, 10, 2.0, "x");
-  const VarId y = m.add_variable(0, 10, -1.0, "y");
+  const VarId x = m.add_variable(0, 10, 2.0);
+  const VarId y = m.add_variable(0, 10, -1.0);
   m.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::kLessEqual, 5.0);
   EXPECT_DOUBLE_EQ(m.objective_value({3.0, 1.0}), 5.0);
   EXPECT_DOUBLE_EQ(m.max_violation({3.0, 1.0}), 0.0);
@@ -33,8 +33,8 @@ TEST(LpSolveTest, SimpleMaximization) {
   // Optimum (2, 6) with objective 36.
   LpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  const VarId x = m.add_variable(0, kLpInfinity, 3.0, "x");
-  const VarId y = m.add_variable(0, kLpInfinity, 5.0, "y");
+  const VarId x = m.add_variable(0, kLpInfinity, 3.0);
+  const VarId y = m.add_variable(0, kLpInfinity, 5.0);
   m.add_constraint({{x, 1.0}}, RowSense::kLessEqual, 4.0);
   m.add_constraint({{y, 2.0}}, RowSense::kLessEqual, 12.0);
   m.add_constraint({{x, 3.0}, {y, 2.0}}, RowSense::kLessEqual, 18.0);
@@ -48,8 +48,8 @@ TEST(LpSolveTest, SimpleMaximization) {
 TEST(LpSolveTest, MinimizationWithGreaterEqualRows) {
   // min 2x + 3y  s.t. x + y >= 4, x + 2y >= 6, x,y >= 0. Optimum (2,2): 10.
   LpModel m;
-  const VarId x = m.add_variable(0, kLpInfinity, 2.0, "x");
-  const VarId y = m.add_variable(0, kLpInfinity, 3.0, "y");
+  const VarId x = m.add_variable(0, kLpInfinity, 2.0);
+  const VarId y = m.add_variable(0, kLpInfinity, 3.0);
   m.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::kGreaterEqual, 4.0);
   m.add_constraint({{x, 1.0}, {y, 2.0}}, RowSense::kGreaterEqual, 6.0);
   const LpResult r = solve_lp(m);
@@ -62,8 +62,8 @@ TEST(LpSolveTest, MinimizationWithGreaterEqualRows) {
 TEST(LpSolveTest, EqualityConstraints) {
   // min x + y  s.t. x + y = 3, x - y = 1 → unique point (2, 1).
   LpModel m;
-  const VarId x = m.add_variable(0, kLpInfinity, 1.0, "x");
-  const VarId y = m.add_variable(0, kLpInfinity, 1.0, "y");
+  const VarId x = m.add_variable(0, kLpInfinity, 1.0);
+  const VarId y = m.add_variable(0, kLpInfinity, 1.0);
   m.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::kEqual, 3.0);
   m.add_constraint({{x, 1.0}, {y, -1.0}}, RowSense::kEqual, 1.0);
   const LpResult r = solve_lp(m);
@@ -74,7 +74,7 @@ TEST(LpSolveTest, EqualityConstraints) {
 
 TEST(LpSolveTest, DetectsInfeasibility) {
   LpModel m;
-  const VarId x = m.add_variable(0, kLpInfinity, 1.0, "x");
+  const VarId x = m.add_variable(0, kLpInfinity, 1.0);
   m.add_constraint({{x, 1.0}}, RowSense::kLessEqual, 1.0);
   m.add_constraint({{x, 1.0}}, RowSense::kGreaterEqual, 2.0);
   EXPECT_EQ(solve_lp(m).status, LpStatus::kInfeasible);
@@ -83,15 +83,15 @@ TEST(LpSolveTest, DetectsInfeasibility) {
 TEST(LpSolveTest, DetectsUnboundedness) {
   LpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  const VarId x = m.add_variable(0, kLpInfinity, 1.0, "x");
-  const VarId y = m.add_variable(0, kLpInfinity, 0.0, "y");
+  const VarId x = m.add_variable(0, kLpInfinity, 1.0);
+  const VarId y = m.add_variable(0, kLpInfinity, 0.0);
   m.add_constraint({{x, 1.0}, {y, -1.0}}, RowSense::kLessEqual, 1.0);
   EXPECT_EQ(solve_lp(m).status, LpStatus::kUnbounded);
 }
 
 TEST(LpSolveTest, EmptyVariableDomainIsInfeasible) {
   LpModel m;
-  const VarId x = m.add_variable(0, 5, 1.0, "x");
+  const VarId x = m.add_variable(0, 5, 1.0);
   m.set_bounds(x, 3.0, 2.0);  // branch & bound produces these
   EXPECT_EQ(solve_lp(m).status, LpStatus::kInfeasible);
 }
@@ -100,8 +100,8 @@ TEST(LpSolveTest, UpperBoundedVariablesBindWithoutRows) {
   // max x + y with x <= 2, y <= 3 as *bounds* only.
   LpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  m.add_variable(0, 2, 1.0, "x");
-  m.add_variable(0, 3, 1.0, "y");
+  m.add_variable(0, 2, 1.0);
+  m.add_variable(0, 3, 1.0);
   const LpResult r = solve_lp(m);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, 5.0, 1e-8);
@@ -110,8 +110,8 @@ TEST(LpSolveTest, UpperBoundedVariablesBindWithoutRows) {
 TEST(LpSolveTest, NegativeLowerBounds) {
   // min x + y with x >= -5, y >= -2, x + y >= -4 → optimum -4 on the row.
   LpModel m;
-  m.add_variable(-5, kLpInfinity, 1.0, "x");
-  m.add_variable(-2, kLpInfinity, 1.0, "y");
+  m.add_variable(-5, kLpInfinity, 1.0);
+  m.add_variable(-2, kLpInfinity, 1.0);
   m.add_constraint({{0, 1.0}, {1, 1.0}}, RowSense::kGreaterEqual, -4.0);
   const LpResult r = solve_lp(m);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
@@ -121,7 +121,7 @@ TEST(LpSolveTest, NegativeLowerBounds) {
 TEST(LpSolveTest, FreeVariables) {
   // min |style| problem: x free, min x s.t. x >= -7 via row.
   LpModel m;
-  const VarId x = m.add_variable(-kLpInfinity, kLpInfinity, 1.0, "x");
+  const VarId x = m.add_variable(-kLpInfinity, kLpInfinity, 1.0);
   m.add_constraint({{x, 1.0}}, RowSense::kGreaterEqual, -7.0);
   const LpResult r = solve_lp(m);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
@@ -132,8 +132,8 @@ TEST(LpSolveTest, DegenerateProblemTerminates) {
   // Many redundant constraints through the same vertex (classic degeneracy).
   LpModel m;
   m.set_objective_sense(ObjSense::kMaximize);
-  const VarId x = m.add_variable(0, kLpInfinity, 1.0, "x");
-  const VarId y = m.add_variable(0, kLpInfinity, 1.0, "y");
+  const VarId x = m.add_variable(0, kLpInfinity, 1.0);
+  const VarId y = m.add_variable(0, kLpInfinity, 1.0);
   for (int k = 1; k <= 8; ++k) {
     m.add_constraint({{x, static_cast<double>(k)}, {y, static_cast<double>(k)}},
                      RowSense::kLessEqual, 10.0 * k);
@@ -222,9 +222,9 @@ TEST(LpWarmStartTest, PerturbedRhsReusesBasisAndMatchesColdOptimum) {
   const auto build = [](double cap1, double cap2) {
     LpModel m;
     m.set_objective_sense(ObjSense::kMaximize);
-    const VarId x = m.add_variable(0, 1e6, 3.0, "x");
-    const VarId y = m.add_variable(0, 1e6, 5.0, "y");
-    const VarId z = m.add_variable(0, 1e6, 4.0, "z");
+    const VarId x = m.add_variable(0, 1e6, 3.0);
+    const VarId y = m.add_variable(0, 1e6, 5.0);
+    const VarId z = m.add_variable(0, 1e6, 4.0);
     m.add_constraint({{x, 1.0}, {y, 2.0}, {z, 1.0}}, RowSense::kLessEqual,
                      cap1);
     m.add_constraint({{x, 3.0}, {y, 1.0}, {z, 2.0}}, RowSense::kLessEqual,
@@ -251,7 +251,7 @@ TEST(LpWarmStartTest, PerturbedRhsReusesBasisAndMatchesColdOptimum) {
 TEST(LpWarmStartTest, MismatchedBasisFallsBackToColdStart) {
   LpModel small;
   small.set_objective_sense(ObjSense::kMaximize);
-  const VarId a = small.add_variable(0, 4, 1.0, "a");
+  const VarId a = small.add_variable(0, 4, 1.0);
   small.add_constraint({{a, 1.0}}, RowSense::kLessEqual, 3.0);
   LpBasis basis;
   ASSERT_EQ(solve_lp(small, nullptr, &basis).status,
@@ -261,8 +261,8 @@ TEST(LpWarmStartTest, MismatchedBasisFallsBackToColdStart) {
   // Different dimensions: the stale basis must be rejected, not installed.
   LpModel big;
   big.set_objective_sense(ObjSense::kMaximize);
-  const VarId x = big.add_variable(0, 5, 2.0, "x");
-  const VarId y = big.add_variable(0, 5, 1.0, "y");
+  const VarId x = big.add_variable(0, 5, 2.0);
+  const VarId y = big.add_variable(0, 5, 1.0);
   big.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::kLessEqual, 6.0);
   big.add_constraint({{x, 2.0}, {y, 1.0}}, RowSense::kLessEqual, 8.0);
   const LpResult warm = solve_lp(big, &basis, nullptr);

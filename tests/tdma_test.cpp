@@ -101,10 +101,9 @@ struct OverlayRig {
       cb.on_delivered = [this, i](const MacPacket& p) {
         delivered.emplace_back(i, p);
       };
-      DcfMac::Config cfg;
-      cfg.zero_backoff = true;
       macs.push_back(std::make_unique<DcfMac>(sim, *channel, i, root.split(),
-                                              std::move(cb), cfg));
+                                              std::move(cb),
+                                              DcfMac::Mode::kOverlay));
     }
     SyncConfig scfg;
     scfg.drift_ppm_stddev = drift_ppm;

@@ -21,7 +21,7 @@ struct Rig {
   std::vector<MacPacket> dropped;
 
   Rig(int n, double spacing, double comm, double interference,
-      DcfMac::Config cfg = DcfMac::Config{}, double per = 0.0) {
+      DcfMac::Mode mode = DcfMac::Mode::kDcf, double per = 0.0) {
     std::vector<Point> pos;
     for (int i = 0; i < n; ++i) {
       pos.push_back(Point{spacing * i, 0.0});
@@ -29,7 +29,8 @@ struct Rig {
     Rng root(99);
     channel = std::make_unique<WifiChannel>(
         sim, pos, RadioModel(comm, interference), PhyMode::ofdm_802_11a(54),
-        ErrorModel{per}, root.split(), /*deliver_overheard=*/cfg.rts_cts);
+        ErrorModel{per}, root.split(),
+        /*deliver_overheard=*/mode == DcfMac::Mode::kDcfRtsCts);
     for (NodeId i = 0; i < n; ++i) {
       DcfMac::Callbacks cb;
       cb.on_delivered = [this, i](const MacPacket& p) {
@@ -41,7 +42,7 @@ struct Rig {
         dropped.push_back(p);
       };
       macs.push_back(std::make_unique<DcfMac>(sim, *channel, i, root.split(),
-                                              std::move(cb), cfg));
+                                              std::move(cb), mode));
     }
   }
 
@@ -98,9 +99,7 @@ TEST(DcfMacTest, DeliveryTimeIsDifsPlusAirtimeOnIdleMedium) {
 }
 
 TEST(DcfMacTest, ZeroBackoffServiceTimeIsDeterministic) {
-  DcfMac::Config cfg;
-  cfg.zero_backoff = true;
-  Rig rig(2, 100.0, 150.0, 300.0, cfg);
+  Rig rig(2, 100.0, 150.0, 300.0, DcfMac::Mode::kOverlay);
   const int kPackets = 20;
   for (int i = 0; i < kPackets; ++i) {
     rig.macs[0]->send(rig.packet(static_cast<std::uint64_t>(i + 1), 1));
@@ -164,7 +163,7 @@ TEST(DcfMacTest, HiddenTerminalsCauseCollisions) {
 }
 
 TEST(DcfMacTest, ChannelErrorsForceRetries) {
-  Rig rig(2, 100.0, 150.0, 300.0, DcfMac::Config{}, /*per=*/0.3);
+  Rig rig(2, 100.0, 150.0, 300.0, DcfMac::Mode::kDcf, /*per=*/0.3);
   for (int i = 0; i < 30; ++i) {
     rig.macs[0]->send(rig.packet(static_cast<std::uint64_t>(i + 1), 1));
   }
@@ -176,16 +175,16 @@ TEST(DcfMacTest, ChannelErrorsForceRetries) {
 }
 
 TEST(DcfMacTest, QueueOverflowDropsExcess) {
-  DcfMac::Config cfg;
-  cfg.max_queue = 5;
-  Rig rig(2, 100.0, 150.0, 300.0, cfg);
-  for (int i = 0; i < 20; ++i) {
-    rig.macs[0]->send(rig.packet(static_cast<std::uint64_t>(i + 1), 1));
+  Rig rig(2, 100.0, 150.0, 300.0);
+  const std::size_t sent = DcfMac::kMaxQueue + 20;
+  for (std::size_t i = 0; i < sent; ++i) {
+    rig.macs[0]->send(rig.packet(i + 1, 1));
   }
-  // Dropped synchronously on enqueue: 20 - (1 in service + 5 queued).
-  EXPECT_EQ(rig.dropped.size(), 14u);
+  // Dropped synchronously on enqueue: all but 1 in service + kMaxQueue
+  // queued.
+  EXPECT_EQ(rig.dropped.size(), sent - 1 - DcfMac::kMaxQueue);
   rig.sim.run_all();
-  EXPECT_EQ(rig.delivered.size(), 6u);
+  EXPECT_EQ(rig.delivered.size(), 1 + DcfMac::kMaxQueue);
 }
 
 TEST(DcfMacTest, FarApartNodesTransmitConcurrently) {
@@ -206,9 +205,7 @@ TEST(DcfMacTest, FarApartNodesTransmitConcurrently) {
 }
 
 TEST(DcfMacRtsTest, HandshakeDeliversUnicast) {
-  DcfMac::Config cfg;
-  cfg.rts_cts = true;
-  Rig rig(2, 100.0, 150.0, 300.0, cfg);
+  Rig rig(2, 100.0, 150.0, 300.0, DcfMac::Mode::kDcfRtsCts);
   rig.macs[0]->send(rig.packet(1, 1, 1000));
   rig.sim.run_until(SimTime::milliseconds(20));
   ASSERT_EQ(rig.delivered.size(), 1u);
@@ -217,21 +214,8 @@ TEST(DcfMacRtsTest, HandshakeDeliversUnicast) {
   EXPECT_EQ(rig.channel->frames_transmitted(), 4u);
 }
 
-TEST(DcfMacRtsTest, ThresholdSkipsHandshakeForSmallFrames) {
-  DcfMac::Config cfg;
-  cfg.rts_cts = true;
-  cfg.rts_threshold = 500;
-  Rig rig(2, 100.0, 150.0, 300.0, cfg);
-  rig.macs[0]->send(rig.packet(1, 1, 100));  // below threshold
-  rig.sim.run_until(SimTime::milliseconds(20));
-  ASSERT_EQ(rig.delivered.size(), 1u);
-  EXPECT_EQ(rig.channel->frames_transmitted(), 2u);  // DATA + ACK only
-}
-
 TEST(DcfMacRtsTest, BroadcastNeverUsesRts) {
-  DcfMac::Config cfg;
-  cfg.rts_cts = true;
-  Rig rig(3, 100.0, 150.0, 300.0, cfg);
+  Rig rig(3, 100.0, 150.0, 300.0, DcfMac::Mode::kDcfRtsCts);
   rig.macs[1]->send(rig.packet(5, kInvalidNode, 1000));
   rig.sim.run_until(SimTime::milliseconds(20));
   EXPECT_EQ(rig.delivered.size(), 2u);
@@ -246,9 +230,8 @@ TEST(DcfMacRtsTest, MitigatesHiddenTerminalDataCollisions) {
   // retry counts on the big data frames.
   const int kPackets = 60;
   auto run = [&](bool rts) {
-    DcfMac::Config cfg;
-    cfg.rts_cts = rts;
-    Rig rig(3, 100.0, 150.0, 150.0, cfg);
+    Rig rig(3, 100.0, 150.0, 150.0,
+            rts ? DcfMac::Mode::kDcfRtsCts : DcfMac::Mode::kDcf);
     for (int i = 0; i < kPackets; ++i) {
       rig.macs[0]->send(rig.packet(static_cast<std::uint64_t>(100 + i), 1,
                                    1400));
@@ -271,9 +254,7 @@ TEST(DcfMacRtsTest, MitigatesHiddenTerminalDataCollisions) {
 TEST(DcfMacRtsTest, NavSilencesThirdParties) {
   // 0 → 1 exchange with node 2 in range of node 1 (hears CTS). Node 2's
   // own transmission must defer until the NAV expires.
-  DcfMac::Config cfg;
-  cfg.rts_cts = true;
-  Rig rig(3, 100.0, 150.0, 150.0, cfg);
+  Rig rig(3, 100.0, 150.0, 150.0, DcfMac::Mode::kDcfRtsCts);
   rig.macs[0]->send(rig.packet(1, 1, 1400));
   // Node 2 gets a packet for node 1 shortly after the RTS goes out.
   rig.sim.schedule_at(SimTime::microseconds(80), [&] {
@@ -291,8 +272,6 @@ TEST(DcfMacTest, ServiceTimeAccessors) {
             phy.difs() + phy.slot_time() * phy.cw_min() +
                 phy.airtime(200 + kMacOverheadBytes) + phy.sifs() +
                 phy.ack_airtime());
-  EXPECT_LT(rig.macs[0]->mean_service_time(200),
-            rig.macs[0]->max_service_time(200));
   EXPECT_EQ(DcfMac::overlay_service_time(phy, 200),
             phy.difs() + phy.airtime(200 + kMacOverheadBytes) + phy.sifs() +
                 phy.ack_airtime());
