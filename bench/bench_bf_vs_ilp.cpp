@@ -30,18 +30,13 @@ Instance make_instance(NodeId chain_n) {
   MeshConfig cfg = base_config(topo);
   QosPlanner planner(topo, RadioModel(cfg.comm_range, cfg.interference_range),
                      cfg.emulation, cfg.phy);
-  const auto plan = planner.plan(
-      {FlowSpec::voip(0, 0, chain_n - 1, VoipCodec::g729()),
-       FlowSpec::voip(1, chain_n - 1, 0, VoipCodec::g729())},
-      SchedulerKind::kGreedy);
-  WIMESH_ASSERT(plan.has_value());
   Instance inst;
-  inst.problem.links = plan->links;
-  inst.problem.demand = plan->guaranteed_demand;
-  inst.problem.conflicts = plan->conflicts;
-  for (const FlowPlan& f : plan->guaranteed) {
-    inst.problem.flows.push_back(FlowPath{f.links, f.delay_budget_frames});
-  }
+  inst.problem =
+      planner
+          .build_problem(
+              {FlowSpec::voip(0, 0, chain_n - 1, VoipCodec::g729()),
+               FlowSpec::voip(1, chain_n - 1, 0, VoipCodec::g729())})
+          .problem;
   const auto search = min_slots_search(inst.problem, 96);
   WIMESH_ASSERT(search.has_value());
   inst.order = search->result.order;

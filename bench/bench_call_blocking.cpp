@@ -1,21 +1,23 @@
 // R-F9 — Call blocking probability vs offered load (Erlang curve).
 //
-// VoIP calls arrive Poisson at the gateway mesh and hold exponentially;
-// each arrival runs the centralized admission control. Expected shape:
-// the blocking probability follows the classic Erlang knee — ~0 until the
-// offered load approaches the mesh's call capacity, then climbs steeply —
-// and the scheduler choice shifts the knee: the ILP (exploiting spatial
-// reuse and compact packing) carries at least as much load as greedy,
-// which in turn beats the naive round-robin ordering.
+// Two-way VoIP calls arrive Poisson at the gateway mesh and hold
+// exponentially; each arrival asks the online admission engine to carry
+// both legs (its decisions are those of a cold feasibility re-plan of the
+// active calls plus the candidate). Expected shape: the blocking
+// probability follows the classic Erlang knee — ~0 until the offered load
+// approaches the mesh's call capacity, then climbs steeply — and the
+// scheduler choice shifts the knee: the ILP (exploiting spatial reuse and
+// compact packing) carries at least as much load as greedy, which in turn
+// beats the naive round-robin ordering.
 //
 // The topology x load x scheduler grid runs on the parallel executor
 // (--jobs K) with one shared schedule cache; admission re-solves of an
 // already-seen call mix hit the cache. Output is identical for any K.
 
 #include "bench_util.h"
+#include "wimesh/admit/engine.h"
 #include "wimesh/common/json.h"
 #include "wimesh/exec/executor.h"
-#include "wimesh/qos/call_dynamics.h"
 #include "wimesh/sched/schedule_cache.h"
 
 using namespace wimesh;
@@ -28,24 +30,31 @@ constexpr SchedulerKind kKinds[] = {SchedulerKind::kIlpDelayAware,
                                     SchedulerKind::kRoundRobin};
 constexpr std::size_t kNumKinds = 3;
 
-CallDynamicsResult run(const Topology& topo, double erlangs,
+admit::ChurnResult run(const Topology& topo, double erlangs,
                        SchedulerKind kind, ScheduleCache* cache) {
-  CallDynamicsConfig cfg;
-  for (NodeId n = 1; n < topo.node_count(); ++n) {
-    cfg.endpoints.push_back({n, 0});
-  }
-  cfg.mean_holding_s = 120.0;
-  cfg.arrival_rate_per_s = erlangs / cfg.mean_holding_s;
-  cfg.horizon = SimTime::seconds(4000);
-  cfg.scheduler = kind;
-  cfg.ilp.cache = cache;
+  admit::EngineConfig ec;
+  ec.scheduler = kind;
+  ec.ilp.cache = cache;
+  admit::ChurnSpec spec;
+  spec.mean_holding_s = 120.0;
+  spec.arrival_rate_per_s = erlangs / spec.mean_holding_s;
+  spec.horizon_s = 4000.0;
+  spec.two_way = true;
   EmulationParams params;
   params.frame.frame_duration = SimTime::milliseconds(10);
   params.frame.control_slots = 4;
   params.frame.data_slots = 96;
   params.guard_time = SimTime::microseconds(50);
-  return simulate_call_dynamics(topo, RadioModel(110.0, 220.0), params,
-                                PhyMode::ofdm_802_11a(54), cfg);
+  admit::AdmissionEngine engine(topo, RadioModel(110.0, 220.0), params,
+                                PhyMode::ofdm_802_11a(54), ec);
+  return admit::replay_poisson_churn(engine, spec);
+}
+
+// Share of offered calls not carried with both legs.
+double blocking(const admit::ChurnResult& r) {
+  return r.arrivals == 0 ? 0.0
+                         : 1.0 - static_cast<double>(r.admitted) /
+                                     static_cast<double>(r.arrivals);
 }
 
 struct Panel {
@@ -86,7 +95,7 @@ int main(int argc, char** argv) {
   }
 
   ScheduleCache cache;
-  std::vector<CallDynamicsResult> results(items.size());
+  std::vector<admit::ChurnResult> results(items.size());
   exec::run_indexed(args.jobs, items.size(), [&](std::size_t i) {
     results[i] = run(panels[items[i].panel].topo, items[i].erlangs,
                      items[i].kind, &cache);
@@ -105,18 +114,17 @@ int main(int argc, char** argv) {
       const auto& greedy = results[at++];
       const auto& rr = results[at++];
       row("%-9.1f | %10.4f %9.2f | %10.4f %9.2f | %10.4f %9.2f", erlangs,
-          ilp.blocking_probability(), ilp.mean_carried_calls,
-          greedy.blocking_probability(), greedy.mean_carried_calls,
-          rr.blocking_probability(), rr.mean_carried_calls);
+          blocking(ilp), ilp.mean_carried, blocking(greedy),
+          greedy.mean_carried, blocking(rr), rr.mean_carried);
     }
-    // Per-decision admission latency across every load of this panel.
+    // Per-leg admission latency across every load of this panel.
     row("%-11s | %9s %9s %9s %9s %9s", "latency_us", "p50", "p90", "p99",
         "mean", "max");
     for (std::size_t k = 0; k < kNumKinds; ++k) {
       SampleSet merged;
       for (std::size_t i = 0; i < items.size(); ++i) {
         if (items[i].panel != pi || i % kNumKinds != k) continue;
-        for (double ns : results[i].decision_latency_ns.samples()) {
+        for (double ns : results[i].stats.decision_latency_ns.samples()) {
           merged.add(ns);
         }
       }
@@ -145,10 +153,10 @@ int main(int argc, char** argv) {
       w.key("scheduler");
       w.value(kKindNames[i % kNumKinds]);
       w.key("blocking_probability");
-      w.value(results[i].blocking_probability());
+      w.value(blocking(results[i]));
       w.key("mean_carried_calls");
-      w.value(results[i].mean_carried_calls);
-      const SampleSet& lat = results[i].decision_latency_ns;
+      w.value(results[i].mean_carried);
+      const SampleSet& lat = results[i].stats.decision_latency_ns;
       w.key("decision_latency_us");
       if (lat.empty()) {
         w.null();

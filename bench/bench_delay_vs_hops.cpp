@@ -117,12 +117,7 @@ int main() {
     auto greedy_plan = planner.plan({flow}, SchedulerKind::kGreedy);
     WIMESH_ASSERT(ilp_plan.has_value() && greedy_plan.has_value());
 
-    SchedulingProblem problem;
-    problem.links = ilp_plan->links;
-    problem.demand = ilp_plan->guaranteed_demand;
-    problem.conflicts = ilp_plan->conflicts;
-    problem.flows.push_back(FlowPath{ilp_plan->guaranteed[0].links,
-                                     ilp_plan->guaranteed[0].delay_budget_frames});
+    const SchedulingProblem problem = planner.build_problem({flow}).problem;
     auto reverse =
         reverse_order_schedule(problem, cfg.emulation.frame.data_slots);
     WIMESH_ASSERT(reverse.has_value());

@@ -30,16 +30,7 @@ SchedulingProblem build(const Topology& topo, const MeshConfig& cfg,
     flows.push_back(FlowSpec::voip(id++, a, b, VoipCodec::g729()));
     flows.push_back(FlowSpec::voip(id++, b, a, VoipCodec::g729()));
   }
-  const auto plan = planner.plan(flows, SchedulerKind::kGreedy);
-  WIMESH_ASSERT(plan.has_value());
-  SchedulingProblem p;
-  p.links = plan->links;
-  p.demand = plan->guaranteed_demand;
-  p.conflicts = plan->conflicts;
-  for (const FlowPlan& f : plan->guaranteed) {
-    p.flows.push_back(FlowPath{f.links, f.delay_budget_frames});
-  }
-  return p;
+  return planner.build_problem(flows).problem;
 }
 
 }  // namespace

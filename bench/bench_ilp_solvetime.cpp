@@ -26,19 +26,10 @@ SchedulingProblem chain_problem(NodeId n) {
   MeshConfig cfg = base_config(topo);
   QosPlanner planner(topo, RadioModel(cfg.comm_range, cfg.interference_range),
                      cfg.emulation, cfg.phy);
-  const auto plan = planner.plan(
-      {FlowSpec::voip(0, 0, n - 1, VoipCodec::g729()),
-       FlowSpec::voip(1, n - 1, 0, VoipCodec::g729())},
-      SchedulerKind::kGreedy);
-  WIMESH_ASSERT(plan.has_value());
-  SchedulingProblem p;
-  p.links = plan->links;
-  p.demand = plan->guaranteed_demand;
-  p.conflicts = plan->conflicts;
-  for (const FlowPlan& f : plan->guaranteed) {
-    p.flows.push_back(FlowPath{f.links, f.delay_budget_frames});
-  }
-  return p;
+  return planner
+      .build_problem({FlowSpec::voip(0, 0, n - 1, VoipCodec::g729()),
+                      FlowSpec::voip(1, n - 1, 0, VoipCodec::g729())})
+      .problem;
 }
 
 SchedulingProblem grid_problem(NodeId side) {
@@ -47,20 +38,12 @@ SchedulingProblem grid_problem(NodeId side) {
   QosPlanner planner(topo, RadioModel(cfg.comm_range, cfg.interference_range),
                      cfg.emulation, cfg.phy);
   const NodeId last = side * side - 1;
-  const auto plan = planner.plan(
-      {FlowSpec::voip(0, 0, last, VoipCodec::g729()),
-       FlowSpec::voip(1, last, 0, VoipCodec::g729()),
-       FlowSpec::voip(2, side - 1, last - side + 1, VoipCodec::g729())},
-      SchedulerKind::kGreedy);
-  WIMESH_ASSERT(plan.has_value());
-  SchedulingProblem p;
-  p.links = plan->links;
-  p.demand = plan->guaranteed_demand;
-  p.conflicts = plan->conflicts;
-  for (const FlowPlan& f : plan->guaranteed) {
-    p.flows.push_back(FlowPath{f.links, f.delay_budget_frames});
-  }
-  return p;
+  return planner
+      .build_problem(
+          {FlowSpec::voip(0, 0, last, VoipCodec::g729()),
+           FlowSpec::voip(1, last, 0, VoipCodec::g729()),
+           FlowSpec::voip(2, side - 1, last - side + 1, VoipCodec::g729())})
+      .problem;
 }
 
 // The solver configurations the bench compares: `kBaseline` is the

@@ -30,19 +30,7 @@ SchedulingProblem build_problem(const Scenario& s, const MeshConfig& cfg) {
     flows.push_back(FlowSpec::voip(id++, a, b, VoipCodec::g729()));
     flows.push_back(FlowSpec::voip(id++, b, a, VoipCodec::g729()));
   }
-  const auto plan = planner.plan(flows, SchedulerKind::kGreedy);
-  WIMESH_ASSERT(plan.has_value());
-  SchedulingProblem p;
-  p.links = plan->links;
-  p.demand = plan->guaranteed_demand;
-  p.conflicts = plan->conflicts;
-  for (const FlowPlan& f : plan->guaranteed) {
-    FlowPath fp;
-    fp.links = f.links;
-    fp.delay_budget_frames = f.delay_budget_frames;
-    p.flows.push_back(fp);
-  }
-  return p;
+  return planner.build_problem(flows).problem;
 }
 
 }  // namespace

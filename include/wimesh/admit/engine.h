@@ -230,6 +230,8 @@ class AdmissionEngine {
   bool acceptable(const SchedulingProblem& problem,
                   const std::vector<FlowPlan>& guaranteed,
                   const MeshSchedule& schedule) const;
+  // The guaranteed skeleton of a solved plan, as the incumbent to adopt.
+  Incumbent incumbent_of(MeshPlan planned) const;
   void adopt(Incumbent next, SimTime now, bool compaction);
   Decision not_admitted(const FlowSpec& flow, DecisionPath path,
                         RejectReason why, std::string reason);
@@ -274,12 +276,19 @@ struct ChurnSpec {
   // Fraction of arrivals offered as best-effort instead of guaranteed.
   double best_effort_fraction = 0.0;
   std::uint64_t seed = 1;
+  // Offer each arrival as a two-way call: the forward leg (id k) and, once
+  // that is admitted, the reverse leg (id k+1) at the same instant. The
+  // call is carried only when both legs are admitted as requested;
+  // otherwise every leg the engine holds is released at once and the call
+  // is blocked. A departure releases both legs.
+  bool two_way = false;
 };
 
 struct ChurnObserver {
-  // Called after the engine decided each arrival.
+  // Called after the engine decided each leg offered.
   std::function<void(SimTime, const FlowSpec&, const Decision&)> on_arrival;
-  // Called after the engine processed each departure.
+  // Called after the engine released each leg (departures, and the
+  // forward leg of a blocked two-way call).
   std::function<void(SimTime, int flow_id)> on_departure;
 };
 
@@ -287,7 +296,11 @@ struct ChurnResult {
   std::uint64_t events = 0;  // arrivals + departures processed
   std::uint64_t arrivals = 0;
   std::uint64_t departures = 0;
-  double mean_carried = 0.0;  // time-average simultaneously active flows
+  std::uint64_t admitted = 0;  // arrivals admitted as requested, every leg
+  // Time-average simultaneously carried arrivals (flows, or calls when
+  // two-way), over the replay: up to the horizon when the horizon ends it,
+  // up to the last event when max_events does.
+  double mean_carried = 0.0;
   int peak_carried = 0;
   EngineStats stats;  // engine counters at end of replay
 };

@@ -133,10 +133,6 @@ class FaultRuntime {
   void apply(const FaultEvent& event);
   void schedule_recovery(SimTime fault_at);
   void run_recovery(SimTime fault_at);
-  // Surviving topology: original nodes, minus edges with a dead endpoint
-  // or an injected hard outage (dead nodes stay as isolated vertices so
-  // NodeIds keep their meaning).
-  Topology build_survivors() const;
   // Refreshes island_of_node_/islands_/severed_ids_ from `survivors` and
   // records the partition metrics. Returns the previous island membership
   // (for the heal-time merge partition).

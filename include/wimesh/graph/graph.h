@@ -131,4 +131,11 @@ bool is_connected(const Graph& g);
 // Breadth-first hop distance from src to every node (-1 if unreachable).
 std::vector<int> bfs_hops(const Graph& g, NodeId src);
 
+// Labels the connected components of `g` among the nodes with
+// alive[v] != 0, seeding components in ascending NodeId order so labels
+// are deterministic. Writes one label per node to `label` (-1 = dead) and
+// returns the component count.
+int label_components(const Graph& g, const std::vector<char>& alive,
+                     std::vector<int>* label);
+
 }  // namespace wimesh

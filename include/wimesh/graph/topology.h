@@ -10,6 +10,7 @@
 // (the 802.16 mesh overlay-tree case).
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "wimesh/common/expected.h"
@@ -65,5 +66,13 @@ Topology make_tree(NodeId arity, NodeId depth, double spacing = 100.0);
 // at `root`, returned as parent[v]. kInvalidNode marks both the root and
 // any node unreachable from it; use bfs_hops to tell them apart.
 std::vector<NodeId> spanning_tree_parents(const Graph& g, NodeId root);
+
+// The part of `topology` that survives a fault epoch: every edge whose
+// endpoints are both alive (alive[v] != 0) and that `link_down` does not
+// sever. Dead nodes keep their NodeId as isolated vertices; positions are
+// unchanged.
+Topology surviving_topology(
+    const Topology& topology, const std::vector<char>& alive,
+    const std::function<bool(NodeId, NodeId)>& link_down);
 
 }  // namespace wimesh

@@ -15,10 +15,7 @@ namespace wimesh {
 // loss is queried after the run.
 class FlowStats {
  public:
-  void on_sent(std::uint64_t bytes) {
-    ++sent_packets_;
-    sent_bytes_ += bytes;
-  }
+  void on_sent() { ++sent_packets_; }
 
   void on_delivered(std::uint64_t bytes, SimTime delay) {
     ++delivered_packets_;
@@ -34,7 +31,6 @@ class FlowStats {
 
   std::uint64_t sent_packets() const { return sent_packets_; }
   std::uint64_t delivered_packets() const { return delivered_packets_; }
-  std::uint64_t sent_bytes() const { return sent_bytes_; }
   std::uint64_t delivered_bytes() const { return delivered_bytes_; }
 
   // Fraction of sent packets not delivered, in [0, 1].
@@ -59,7 +55,6 @@ class FlowStats {
  private:
   std::uint64_t sent_packets_ = 0;
   std::uint64_t delivered_packets_ = 0;
-  std::uint64_t sent_bytes_ = 0;
   std::uint64_t delivered_bytes_ = 0;
   SampleSet delays_;
   RunningStat jitter_ms_;

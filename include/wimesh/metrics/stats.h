@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "wimesh/common/assert.h"
@@ -96,38 +95,6 @@ class SampleSet {
   mutable std::mutex cache_mutex_;
   mutable std::atomic<bool> cache_valid_{true};  // empty cache matches empty
   mutable std::vector<double> sorted_cache_;
-};
-
-// Fixed-width-bin histogram over [lo, hi). Out-of-range samples are counted
-// in dedicated underflow/overflow counters instead of being silently folded
-// into the edge bins, so the edge bins mean what their bounds say and a
-// mis-sized range is visible in the output.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::uint64_t bin(std::size_t i) const { return counts_[i]; }
-  double bin_lower(std::size_t i) const {
-    return lo_ + width_ * static_cast<double>(i);
-  }
-  // All samples ever added, including out-of-range ones.
-  std::uint64_t total() const { return total_; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-
-  // Rows of "bin_lower,count" for CSV output, followed by "underflow,N" /
-  // "overflow,N" rows when either counter is nonzero.
-  std::string to_csv() const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
 };
 
 }  // namespace wimesh

@@ -146,22 +146,6 @@ Expected<ScheduleResult> schedule_ilp(const SchedulingProblem& problem,
                                       int frame_slots,
                                       const IlpSchedulerOptions& options = {});
 
-// Min–max delay variant (the authors' companion TON formulation): instead
-// of only capping each flow's frame wraps, minimizes the MAXIMUM wrap
-// count across all flows at the given schedule length, subject to the same
-// per-flow budgets. Returns the schedule plus the optimal bound. More
-// expensive than the feasibility program (it is an optimization, so
-// branch & bound must prove optimality); intended for ablations and small
-// meshes.
-struct MinMaxDelayResult {
-  ScheduleResult result;
-  int max_wraps = 0;   // the minimized objective
-  bool proven = true;  // false if limits stopped the proof early
-};
-Expected<MinMaxDelayResult> schedule_ilp_min_max_delay(
-    const SchedulingProblem& problem, int frame_slots,
-    const IlpSchedulerOptions& options = {});
-
 struct MinSlotsResult {
   int frame_slots = 0;  // minimum found
   ScheduleResult result;

@@ -125,7 +125,6 @@ enum class SpanName : std::uint16_t {
   kTreeFastPath,    // forest detection + Bellman-Ford tree scheduling
   kAdmitDecide,     // AdmissionEngine::offer end to end
   kAdmitCompact,    // survivor re-plan + hot-swap staging
-  kZoneSolve,       // one zone's min-slot search (phase 1)
   kZoneCompose,     // border reconciliation + composition (phase 2)
   kCount,
 };

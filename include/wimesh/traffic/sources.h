@@ -10,9 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "wimesh/common/expected.h"
 #include "wimesh/common/rng.h"
 #include "wimesh/des/simulator.h"
 #include "wimesh/wifi/packet.h"
@@ -129,53 +127,6 @@ class VbrVideoSource : public TrafficSource {
   Profile profile_;
   Rng rng_;
   int frame_index_ = 0;
-};
-
-// Replays a recorded packet trace: (time offset, bytes) pairs relative to
-// the start instant. Offsets must be non-decreasing. Useful for feeding
-// measured traffic (e.g. real VoIP/video captures) through the mesh.
-class TraceReplaySource : public TrafficSource {
- public:
-  struct Entry {
-    SimTime offset;
-    std::size_t bytes;
-  };
-
-  TraceReplaySource(Simulator& sim, int flow_id, EmitFn emit,
-                    std::vector<Entry> trace, bool loop = false);
-
-  void start(SimTime start, SimTime stop) override;
-
-  // Parses "offset_us,bytes" lines (one entry per line; '#' comments and
-  // blank lines skipped). Returns an error message on malformed input.
-  static Expected<std::vector<Entry>> parse(const std::string& text);
-
- private:
-  void emit_at(std::size_t index, SimTime base, SimTime stop);
-  std::vector<Entry> trace_;
-  bool loop_;
-};
-
-// Exponential on/off bursts; CBR at `peak_rate_bps` while on.
-class OnOffSource : public TrafficSource {
- public:
-  OnOffSource(Simulator& sim, int flow_id, EmitFn emit, std::size_t bytes,
-              double peak_rate_bps, SimTime mean_on, SimTime mean_off,
-              Rng rng);
-
-  void start(SimTime start, SimTime stop) override;
-
- private:
-  void enter_on(SimTime stop);
-  void enter_off(SimTime stop);
-  void tick(SimTime stop);
-  std::size_t bytes_;
-  SimTime packet_interval_;
-  SimTime mean_on_;
-  SimTime mean_off_;
-  Rng rng_;
-  bool on_ = false;
-  SimTime on_until_{};
 };
 
 }  // namespace wimesh

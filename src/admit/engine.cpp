@@ -131,26 +131,7 @@ Decision AdmissionEngine::decide(const FlowSpec& flow, SimTime now) {
     return not_admitted(flow, DecisionPath::kFullSolve,
                         RejectReason::kInfeasible, planned.error());
   }
-  Incumbent next;
-  next.problem.links = planned->links;
-  next.problem.demand = planned->guaranteed_demand;
-  next.problem.conflicts = planned->conflicts;
-  for (const FlowPlan& f : planned->guaranteed) {
-    FlowPath fp;
-    fp.links = f.links;
-    fp.delay_budget_frames = f.delay_budget_frames;
-    next.problem.flows.push_back(std::move(fp));
-  }
-  // Keep only the guaranteed skeleton: the plan's best-effort extras are
-  // tied to the batch flow set and are re-fitted at the next full solve.
-  next.schedule = MeshSchedule(next.problem.links, data_slots);
-  for (LinkId l = 0; l < next.problem.links.count(); ++l) {
-    if (const auto g = planned->schedule.grant(l)) {
-      next.schedule.set_grant(l, *g);
-    }
-  }
-  next.guaranteed = std::move(planned->guaranteed);
-  adopt(std::move(next), now, /*compaction=*/false);
+  adopt(incumbent_of(std::move(*planned)), now, /*compaction=*/false);
   active_.push_back(flow);
   d.outcome = Outcome::kAdmitted;
   d.path = DecisionPath::kFullSolve;
@@ -233,37 +214,10 @@ std::vector<int> AdmissionEngine::set_topology_epoch(
     return false;
   };
 
-  // Surviving subgraph: dead nodes keep their NodeId as isolated vertices.
-  epoch_topology_.positions = topology_.positions;
-  epoch_topology_.graph = Graph();
-  epoch_topology_.graph.resize(topology_.node_count());
-  for (EdgeId e = 0; e < topology_.graph.edge_count(); ++e) {
-    const Graph::Edge& edge = topology_.graph.edge(e);
-    if (alive_[static_cast<std::size_t>(edge.u)] == 0) continue;
-    if (alive_[static_cast<std::size_t>(edge.v)] == 0) continue;
-    if (link_is_down(edge.u, edge.v)) continue;
-    epoch_topology_.graph.add_edge(edge.u, edge.v);
-  }
+  epoch_topology_ = surviving_topology(topology_, alive_, link_is_down);
   planner_ = std::make_unique<QosPlanner>(epoch_topology_, radio_, params_,
                                           phy_, config_.routing);
-
-  // Island decomposition, components seeded in ascending NodeId order.
-  island_of_node_.assign(alive_.size(), -1);
-  int islands = 0;
-  for (NodeId s = 0; s < topology_.node_count(); ++s) {
-    if (alive_[static_cast<std::size_t>(s)] == 0) continue;
-    if (island_of_node_[static_cast<std::size_t>(s)] >= 0) continue;
-    island_of_node_[static_cast<std::size_t>(s)] = islands;
-    std::vector<NodeId> queue{s};
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      for (const NodeId v : epoch_topology_.graph.neighbors(queue[head])) {
-        if (island_of_node_[static_cast<std::size_t>(v)] >= 0) continue;
-        island_of_node_[static_cast<std::size_t>(v)] = islands;
-        queue.push_back(v);
-      }
-    }
-    ++islands;
-  }
+  label_components(epoch_topology_.graph, alive_, &island_of_node_);
 
   // Evict booked flows the epoch can no longer serve: a dead endpoint, or
   // endpoints separated by a cut.
@@ -358,6 +312,30 @@ bool AdmissionEngine::acceptable(const SchedulingProblem& problem,
   return true;
 }
 
+AdmissionEngine::Incumbent AdmissionEngine::incumbent_of(
+    MeshPlan planned) const {
+  Incumbent next;
+  next.problem.links = std::move(planned.links);
+  next.problem.demand = std::move(planned.guaranteed_demand);
+  next.problem.conflicts = std::move(planned.conflicts);
+  for (const FlowPlan& f : planned.guaranteed) {
+    FlowPath fp;
+    fp.links = f.links;
+    fp.delay_budget_frames = f.delay_budget_frames;
+    next.problem.flows.push_back(std::move(fp));
+  }
+  // Keep only the guaranteed skeleton: the plan's best-effort extras are
+  // tied to the batch flow set and are re-fitted at the next full solve.
+  next.schedule = MeshSchedule(next.problem.links, params_.frame.data_slots);
+  for (LinkId l = 0; l < next.problem.links.count(); ++l) {
+    if (const auto g = planned.schedule.grant(l)) {
+      next.schedule.set_grant(l, *g);
+    }
+  }
+  next.guaranteed = std::move(planned.guaranteed);
+  return next;
+}
+
 void AdmissionEngine::adopt(Incumbent next, SimTime now, bool compaction) {
   for (FlowPlan& f : next.guaranteed) {
     FlowPath fp;
@@ -441,25 +419,7 @@ bool AdmissionEngine::compact(SimTime now) {
                             PlanObjective::kFeasibility);
   }
   if (planned.has_value()) {
-    Incumbent next;
-    next.problem.links = planned->links;
-    next.problem.demand = planned->guaranteed_demand;
-    next.problem.conflicts = planned->conflicts;
-    for (const FlowPlan& f : planned->guaranteed) {
-      FlowPath fp;
-      fp.links = f.links;
-      fp.delay_budget_frames = f.delay_budget_frames;
-      next.problem.flows.push_back(std::move(fp));
-    }
-    next.schedule =
-        MeshSchedule(next.problem.links, params_.frame.data_slots);
-    for (LinkId l = 0; l < next.problem.links.count(); ++l) {
-      if (const auto g = planned->schedule.grant(l)) {
-        next.schedule.set_grant(l, *g);
-      }
-    }
-    next.guaranteed = std::move(planned->guaranteed);
-    adopt(std::move(next), now, /*compaction=*/true);
+    adopt(incumbent_of(std::move(*planned)), now, /*compaction=*/true);
     return true;
   }
   BuiltProblem bp = planner_->build_problem(active_);
@@ -536,6 +496,21 @@ ChurnResult replay_poisson_churn(AdmissionEngine& engine,
   double carried_integral_s = 0.0;
   int carried = 0;
   int next_id = 0;
+  SimTime t;
+
+  const auto offer = [&](const FlowSpec& flow) {
+    const Decision d = engine.offer(flow, t);
+    if (observer != nullptr && observer->on_arrival) {
+      observer->on_arrival(t, flow, d);
+    }
+    return d.outcome;
+  };
+  const auto release = [&](int flow_id) {
+    engine.release(flow_id, t);
+    if (observer != nullptr && observer->on_departure) {
+      observer->on_departure(t, flow_id);
+    }
+  };
 
   while (spec.max_events == 0 || out.events < spec.max_events) {
     const bool have_departure = !departures.empty();
@@ -543,21 +518,24 @@ ChurnResult replay_poisson_churn(AdmissionEngine& engine,
     // visible to an arrival at the same timestamp.
     const bool take_departure =
         have_departure && departures.top().t <= next_arrival;
-    const SimTime t = take_departure ? departures.top().t : next_arrival;
-    if (t > horizon) break;
+    t = take_departure ? departures.top().t : next_arrival;
+    if (t > horizon) {
+      // The horizon ends the replay: carry the load up to it.
+      carried_integral_s += carried * (horizon - last_t).to_seconds();
+      last_t = horizon;
+      break;
+    }
     carried_integral_s += carried * (t - last_t).to_seconds();
     last_t = t;
 
     if (take_departure) {
-      const Departure dep = departures.top();
+      const int flow_id = departures.top().flow_id;
       departures.pop();
-      engine.release(dep.flow_id, t);
+      release(flow_id);
+      if (spec.two_way) release(flow_id + 1);
       --carried;
       ++out.departures;
       ++out.events;
-      if (observer != nullptr && observer->on_departure) {
-        observer->on_departure(t, dep.flow_id);
-      }
       continue;
     }
 
@@ -568,27 +546,37 @@ ChurnResult replay_poisson_churn(AdmissionEngine& engine,
                              rng.chance(spec.best_effort_fraction);
     const double holding_s = rng.exponential(spec.mean_holding_s);
     const double gap_s = rng.exponential(1.0 / spec.arrival_rate_per_s);
-    FlowSpec flow =
-        best_effort
-            ? FlowSpec::best_effort(next_id, ep.first, ep.second,
-                                    spec.codec.packet_bytes(),
-                                    spec.codec.rate_bps())
-            : FlowSpec::voip(next_id, ep.first, ep.second, spec.codec,
-                             spec.max_delay);
-    ++next_id;
-    const Decision d = engine.offer(flow, t);
-    if (d.outcome != Outcome::kRejected) {
-      departures.push(Departure{t + SimTime::from_seconds(holding_s),
-                                flow.id});
+    const auto leg = [&](int id, NodeId src, NodeId dst) {
+      return best_effort
+                 ? FlowSpec::best_effort(id, src, dst,
+                                         spec.codec.packet_bytes(),
+                                         spec.codec.rate_bps())
+                 : FlowSpec::voip(id, src, dst, spec.codec, spec.max_delay);
+    };
+    const int id = next_id;
+    next_id += spec.two_way ? 2 : 1;
+    const Outcome forward = offer(leg(id, ep.first, ep.second));
+    bool held = forward != Outcome::kRejected;
+    bool admitted = forward == Outcome::kAdmitted;
+    if (spec.two_way) {
+      if (admitted) {
+        const Outcome reverse = offer(leg(id + 1, ep.second, ep.first));
+        admitted = reverse == Outcome::kAdmitted;
+        if (!admitted && reverse != Outcome::kRejected) release(id + 1);
+      }
+      // A call is carried whole or not at all.
+      if (!admitted && held) release(id);
+      held = admitted;
+    }
+    if (admitted) ++out.admitted;
+    if (held) {
+      departures.push(Departure{t + SimTime::from_seconds(holding_s), id});
       ++carried;
       out.peak_carried = std::max(out.peak_carried, carried);
     }
     ++out.arrivals;
     ++out.events;
     next_arrival = t + SimTime::from_seconds(gap_s);
-    if (observer != nullptr && observer->on_arrival) {
-      observer->on_arrival(t, flow, d);
-    }
   }
 
   out.mean_carried = last_t > SimTime::zero()

@@ -238,9 +238,33 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     return fallback;
   };
 
-  // Hands a packet to the node's contention MAC, in the flow's access
-  // category (which only EDCA tells apart).
-  const auto mac_send = [&](NodeId at, MacPacket p, ServiceClass service) {
+  // Sends `p` one hop onward from `at` under the live plan: into the
+  // overlay queue of its outgoing link (dropped when the link holds no
+  // grant or was revoked by a hot-swap), or straight to the contention MAC
+  // toward `next`, in the flow's access category (which only EDCA tells
+  // apart).
+  const auto forward = [&](NodeId at, NodeId next, MacPacket p,
+                           ServiceClass service) {
+    if (mode == MacMode::kTdmaOverlay) {
+      const LinkId link = live_plan->out_link(p.flow_id, at);
+      if (link == kInvalidLink ||
+          live_plan->schedule.all_grants(link).empty()) {
+        if (auditor) {
+          auditor->on_packet_dropped(
+              p, typed_drop(audit::DropReason::kNoCapacity, p.flow_id));
+        }
+        return;
+      }
+      if (!overlays[static_cast<std::size_t>(at)]->enqueue(
+              link, p, service == ServiceClass::kGuaranteed)) {
+        if (auditor) {
+          auditor->on_packet_dropped(
+              p, typed_drop(audit::DropReason::kScheduleRevoked, p.flow_id));
+        }
+      }
+      return;
+    }
+    p.to = next;
     macs[static_cast<std::size_t>(at)]->send(
         p, service == ServiceClass::kGuaranteed ? AccessCategory::kVoice
                                                 : AccessCategory::kBestEffort);
@@ -277,30 +301,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
       }
       return;
     }
-    if (mode == MacMode::kTdmaOverlay) {
-      const LinkId link = live_plan->out_link(packet.flow_id, at);
-      if (live_plan->schedule.all_grants(link).empty()) {  // no capacity
-        if (auditor) {
-          auditor->on_packet_dropped(
-              packet,
-              typed_drop(audit::DropReason::kNoCapacity, packet.flow_id));
-        }
-        return;
-      }
-      if (!overlays[static_cast<std::size_t>(at)]->enqueue(
-              link, packet, fr.spec.service == ServiceClass::kGuaranteed)) {
-        // The packet raced a schedule hot-swap and its link was revoked.
-        if (auditor) {
-          auditor->on_packet_dropped(
-              packet,
-              typed_drop(audit::DropReason::kScheduleRevoked, packet.flow_id));
-        }
-      }
-    } else {
-      MacPacket p = packet;
-      p.to = next;
-      mac_send(at, p, fr.spec.service);
-    }
+    forward(at, next, packet, fr.spec.service);
   };
 
   // ---- MACs.
@@ -379,7 +380,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     auto emit = [&, spec_id = spec.id, src = spec.src](MacPacket p) {
       const auto it = flow_index.find(spec_id);
       FlowResult& stats_entry = result.flows[it->second];
-      if (p.created_at <= duration) stats_entry.stats.on_sent(p.bytes);
+      if (p.created_at <= duration) stats_entry.stats.on_sent();
       p.from = src;
       if (auditor) auditor->on_packet_created(p);
       if (fault_rt && !fault_rt->node_up(src)) {
@@ -389,29 +390,8 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
         }
         return;
       }
-      if (mode == MacMode::kTdmaOverlay) {
-        const LinkId link = live_plan->out_link(spec_id, src);
-        if (link == kInvalidLink ||
-            live_plan->schedule.all_grants(link).empty()) {
-          // No capacity granted; counts as loss.
-          if (auditor) {
-            auditor->on_packet_dropped(
-                p, typed_drop(audit::DropReason::kNoCapacity, spec_id));
-          }
-          return;
-        }
-        if (!overlays[static_cast<std::size_t>(src)]->enqueue(
-                link, p,
-                stats_entry.spec.service == ServiceClass::kGuaranteed)) {
-          if (auditor) {
-            auditor->on_packet_dropped(
-                p, typed_drop(audit::DropReason::kScheduleRevoked, spec_id));
-          }
-        }
-      } else {
-        p.to = live_plan->next_hop(spec_id, src);
-        mac_send(src, p, stats_entry.spec.service);
-      }
+      forward(src, live_plan->next_hop(spec_id, src), p,
+              stats_entry.spec.service);
     };
     (void)fr;
     // Random phase in one packet interval desynchronizes CBR sources.

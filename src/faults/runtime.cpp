@@ -150,43 +150,13 @@ void FaultRuntime::schedule_recovery(SimTime fault_at) {
                    [this, fault_at] { run_recovery(fault_at); });
 }
 
-Topology FaultRuntime::build_survivors() const {
-  Topology survivors;
-  survivors.positions = topology_.positions;
-  survivors.graph.resize(topology_.node_count());
-  for (EdgeId e = 0; e < topology_.graph.edge_count(); ++e) {
-    const Graph::Edge& edge = topology_.graph.edge(e);
-    if (alive_[static_cast<std::size_t>(edge.u)] == 0) continue;
-    if (alive_[static_cast<std::size_t>(edge.v)] == 0) continue;
-    if (impairment_.link_down(edge.u, edge.v)) continue;
-    survivors.graph.add_edge(edge.u, edge.v);
-  }
-  return survivors;
-}
-
 std::vector<int> FaultRuntime::decompose_islands(const Topology& survivors) {
   std::vector<int> prev = island_of_node_;
-  const auto n = static_cast<std::size_t>(topology_.node_count());
-  island_of_node_.assign(n, -1);
-  islands_ = 0;
-  int alive_count = 0;
   // Components in ascending-NodeId seed order, so island indices (and the
   // zone partition derived from them) are deterministic.
-  for (NodeId s = 0; s < topology_.node_count(); ++s) {
-    if (alive_[static_cast<std::size_t>(s)] == 0) continue;
-    ++alive_count;
-    if (island_of_node_[static_cast<std::size_t>(s)] >= 0) continue;
-    island_of_node_[static_cast<std::size_t>(s)] = islands_;
-    std::vector<NodeId> queue{s};
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      for (const NodeId v : survivors.graph.neighbors(queue[head])) {
-        if (island_of_node_[static_cast<std::size_t>(v)] >= 0) continue;
-        island_of_node_[static_cast<std::size_t>(v)] = islands_;
-        queue.push_back(v);
-      }
-    }
-    ++islands_;
-  }
+  islands_ = label_components(survivors.graph, alive_, &island_of_node_);
+  const auto alive_count = std::count_if(alive_.begin(), alive_.end(),
+                                         [](char a) { return a != 0; });
   if (islands_ == 0) islands_ = 1;  // everything dead; degenerate but sane
 
   // Flows whose endpoints survive on opposite sides of a cut are severed:
@@ -256,7 +226,10 @@ void FaultRuntime::run_recovery(SimTime fault_at) {
                static_cast<std::int64_t>(report_.events_applied));
   // The surviving topology and its island decomposition feed both the sync
   // forest and the schedule repair.
-  const Topology survivors = build_survivors();
+  const Topology survivors =
+      surviving_topology(topology_, alive_, [this](NodeId u, NodeId v) {
+        return impairment_.link_down(u, v);
+      });
   const int prev_islands = islands_;
   const std::vector<int> prev_island_of_node = decompose_islands(survivors);
 

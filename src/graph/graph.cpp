@@ -73,4 +73,27 @@ std::vector<int> bfs_hops(const Graph& g, NodeId src) {
   return hops;
 }
 
+int label_components(const Graph& g, const std::vector<char>& alive,
+                     std::vector<int>* label) {
+  WIMESH_ASSERT(static_cast<NodeId>(alive.size()) == g.node_count());
+  label->assign(alive.size(), -1);
+  int count = 0;
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    if (alive[static_cast<std::size_t>(s)] == 0) continue;
+    if ((*label)[static_cast<std::size_t>(s)] >= 0) continue;
+    (*label)[static_cast<std::size_t>(s)] = count;
+    std::vector<NodeId> queue{s};
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (EdgeId e : g.incident(queue[head])) {
+        const NodeId v = g.other_end(e, queue[head]);
+        if ((*label)[static_cast<std::size_t>(v)] >= 0) continue;
+        (*label)[static_cast<std::size_t>(v)] = count;
+        queue.push_back(v);
+      }
+    }
+    ++count;
+  }
+  return count;
+}
+
 }  // namespace wimesh

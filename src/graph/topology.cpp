@@ -164,4 +164,21 @@ std::vector<NodeId> spanning_tree_parents(const Graph& g, NodeId root) {
   return parent;
 }
 
+Topology surviving_topology(
+    const Topology& topology, const std::vector<char>& alive,
+    const std::function<bool(NodeId, NodeId)>& link_down) {
+  WIMESH_ASSERT(static_cast<NodeId>(alive.size()) == topology.node_count());
+  Topology survivors;
+  survivors.positions = topology.positions;
+  survivors.graph.resize(topology.node_count());
+  for (EdgeId e = 0; e < topology.graph.edge_count(); ++e) {
+    const Graph::Edge& edge = topology.graph.edge(e);
+    if (alive[static_cast<std::size_t>(edge.u)] == 0) continue;
+    if (alive[static_cast<std::size_t>(edge.v)] == 0) continue;
+    if (link_down(edge.u, edge.v)) continue;
+    survivors.graph.add_edge(edge.u, edge.v);
+  }
+  return survivors;
+}
+
 }  // namespace wimesh

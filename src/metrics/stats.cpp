@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "wimesh/common/strings.h"
 
 namespace wimesh {
 
@@ -79,36 +78,6 @@ std::vector<double> SampleSet::cdf(const std::vector<double>& points) const {
                             : static_cast<double>(it - s.begin()) /
                                   static_cast<double>(s.size()));
   }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)) {
-  WIMESH_ASSERT(hi > lo && bins > 0);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  const auto bin = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  if (bin >= static_cast<std::ptrdiff_t>(counts_.size())) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[static_cast<std::size_t>(bin)];
-}
-
-std::string Histogram::to_csv() const {
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out += str_cat(fmt_double(bin_lower(i), 6), ",", counts_[i], "\n");
-  }
-  if (underflow_ != 0) out += str_cat("underflow,", underflow_, "\n");
-  if (overflow_ != 0) out += str_cat("overflow,", overflow_, "\n");
   return out;
 }
 

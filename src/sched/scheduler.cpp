@@ -336,21 +336,18 @@ int add_symmetry_breaking(OrderModel& om, const SchedulingProblem& problem,
   return fixed;
 }
 
-// Links whose relative order the model's wrap rows observe. When
-// `all_flow_links` (the min–max variant: every multi-hop flow contributes
-// a W row) protect every flow link; otherwise only flows whose budget
-// actually binds (hops - 1 - budget > 0) add rows, so only their links
-// need protecting.
+// Links whose relative order the model's wrap rows observe: only flows
+// whose budget actually binds (hops - 1 - budget > 0) add rows, so only
+// their links need protecting.
 std::vector<bool> wrap_constrained_links(const SchedulingProblem& problem,
-                                         bool delay_aware,
-                                         bool all_flow_links) {
+                                         bool delay_aware) {
   std::vector<bool> prot(static_cast<std::size_t>(problem.links.count()),
                          false);
-  if (!delay_aware && !all_flow_links) return prot;
+  if (!delay_aware) return prot;
   for (const FlowPath& f : problem.flows) {
     const auto hops = static_cast<int>(f.links.size());
     if (hops <= 1) continue;
-    if (!all_flow_links && hops - 1 - f.delay_budget_frames <= 0) continue;
+    if (hops - 1 - f.delay_budget_frames <= 0) continue;
     for (LinkId l : f.links) prot[static_cast<std::size_t>(l)] = true;
   }
   return prot;
@@ -513,10 +510,8 @@ Expected<ScheduleResult> schedule_ilp_impl(const SchedulingProblem& problem,
     if (!cuts.has_value()) return make_error(cuts.error());
   }
   if (options.symmetry_breaking) {
-    add_symmetry_breaking(
-        om, problem,
-        wrap_constrained_links(problem, options.delay_aware,
-                               /*all_flow_links=*/false));
+    add_symmetry_breaking(om, problem,
+                          wrap_constrained_links(problem, options.delay_aware));
   }
 
   const bool chain = options.warm_start && stage_basis != nullptr;
@@ -571,93 +566,6 @@ Expected<ScheduleResult> schedule_ilp(const SchedulingProblem& problem,
                                       int frame_slots,
                                       const IlpSchedulerOptions& options) {
   return schedule_ilp_impl(problem, frame_slots, options, nullptr);
-}
-
-Expected<MinMaxDelayResult> schedule_ilp_min_max_delay(
-    const SchedulingProblem& problem, int frame_slots,
-    const IlpSchedulerOptions& options) {
-  const trace::Span span(trace::SpanName::kScheduleIlp);
-  problem.check();
-
-  // A wrap-free schedule has max_wraps == 0 — unbeatable. On forests the
-  // canonical monotone order often delivers exactly that.
-  if (options.tree_fast_path) {
-    if (auto fast = schedule_tree_fast_path(problem, frame_slots,
-                                            options.delay_aware)) {
-      int worst = 0;
-      for (const FlowPath& f : problem.flows) {
-        worst = std::max(worst, count_frame_wraps(fast->schedule, f));
-      }
-      if (worst == 0) {
-        MinMaxDelayResult out;
-        out.result = std::move(*fast);
-        out.max_wraps = 0;
-        out.proven = true;
-        return out;
-      }
-    }
-  }
-
-  auto build = build_order_model(problem, frame_slots);
-  if (!build.has_value()) return make_error(build.error());
-  OrderModel& om = *build;
-  if (options.delay_aware) add_budget_rows(om, problem);
-  if (options.clique_cuts) {
-    auto cuts = add_clique_cuts(om, problem, frame_slots);
-    if (!cuts.has_value()) return make_error(cuts.error());
-  }
-  if (options.symmetry_breaking) {
-    // Every multi-hop flow contributes a W row here, so all its links'
-    // relative orders are observable by the objective: protect them all.
-    add_symmetry_breaking(om, problem,
-                          wrap_constrained_links(problem, options.delay_aware,
-                                                 /*all_flow_links=*/true));
-  }
-
-  // W bounds every flow's wrap count: wraps_f = hops-1 - sum(before terms)
-  // <= W  ⇔  sum(before terms) + W >= hops-1.
-  int max_hops = 0;
-  for (const FlowPath& f : problem.flows) {
-    max_hops = std::max(max_hops, static_cast<int>(f.links.size()));
-  }
-  const VarId w = om.model.add_integer(0.0, std::max(0, max_hops - 1), 1.0);
-  om.model.set_objective_sense(ObjSense::kMinimize);
-  for (const FlowPath& flow : problem.flows) {
-    const auto hops = static_cast<int>(flow.links.size());
-    if (hops <= 1) continue;
-    std::vector<LpTerm> terms;
-    double constant = 0.0;
-    om.append_before_terms(flow, &terms, &constant);
-    terms.push_back({w, 1.0});
-    om.model.add_constraint(terms, RowSense::kGreaterEqual,
-                            static_cast<double>(hops - 1) - constant);
-  }
-
-  IlpOptions iopt;
-  iopt.max_nodes = options.max_nodes;
-  iopt.time_limit_seconds = options.time_limit_seconds;
-  iopt.objective_gap_tol = 1.0 - 1e-6;  // integral objective: prune hard
-  iopt.portfolio = options.portfolio;
-  iopt.threads = options.threads;
-  iopt.warm_start = options.warm_start;
-  const IlpResult r = solve_ilp(om.model, iopt);
-  if (r.status == IlpStatus::kInfeasible) return make_error("infeasible");
-  if (!r.has_solution()) return make_error("limit");
-
-  TransmissionOrder order = om.extract_order(r.x);
-  auto finished = finish_from_order(problem, std::move(order), frame_slots, r);
-  if (!finished.has_value()) return make_error(finished.error());
-  MinMaxDelayResult out;
-  out.result = std::move(*finished);
-  out.max_wraps = static_cast<int>(
-      std::llround(r.x[static_cast<std::size_t>(w)]));
-  out.proven = r.status == IlpStatus::kOptimal;
-  // The reconstructed schedule honors the same order, so its wrap counts
-  // cannot exceed the model's bound.
-  for (const FlowPath& f : problem.flows) {
-    WIMESH_ASSERT(count_frame_wraps(out.result.schedule, f) <= out.max_wraps);
-  }
-  return out;
 }
 
 Expected<MinSlotsResult> min_slots_search(const SchedulingProblem& problem,

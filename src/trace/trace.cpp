@@ -227,8 +227,6 @@ const char* span_name(SpanName name) {
       return "admit.decide";
     case SpanName::kAdmitCompact:
       return "admit.compact";
-    case SpanName::kZoneSolve:
-      return "zones.solve";
     case SpanName::kZoneCompose:
       return "zones.compose";
     case SpanName::kCount:

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "wimesh/common/parse.h"
-#include "wimesh/common/strings.h"
-
 namespace wimesh {
 
 VoipCodec VoipCodec::g711() {
@@ -129,120 +126,6 @@ void VbrVideoSource::tick(SimTime stop) {
     remaining -= chunk;
   }
   sim_.schedule_in(profile_.frame_interval, [this, stop] { tick(stop); });
-}
-
-TraceReplaySource::TraceReplaySource(Simulator& sim, int flow_id, EmitFn emit,
-                                     std::vector<Entry> trace, bool loop)
-    : TrafficSource(sim, flow_id, std::move(emit)),
-      trace_(std::move(trace)),
-      loop_(loop) {
-  WIMESH_ASSERT(!trace_.empty());
-  for (std::size_t i = 1; i < trace_.size(); ++i) {
-    WIMESH_ASSERT_MSG(trace_[i].offset >= trace_[i - 1].offset,
-                      "trace offsets must be non-decreasing");
-  }
-}
-
-Expected<std::vector<TraceReplaySource::Entry>> TraceReplaySource::parse(
-    const std::string& text) {
-  std::vector<Entry> out;
-  SimTime prev = SimTime::zero();
-  std::size_t line_no = 0;
-  for (const std::string& raw : split(text, '\n')) {
-    ++line_no;
-    const std::string line =
-        trim(std::string_view(raw).substr(0, raw.find('#')));
-    if (line.empty()) continue;
-    const auto comma = line.find(',');
-    if (comma == std::string::npos) {
-      return make_error(str_cat("line ", line_no, ": expected 'us,bytes'"));
-    }
-    // Offsets up to ~11.6 days keep the nanosecond conversion exact.
-    const auto us = parse_int<std::int64_t>(trim(line.substr(0, comma)),
-                                            "offset_us", 0, 1'000'000'000'000);
-    const auto bytes = parse_int<std::size_t>(trim(line.substr(comma + 1)),
-                                              "bytes", 1, 1'000'000'000);
-    if (const auto* err = first_error(us, bytes)) {
-      return make_error(str_cat("line ", line_no, ": ", *err));
-    }
-    const Entry e{SimTime::microseconds(*us), *bytes};
-    if (e.offset < prev) {
-      return make_error(
-          str_cat("line ", line_no, ": offsets must be non-decreasing"));
-    }
-    prev = e.offset;
-    out.push_back(e);
-  }
-  if (out.empty()) return make_error("trace is empty");
-  return out;
-}
-
-void TraceReplaySource::start(SimTime start, SimTime stop) {
-  emit_at(0, start, stop);
-}
-
-void TraceReplaySource::emit_at(std::size_t index, SimTime base,
-                                SimTime stop) {
-  if (index >= trace_.size()) {
-    if (!loop_) return;
-    // Restart the trace after its own span (plus one entry gap to avoid a
-    // zero-length loop when the trace has a single entry at offset 0).
-    SimTime span = trace_.back().offset;
-    if (span == SimTime::zero()) span = SimTime::milliseconds(1);
-    emit_at(0, base + span, stop);
-    return;
-  }
-  const SimTime when = base + trace_[index].offset;
-  if (when >= stop) return;
-  sim_.schedule_at(when, [this, index, base, stop] {
-    emit_packet(trace_[index].bytes);
-    emit_at(index + 1, base, stop);
-  });
-}
-
-OnOffSource::OnOffSource(Simulator& sim, int flow_id, EmitFn emit,
-                         std::size_t bytes, double peak_rate_bps,
-                         SimTime mean_on, SimTime mean_off, Rng rng)
-    : TrafficSource(sim, flow_id, std::move(emit)),
-      bytes_(bytes),
-      packet_interval_(SimTime::from_seconds(static_cast<double>(bytes) *
-                                             8.0 / peak_rate_bps)),
-      mean_on_(mean_on),
-      mean_off_(mean_off),
-      rng_(rng) {
-  WIMESH_ASSERT(bytes > 0);
-  WIMESH_ASSERT(peak_rate_bps > 0);
-  WIMESH_ASSERT(mean_on > SimTime::zero() && mean_off > SimTime::zero());
-}
-
-void OnOffSource::start(SimTime start, SimTime stop) {
-  sim_.schedule_at(start, [this, stop] { enter_off(stop); });
-}
-
-void OnOffSource::enter_on(SimTime stop) {
-  if (sim_.now() >= stop) return;
-  on_ = true;
-  on_until_ = sim_.now() +
-              SimTime::from_seconds(rng_.exponential(mean_on_.to_seconds()));
-  tick(stop);
-}
-
-void OnOffSource::enter_off(SimTime stop) {
-  if (sim_.now() >= stop) return;
-  on_ = false;
-  const SimTime off =
-      SimTime::from_seconds(rng_.exponential(mean_off_.to_seconds()));
-  sim_.schedule_in(off, [this, stop] { enter_on(stop); });
-}
-
-void OnOffSource::tick(SimTime stop) {
-  if (sim_.now() >= stop) return;
-  if (sim_.now() >= on_until_) {
-    enter_off(stop);
-    return;
-  }
-  emit_packet(bytes_);
-  sim_.schedule_in(packet_interval_, [this, stop] { tick(stop); });
 }
 
 }  // namespace wimesh

@@ -1,12 +1,14 @@
 // wimesh::admit tests: the online engine's decision-equivalence contract
 // against the cold full re-solve oracle (differential replay over several
 // topologies and seeds), the departure/consistency properties, schedule
-// safety of every hot-swapped deployment, thread-count determinism, and an
-// Erlang-B M/M/C/C cross-check of the measured blocking probability.
+// safety of every hot-swapped deployment, thread-count determinism, an
+// Erlang-B M/M/C/C cross-check of the measured blocking probability, and
+// the two-way call replay behind R-F9.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "wimesh/admit/engine.h"
@@ -53,18 +55,25 @@ TEST(AdmitDifferentialTest, MatchesColdOracleAcrossTopologiesAndSeeds) {
     const char* tag;
     Topology topo;
     double rate;
+    bool two_way;
   };
   std::vector<Case> cases;
-  cases.push_back({"chain-5", make_chain(5, 100.0), 3.0});
-  cases.push_back({"grid-3x3", make_grid(3, 3, 100.0), 4.0});
-  cases.push_back({"tree-2x3", make_tree(2, 3, 100.0), 4.0});
+  cases.push_back({"chain-5", make_chain(5, 100.0), 3.0, false});
+  cases.push_back({"grid-3x3", make_grid(3, 3, 100.0), 4.0, false});
+  cases.push_back({"tree-2x3", make_tree(2, 3, 100.0), 4.0, false});
+  // Two-way calls: the oracle also sees every reverse leg and every
+  // release of a blocked call's forward leg.
+  cases.push_back({"chain-5 two-way", make_chain(5, 100.0), 2.0, true});
+  cases.push_back({"grid-3x3 two-way", make_grid(3, 3, 100.0), 3.0, true});
 
   std::uint64_t total_events = 0;
   for (const Case& c : cases) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      ChurnSpec spec = churn_spec(c.rate, 200, seed);
+      spec.two_way = c.two_way;
       const DifferentialReport d =
           differential_replay(c.topo, radio(), canonical_params(), phy(),
-                              engine_config(), churn_spec(c.rate, 200, seed));
+                              engine_config(), spec);
       total_events += d.events;
       EXPECT_GT(d.decisions, 0u) << c.tag << " seed " << seed;
       EXPECT_EQ(d.mismatches, 0u)
@@ -285,6 +294,155 @@ TEST(AdmitErlangTest, BlockingMatchesErlangB) {
   const double carried_expected =
       static_cast<double>(capacity) * (1.0 - analytic);
   EXPECT_NEAR(r.mean_carried, carried_expected, 0.15 * carried_expected);
+}
+
+// ------------------------------------------------ two-way calls (R-F9)
+
+// Gateway calls on a 4-node chain: both G.729 legs of a call are admitted
+// together or not at all.
+ChurnSpec call_spec(double rate, double horizon_s, std::uint64_t seed = 1) {
+  ChurnSpec spec;
+  spec.arrival_rate_per_s = rate;
+  spec.mean_holding_s = 60.0;
+  spec.horizon_s = horizon_s;
+  spec.seed = seed;
+  spec.two_way = true;
+  return spec;
+}
+
+ChurnResult replay_calls(const ChurnSpec& spec) {
+  const Topology topo = make_chain(4, 100.0);
+  AdmissionEngine engine(topo, radio(), canonical_params(), phy(),
+                         engine_config());
+  return replay_poisson_churn(engine, spec);
+}
+
+// Share of offered calls not carried with both legs.
+double call_blocking(const ChurnResult& r) {
+  return 1.0 - static_cast<double>(r.admitted) /
+                   static_cast<double>(r.arrivals);
+}
+
+TEST(AdmitCallTest, CountsAreConserved) {
+  const ChurnResult r = replay_calls(call_spec(0.05, 600.0));
+  const EngineStats& s = r.stats;
+  EXPECT_GT(r.arrivals, 0u);
+  EXPECT_EQ(r.events, r.arrivals + r.departures);
+  EXPECT_LE(r.admitted, r.arrivals);
+  // Each arrival offers its forward leg; each admitted forward leg is
+  // followed by its reverse leg.
+  const std::uint64_t forward_admitted = s.offered - r.arrivals;
+  EXPECT_EQ(s.admitted + s.rejected, s.offered);
+  EXPECT_GE(forward_admitted, r.admitted);
+  // Departures release both legs; a blocked call releases its forward leg.
+  EXPECT_EQ(s.released, 2 * r.departures + (forward_admitted - r.admitted));
+  EXPECT_GE(r.peak_carried, 1);
+  EXPECT_GE(r.mean_carried, 0.0);
+  EXPECT_LE(r.mean_carried, r.peak_carried);
+}
+
+TEST(AdmitCallTest, LightLoadIsNeverBlocked) {
+  // 0.6 Erlangs on a chain that carries well over ten calls.
+  const ChurnResult r = replay_calls(call_spec(0.01, 600.0));
+  EXPECT_GT(r.arrivals, 0u);
+  EXPECT_EQ(r.admitted, r.arrivals);
+  EXPECT_EQ(r.stats.rejected, 0u);
+}
+
+TEST(AdmitCallTest, OverloadBlocksAndCarriedLoadSaturates) {
+  // 60 Erlangs offered, far beyond capacity.
+  const ChurnResult r = replay_calls(call_spec(1.0, 200.0));
+  EXPECT_GT(call_blocking(r), 0.4);
+  // The carried load saturates near capacity: ~17 three-hop G.729 calls on
+  // this chain, more when short calls slip in (mixed endpoint draws).
+  EXPECT_GE(r.peak_carried, 10);
+  EXPECT_LE(r.peak_carried, 40);
+}
+
+TEST(AdmitCallTest, BlockingIsMonotoneInOfferedLoad) {
+  double prev = -1.0;
+  for (double rate : {0.05, 0.3, 1.5}) {
+    const double blocking = call_blocking(replay_calls(call_spec(rate, 400.0)));
+    EXPECT_GE(blocking, prev - 0.05)
+        << "rate " << rate;  // allow small statistical wiggle
+    prev = blocking;
+  }
+  EXPECT_GT(prev, 0.2);  // the heaviest load must visibly block
+}
+
+TEST(AdmitCallTest, DeterministicPerSeed) {
+  const ChurnResult a = replay_calls(call_spec(0.5, 200.0));
+  const ChurnResult b = replay_calls(call_spec(0.5, 200.0));
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_EQ(a.mean_carried, b.mean_carried);
+  const ChurnResult c = replay_calls(call_spec(0.5, 200.0, 2));
+  EXPECT_NE(a.arrivals, c.arrivals);
+}
+
+// After every event (a call arrival or departure), the engine holds both
+// legs of each carried call or neither. The replay is deterministic, so
+// capping it at N events leaves the engine exactly as it is after event N.
+TEST(AdmitCallTest, EveryCallHoldsBothLegsOrNeither) {
+  const Topology topo = make_chain(4, 100.0);
+  ChurnSpec spec = call_spec(1.0, 1e7);
+  std::uint64_t rollbacks = 0;
+  for (std::uint64_t events = 1; events <= 80; ++events) {
+    spec.max_events = events;
+    AdmissionEngine engine(topo, radio(), canonical_params(), phy(),
+                           engine_config());
+    const ChurnResult r = replay_poisson_churn(engine, spec);
+    std::set<int> ids;
+    for (const FlowSpec& f : engine.active()) ids.insert(f.id);
+    for (int id : ids) {
+      EXPECT_EQ(ids.count(id ^ 1), 1u)
+          << "leg " << id << " held alone after event " << events;
+    }
+    EXPECT_EQ(ids.size(), 2 * (r.admitted - r.departures))
+        << "after event " << events;
+    rollbacks = r.stats.offered - r.arrivals - r.admitted;
+  }
+  // The overload must exercise the path that releases a forward leg.
+  EXPECT_GT(rollbacks, 0u);
+}
+
+// The carried load of a replay the horizon ends is integrated up to the
+// horizon, not to the last event. Recomputed here from the observer: every
+// leg admitted (or degraded) adds one, every release removes one; all legs
+// of one event share its instant, so the leg integral over two is the
+// call integral.
+TEST(AdmitCallTest, CarriedLoadIsIntegratedToTheHorizon) {
+  const Topology topo = make_chain(4, 100.0);
+  for (const bool two_way : {false, true}) {
+    ChurnSpec spec = call_spec(0.05, 600.0);
+    spec.two_way = two_way;
+    AdmissionEngine engine(topo, radio(), canonical_params(), phy(),
+                           engine_config());
+    int legs = 0;
+    SimTime last = SimTime::zero();
+    double leg_integral_s = 0.0;
+    const auto advance = [&](SimTime t) {
+      leg_integral_s += legs * (t - last).to_seconds();
+      last = t;
+    };
+    ChurnObserver obs;
+    obs.on_arrival = [&](SimTime t, const FlowSpec&, const Decision& d) {
+      advance(t);
+      if (d.outcome != Outcome::kRejected) ++legs;
+    };
+    obs.on_departure = [&](SimTime t, int) {
+      advance(t);
+      --legs;
+    };
+    const ChurnResult r = replay_poisson_churn(engine, spec, &obs);
+    ASSERT_LT(last.to_seconds(), spec.horizon_s);
+    advance(SimTime::from_seconds(spec.horizon_s));
+    const double expected =
+        leg_integral_s / (two_way ? 2.0 : 1.0) / spec.horizon_s;
+    EXPECT_GT(expected, 0.0);
+    EXPECT_NEAR(r.mean_carried, expected, 1e-9 * expected)
+        << (two_way ? "two-way" : "one-way");
+  }
 }
 
 // ------------------------------------------------------------ stats basics

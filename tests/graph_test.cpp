@@ -295,6 +295,24 @@ TEST(TopologyTest, SpanningTreeParents) {
   EXPECT_EQ(roots, 1);
 }
 
+// A chain 0-1-2-3-4-5 with node 2 dead and the 4-5 link cut survives as
+// {0,1}, {3,4} and {5}; islands are numbered by their lowest NodeId.
+TEST(TopologyTest, SurvivorsAndIslandLabels) {
+  const Topology t = make_chain(6, 100.0);
+  const std::vector<char> alive{1, 1, 0, 1, 1, 1};
+  const Topology survivors =
+      surviving_topology(t, alive, [](NodeId u, NodeId v) {
+        return (u == 4 && v == 5) || (u == 5 && v == 4);
+      });
+  EXPECT_EQ(survivors.node_count(), 6);
+  EXPECT_EQ(survivors.graph.edge_count(), 2);
+  EXPECT_TRUE(survivors.graph.has_edge(0, 1));
+  EXPECT_TRUE(survivors.graph.has_edge(3, 4));
+  std::vector<int> label;
+  EXPECT_EQ(label_components(survivors.graph, alive, &label), 3);
+  EXPECT_EQ(label, (std::vector<int>{0, 0, -1, 1, 1, 2}));
+}
+
 // try_make_grid must reject bad dimensions as typed errors — including
 // node counts whose rows * cols product would overflow a plain int before
 // widening (the historical bug: `resize(rows * cols)` multiplied 32-bit

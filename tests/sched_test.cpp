@@ -303,71 +303,6 @@ TEST(IlpSchedulerTest, IlpNeverWorseThanGreedy) {
   }
 }
 
-// ------------------------------------------------------ min-max delay ILP
-
-TEST(MinMaxDelayIlpTest, AchievesZeroWrapsWhenSlackAllows) {
-  const Topology t = make_chain(5, 100.0);
-  const RadioModel radio(100.0, 200.0);
-  const auto p = make_problem(t, radio, {{0, 1, 2, 3, 4}}, 1, 10);
-  // Plenty of slots: a monotone order exists, so the optimum is 0 wraps.
-  const auto r = schedule_ilp_min_max_delay(p, 64);
-  ASSERT_TRUE(r.has_value()) << r.error();
-  EXPECT_EQ(r->max_wraps, 0);
-  EXPECT_TRUE(r->proven);
-  EXPECT_TRUE(validate_schedule(p, r->result.schedule));
-  EXPECT_EQ(count_frame_wraps(r->result.schedule, p.flows[0]), 0);
-}
-
-TEST(MinMaxDelayIlpTest, TightFrameForcesWrapsAndFindsTheMinimum) {
-  // At the minimal schedule length, spatial reuse forces some wrap; the
-  // min-max solver must find the smallest such count and the realized
-  // schedule must match it.
-  const Topology t = make_chain(6, 100.0);
-  const RadioModel radio(100.0, 200.0);
-  const auto p = make_problem(t, radio, {{0, 1, 2, 3, 4, 5}}, 2, 10);
-  const auto min_s = min_slots_search(p, 64);
-  ASSERT_TRUE(min_s.has_value());
-  const auto r = schedule_ilp_min_max_delay(p, min_s->frame_slots);
-  ASSERT_TRUE(r.has_value()) << r.error();
-  EXPECT_TRUE(validate_schedule(p, r->result.schedule));
-  int realized = 0;
-  for (const auto& f : p.flows) {
-    realized = std::max(realized,
-                        count_frame_wraps(r->result.schedule, f));
-  }
-  EXPECT_LE(realized, r->max_wraps);
-  // And a slightly longer frame must not need more wraps.
-  const auto relaxed = schedule_ilp_min_max_delay(p, min_s->frame_slots + 6);
-  ASSERT_TRUE(relaxed.has_value());
-  EXPECT_LE(relaxed->max_wraps, r->max_wraps);
-}
-
-TEST(MinMaxDelayIlpTest, NeverWorseThanFeasibilitySolution) {
-  const Topology t = make_chain(6, 100.0);
-  const RadioModel radio(100.0, 200.0);
-  const auto p =
-      make_problem(t, radio, {{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}}, 1, 10);
-  const auto s = min_slots_search(p, 64);
-  ASSERT_TRUE(s.has_value());
-  int feas_worst = 0;
-  for (const auto& f : p.flows) {
-    feas_worst =
-        std::max(feas_worst, count_frame_wraps(s->result.schedule, f));
-  }
-  const auto mm = schedule_ilp_min_max_delay(p, s->frame_slots);
-  ASSERT_TRUE(mm.has_value()) << mm.error();
-  EXPECT_LE(mm->max_wraps, feas_worst);
-}
-
-TEST(MinMaxDelayIlpTest, RespectsExplicitBudgetsToo) {
-  const Topology t = make_chain(5, 100.0);
-  const RadioModel radio(100.0, 200.0);
-  const auto p = make_problem(t, radio, {{0, 1, 2, 3, 4}}, 1, 0);
-  const auto r = schedule_ilp_min_max_delay(p, 64);
-  ASSERT_TRUE(r.has_value()) << r.error();
-  EXPECT_EQ(r->max_wraps, 0);  // budget 0 forces it regardless of objective
-}
-
 // ---------------------------------------------------------- delay metrics
 
 TEST(DelayMetricsTest, WorstCaseDelayHandComputed) {

@@ -111,41 +111,6 @@ TEST(PoissonSourceTest, InterarrivalsAreVariable) {
   EXPECT_FALSE(all_equal);
 }
 
-TEST(OnOffSourceTest, RespectsMeanRateRoughly) {
-  Simulator sim;
-  std::uint64_t bytes = 0;
-  // Peak 2 Mbps, on half the time → ~1 Mbps average.
-  OnOffSource src(sim, 1, [&](MacPacket p) { bytes += p.bytes; }, 500, 2e6,
-                  SimTime::milliseconds(100), SimTime::milliseconds(100),
-                  Rng(44));
-  src.start(SimTime::zero(), SimTime::seconds(60));
-  sim.run_all();
-  const double rate = static_cast<double>(bytes) * 8.0 / 60.0;
-  EXPECT_GT(rate, 0.6e6);
-  EXPECT_LT(rate, 1.4e6);
-}
-
-TEST(OnOffSourceTest, SilentDuringOffPeriods) {
-  Simulator sim;
-  std::vector<SimTime> stamps;
-  OnOffSource src(sim, 1, [&](MacPacket p) { stamps.push_back(p.created_at); },
-                  500, 2e6, SimTime::milliseconds(50),
-                  SimTime::milliseconds(50), Rng(45));
-  src.start(SimTime::zero(), SimTime::seconds(10));
-  sim.run_all();
-  ASSERT_GT(stamps.size(), 100u);
-  // There must exist at least one gap much longer than the packet interval
-  // (2 ms at peak): an off period.
-  const SimTime packet_interval = SimTime::milliseconds(2);
-  bool found_gap = false;
-  for (std::size_t i = 1; i < stamps.size(); ++i) {
-    if (stamps[i] - stamps[i - 1] > packet_interval * 5) found_gap = true;
-  }
-  EXPECT_TRUE(found_gap);
-}
-
-// ---------------------------------------------------------------- VBR video
-
 TEST(VbrVideoSourceTest, MeanRateMatchesProfile) {
   Simulator sim;
   std::uint64_t bytes = 0;
@@ -193,74 +158,6 @@ TEST(VbrVideoSourceTest, IntraFramesAreLarger) {
   EXPECT_GT(sizes[4], 2 * sizes[5]);
   EXPECT_NEAR(static_cast<double>(sizes[1]),
               static_cast<double>(sizes[2]), 1.0);
-}
-
-// -------------------------------------------------------------- trace replay
-
-TEST(TraceReplaySourceTest, ParsesWellFormedTraces) {
-  const auto trace = TraceReplaySource::parse(
-      "# a comment\n"
-      "0,100\n"
-      "2000,200\n"
-      "\n"
-      "2000,50   # same-instant packet\n"
-      "10000,1500\n");
-  ASSERT_TRUE(trace.has_value()) << trace.error();
-  ASSERT_EQ(trace->size(), 4u);
-  EXPECT_EQ((*trace)[0].offset, SimTime::zero());
-  EXPECT_EQ((*trace)[1].offset, SimTime::microseconds(2000));
-  EXPECT_EQ((*trace)[3].bytes, 1500u);
-}
-
-TEST(TraceReplaySourceTest, ParseRejectsMalformedInput) {
-  EXPECT_FALSE(TraceReplaySource::parse("nonsense").has_value());
-  EXPECT_FALSE(TraceReplaySource::parse("100;200").has_value());
-  EXPECT_FALSE(TraceReplaySource::parse("5,-3").has_value());
-  EXPECT_FALSE(TraceReplaySource::parse("100,10\n50,10").has_value());
-  EXPECT_FALSE(TraceReplaySource::parse("").has_value());
-  EXPECT_FALSE(TraceReplaySource::parse("# only comments\n").has_value());
-}
-
-TEST(TraceReplaySourceTest, ReplaysAtExactOffsets) {
-  Simulator sim;
-  std::vector<std::pair<SimTime, std::size_t>> got;
-  const auto trace = TraceReplaySource::parse("0,100\n1500,200\n4000,300\n");
-  ASSERT_TRUE(trace.has_value());
-  TraceReplaySource src(sim, 1, [&](MacPacket p) {
-    got.emplace_back(p.created_at, p.bytes);
-  }, *trace);
-  src.start(SimTime::milliseconds(10), SimTime::seconds(1));
-  sim.run_all();
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].first, SimTime::milliseconds(10));
-  EXPECT_EQ(got[1].first,
-            SimTime::milliseconds(10) + SimTime::microseconds(1500));
-  EXPECT_EQ(got[2].second, 300u);
-}
-
-TEST(TraceReplaySourceTest, LoopRepeatsTheTrace) {
-  Simulator sim;
-  int count = 0;
-  const auto trace = TraceReplaySource::parse("0,100\n1000,100\n");
-  ASSERT_TRUE(trace.has_value());
-  TraceReplaySource src(sim, 1, [&](MacPacket) { ++count; }, *trace,
-                        /*loop=*/true);
-  // Trace span = 1 ms; in 10 ms it should replay ~10 times (20 packets).
-  src.start(SimTime::zero(), SimTime::milliseconds(10));
-  sim.run_all();
-  EXPECT_GE(count, 18);
-  EXPECT_LE(count, 22);
-}
-
-TEST(TraceReplaySourceTest, StopsAtStopTime) {
-  Simulator sim;
-  int count = 0;
-  const auto trace = TraceReplaySource::parse("0,10\n5000,10\n9000,10\n");
-  ASSERT_TRUE(trace.has_value());
-  TraceReplaySource src(sim, 1, [&](MacPacket) { ++count; }, *trace);
-  src.start(SimTime::zero(), SimTime::microseconds(6000));
-  sim.run_all();
-  EXPECT_EQ(count, 2);  // entries at 0 and 5000 us only
 }
 
 }  // namespace
