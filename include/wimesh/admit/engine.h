@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -86,7 +85,6 @@ struct Decision {
 
 struct EngineConfig {
   SchedulerKind scheduler = SchedulerKind::kIlpDelayAware;
-  RoutingPolicy routing = RoutingPolicy::kHopCount;
   // Solver options for repair fallbacks and compaction; `.cache` may point
   // at a ScheduleCache shared with other engines / the batch runner (the
   // cache is internally sharded and keys on exact problem bytes, so
@@ -152,6 +150,11 @@ struct EngineStats {
 
 class AdmissionEngine {
  public:
+  // Decides on `planner`'s problems (a mesh's own planner poses them on
+  // the conflict graph the mesh runs on, SINR-derived under a radio
+  // environment). The planner's topology must outlive the engine.
+  AdmissionEngine(QosPlanner planner, EngineConfig config);
+  // A protocol-model planner over `topology` with hop-count routing.
   AdmissionEngine(const Topology& topology, const RadioModel& radio,
                   EmulationParams params, PhyMode phy, EngineConfig config);
 
@@ -169,7 +172,8 @@ class AdmissionEngine {
 
   // Fault-awareness: installs a new topology epoch — `alive` masks the
   // construction topology (dead nodes lose every incident edge but keep
-  // their NodeId). Rebuilds the planner over the surviving subgraph,
+  // their NodeId). Derives the planner for the surviving subgraph
+  // (QosPlanner::for_survivors; every other planning input carries over),
   // recomputes the island decomposition, evicts active flows the epoch can
   // no longer serve (a dead endpoint, or endpoints separated by a cut) and
   // re-validates the booked set with a survivor re-plan. Subsequent offers
@@ -204,7 +208,7 @@ class AdmissionEngine {
   void set_deploy_callback(DeployFn fn) { deploy_ = std::move(fn); }
 
   const EngineStats& stats() const { return stats_; }
-  const QosPlanner& planner() const { return *planner_; }
+  const QosPlanner& planner() const { return planner_; }
   const EngineConfig& config() const { return config_; }
   const Topology& topology() const { return topology_; }
 
@@ -223,29 +227,33 @@ class AdmissionEngine {
   // every surviving grant (shrunk to the new demand), first-fits grown or
   // new links into the free gaps, and accepts only a schedule that
   // validates and meets every delay bound the cold path would verify.
-  std::optional<MeshSchedule> try_repair(const BuiltProblem& bp) const;
+  // An accepted schedule leaves bp.guaranteed delay-annotated against it.
+  std::optional<MeshSchedule> try_repair(BuiltProblem& bp);
   // True when `schedule` satisfies everything plan() verifies after
   // solving: validity, wrap budgets, and strict per-flow delay bounds
-  // (the latter two only for the delay-aware scheduler).
+  // (the latter two only for the delay-aware scheduler). Annotates each
+  // flow of `guaranteed` it checks (all of them when it returns true).
   bool acceptable(const SchedulingProblem& problem,
-                  const std::vector<FlowPlan>& guaranteed,
+                  std::vector<FlowPlan>& guaranteed,
                   const MeshSchedule& schedule) const;
   // The guaranteed skeleton of a solved plan, as the incumbent to adopt.
   Incumbent incumbent_of(MeshPlan planned) const;
+  // Installs `next`, whose flows arrive delay-annotated against its
+  // schedule (by plan() or by acceptable()).
   void adopt(Incumbent next, SimTime now, bool compaction);
   Decision not_admitted(const FlowSpec& flow, DecisionPath path,
                         RejectReason why, std::string reason);
 
+  // The construction topology; epochs mask it.
   const Topology& topology_;
-  EmulationParams params_;
   EngineConfig config_;
-  RadioModel radio_;  // kept so the planner can be rebuilt per epoch
-  PhyMode phy_;
   // The planner plans over `topology_` until the first epoch install, then
   // over the owned surviving subgraph (QosPlanner holds a topology
   // reference, so the engine must own what an epoch planner points at).
   Topology epoch_topology_;
-  std::unique_ptr<QosPlanner> planner_;
+  QosPlanner planner_;
+  // First-fit scratch of try_repair, kept to spare an allocation per link.
+  std::vector<SlotRange> busy_;
   // Fault-awareness state; empty until the first set_topology_epoch (the
   // fault-free fast path pays nothing).
   std::vector<char> alive_;
@@ -325,9 +333,14 @@ struct DifferentialReport {
   ChurnResult churn;
 };
 
-// Replays `spec` through a fresh engine while an independent cold planner
-// (no cache, no incumbent) re-decides every capacity-gated arrival from
-// scratch; counts decision mismatches and per-event invariant violations.
+// Replays `spec` through a fresh engine on `planner` while a cold copy of
+// the same planner (no cache, no incumbent) re-decides every
+// capacity-gated arrival from scratch; counts decision mismatches and
+// per-event invariant violations.
+DifferentialReport differential_replay(const QosPlanner& planner,
+                                       const EngineConfig& config,
+                                       const ChurnSpec& spec);
+// The same over a protocol-model planner with hop-count routing.
 DifferentialReport differential_replay(const Topology& topology,
                                        const RadioModel& radio,
                                        const EmulationParams& params,

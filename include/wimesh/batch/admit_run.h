@@ -20,9 +20,9 @@ struct AdmitRunResult {
   bool checked = false;
 };
 
-// Builds an AdmissionEngine from the scenario's resolved MeshConfig (guard
-// time resolved exactly as MeshNetwork resolves it) and replays the Poisson
-// churn the scenario describes. `cache` (optional, not owned) memoizes the
+// Replays the Poisson churn the scenario describes through an
+// AdmissionEngine on the scenario mesh's planner (MeshNetwork::planner:
+// resolved guard, routing, and the SINR conflict graph under 'radio ='). `cache` (optional, not owned) memoizes the
 // stage-3 solves; sharing it across runs never changes any decision.
 AdmitRunResult run_admission_churn(const Scenario& scenario,
                                    ScheduleCache* cache = nullptr);

@@ -127,8 +127,11 @@ class MeshNetwork {
   Expected<const MeshPlan*> compute_plan();
 
   // Longest admissible prefix of the declared flows (VoIP capacity
-  // experiments). Leaves that prefix installed as the active plan and
-  // returns how many flows were admitted.
+  // experiments): offers them in order to an admission engine on this
+  // mesh's planner and stops at the first one not admitted as requested.
+  // Installs a min-slot plan of the admitted prefix (a feasibility plan
+  // when the search hits its limits) and returns the prefix length; 0,
+  // with nothing installed, when neither plan succeeds.
   std::size_t admit_incrementally();
 
   // Replaces the active plan's schedule with an externally built one over
@@ -145,6 +148,10 @@ class MeshNetwork {
     return plan_;
   }
   const MeshConfig& config() const { return config_; }
+  // The planner every planning path of this mesh starts from: its
+  // topology, ranges, frame and resolved guard, PHY, routing and radio
+  // environment.
+  const QosPlanner& planner() const { return planner_; }
   // Guard time actually in use (after auto_guard resolution).
   SimTime effective_guard() const { return config_.emulation.guard_time; }
 

@@ -13,7 +13,9 @@
 //  * Link outage / Gilbert–Elliott burst — installed as a channel
 //    impairment; hard outages trigger schedule repair, bursts are left to
 //    MAC retries.
-//  * Schedule repair — QosPlanner replans over the surviving topology.
+//  * Schedule repair — the mesh's QosPlanner, derived for the surviving
+//    topology (QosPlanner::for_survivors), replans with every other
+//    planning input intact, the radio environment included.
 //    Flows whose endpoints are dead or unreachable are excluded; if the
 //    survivors still do not fit, the degradation policy sheds guaranteed
 //    flows one at a time — video-class flows before VoIP, newest (highest
@@ -73,27 +75,19 @@ struct Callbacks {
   std::function<void(NodeId, bool up)> node_up_changed;
 };
 
-// Everything the planner needs to replan, decomposed from MeshConfig so
-// the faults module does not depend on core.
-struct PlannerInputs {
-  double comm_range = 110.0;
-  double interference_range = 220.0;
-  PhyMode phy = PhyMode::ofdm_802_11a(54);
-  EmulationParams emulation;  // guard already resolved
-  RoutingPolicy routing = RoutingPolicy::kHopCount;
-  SchedulerKind scheduler = SchedulerKind::kIlpDelayAware;
-  IlpSchedulerOptions ilp;
-};
-
 class FaultRuntime {
  public:
-  // `sync` and `auditor` may be null (non-TDMA mode / audit off);
-  // `initial_plan`, `topology` and `channel` must outlive the runtime.
-  FaultRuntime(Simulator& sim, FaultPlan plan, const Topology& topology,
-               PlannerInputs planner_inputs, std::vector<FlowSpec> flows,
-               const MeshPlan* initial_plan, bool tdma, WifiChannel& channel,
-               SyncProtocol* sync, audit::InvariantAuditor* auditor,
-               Rng rng, Callbacks callbacks);
+  // `planner` is the mesh's planner: faults mask its topology, and repairs
+  // plan with `scheduler` and `ilp` on planners derived from it. `sync` and
+  // `auditor` may be null (non-TDMA mode / audit off); `initial_plan`, the
+  // planner's topology and radio environment, and `channel` must outlive
+  // the runtime.
+  FaultRuntime(Simulator& sim, FaultPlan plan, const QosPlanner& planner,
+               SchedulerKind scheduler, IlpSchedulerOptions ilp,
+               std::vector<FlowSpec> flows, const MeshPlan* initial_plan,
+               bool tdma, WifiChannel& channel, SyncProtocol* sync,
+               audit::InvariantAuditor* auditor, Rng rng,
+               Callbacks callbacks);
 
   // Installs the channel impairment, registers PER bursts and schedules
   // every fault event. Call once, before Simulator::run_until.
@@ -151,8 +145,11 @@ class FaultRuntime {
 
   Simulator& sim_;
   FaultPlan plan_;
-  const Topology& topology_;
-  PlannerInputs inputs_;
+  QosPlanner planner_;  // the mesh's; repairs derive from it
+  const Topology& topology_;  // planner_'s
+  SchedulerKind scheduler_;
+  IlpSchedulerOptions ilp_;
+  SimTime guard_;  // re-dimensioned by sync failover; never shrinks
   std::vector<FlowSpec> flows_;  // the declared (pre-fault) flow set
   bool tdma_;
   WifiChannel& channel_;

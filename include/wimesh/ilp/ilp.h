@@ -98,6 +98,9 @@ struct IlpResult {
 
 // An integer variable counts as integral within this distance.
 inline constexpr double kIlpIntegralityTol = 1e-6;
+// A node is pruned when its LP bound cannot beat the incumbent by more
+// than this.
+inline constexpr double kIlpObjectiveGapTol = 1e-9;
 
 struct IlpOptions {
   long max_nodes = 200'000;
@@ -106,10 +109,6 @@ struct IlpOptions {
   // schedule-length linear search uses: each stage is a pure feasibility
   // program.
   bool stop_at_first_feasible = false;
-  // Prune nodes whose LP bound cannot beat the incumbent by more than this
-  // (set to ~1 when the objective is integral to prune aggressively).
-  double objective_gap_tol = 1e-9;
-
   // --- Portfolio branch & bound ---
   // Number of independent search strategies explored in synchronized
   // rounds (clamped to [1, 4]). Strategies differ in branching rule and

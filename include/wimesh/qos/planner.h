@@ -56,7 +56,19 @@ struct FlowPlan {
   // Filled after scheduling:
   SimTime worst_case_delay{};     // analytic bound under the schedule
   bool delay_bound_met = false;
+
+  // Next hop / outgoing LinkId at node `at` on this flow's path, or
+  // kInvalidNode / kInvalidLink when `at` is the destination or off-path.
+  NodeId next_hop(NodeId at) const;
+  LinkId out_link(NodeId at) const;
 };
+
+// Fills `flow`'s worst_case_delay and delay_bound_met from its links'
+// grants in `schedule` (every hop must hold one) and returns
+// delay_bound_met. The one delay analysis behind plans, schedule
+// overrides and admission decisions.
+bool annotate_delay(FlowPlan& flow, const MeshSchedule& schedule,
+                    const FrameConfig& frame);
 
 // The scheduling question plan() poses, before any solver runs: routed
 // flows, per-link guaranteed demand, and the conflict graph. Exposed so
@@ -90,24 +102,32 @@ struct MeshPlan {
   int relocated_border_links = 0;
   std::vector<int> zone_slots;  // phase-1 schedule length per zone
 
-  // Next hop of flow `flow_id` at node `at`, or kInvalidNode.
-  NodeId next_hop(int flow_id, NodeId at) const;
-  // LinkId of flow's hop out of `at`, or kInvalidLink.
-  LinkId out_link(int flow_id, NodeId at) const;
+  // The flow's plan (guaranteed first, then best effort), or nullptr.
   const FlowPlan* find_flow(int flow_id) const;
 };
 
+// The one owner of a mesh's planning inputs: topology, interference
+// ranges, frame layout and guard, PHY, routing policy and the optional
+// physical radio environment. Every re-planning path (fault repair,
+// admission epochs, the admission oracle) starts from a mesh's planner, so
+// each poses its problems on the conflict graph the mesh runs on.
 class QosPlanner {
  public:
   // `radio_env`, when non-null, replaces the protocol conflict graph with
   // the SINR-derived one (build_conflict_graph_sinr) in every problem this
-  // planner builds. The environment must outlive the planner. Routing and
-  // demand sizing are unchanged — the physical layer only decides which
-  // link pairs may share a slot.
+  // planner builds. The topology and the environment must outlive the
+  // planner and every copy of it. Routing and demand sizing are unchanged
+  // — the physical layer only decides which link pairs may share a slot.
   QosPlanner(const Topology& topology, const RadioModel& radio,
              EmulationParams params, PhyMode phy,
              RoutingPolicy routing = RoutingPolicy::kHopCount,
              const radio::RadioEnvironment* radio_env = nullptr);
+
+  // The planner for a surviving subgraph of this planner's topology (same
+  // NodeIds and positions, fewer edges — see surviving_topology) with the
+  // guard re-dimensioned to `guard`. Every other input carries over, the
+  // radio environment included. `survivors` must outlive the result.
+  QosPlanner for_survivors(const Topology& survivors, SimTime guard) const;
 
   // Routes every flow, sizes per-link guaranteed demands and builds the
   // conflict graph — steps 1–3 of plan(), without solving anything.
@@ -132,18 +152,7 @@ class QosPlanner {
       PlanObjective objective = PlanObjective::kMinimizeSlots,
       const zones::ZoneOptions* zoned = nullptr) const;
 
-  // Largest number of flow sets admissible: convenience incremental
-  // admission — returns the plan for the longest feasible prefix of
-  // `flows` (guaranteed flows only gate admission; best-effort always
-  // fits by shrinking).
-  struct AdmissionResult {
-    MeshPlan plan;          // plan over the admitted prefix
-    std::size_t admitted;   // how many specs from the front were admitted
-  };
-  AdmissionResult admit_incrementally(
-      const std::vector<FlowSpec>& flows, SchedulerKind kind,
-      const IlpSchedulerOptions& ilp_options = {}) const;
-
+  const Topology& topology() const { return *topology_; }
   const EmulationParams& params() const { return params_; }
   const PhyMode& phy() const { return phy_; }
 
@@ -154,7 +163,7 @@ class QosPlanner {
       NodeId src, NodeId dst,
       const std::vector<std::vector<double>>& link_load) const;
 
-  const Topology& topology_;
+  const Topology* topology_;
   RadioModel radio_;
   EmulationParams params_;
   PhyMode phy_;

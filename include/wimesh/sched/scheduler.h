@@ -221,12 +221,14 @@ TransmissionOrder order_from_schedule(const SchedulingProblem& problem,
 bool validate_schedule(const SchedulingProblem& problem,
                        const MeshSchedule& schedule);
 
-// Worst-case scheduling delay of a flow, in minislots, including the
-// initial wait for the first link's block (a packet can arrive just after
-// the block started) and one full frame per intermediate hop whose outbound
-// block starts before the inbound block ends. `frame_total_slots` is the
-// full frame length in minislots (control + data).
-int worst_case_delay_slots(const MeshSchedule& schedule, const FlowPath& flow,
+// Worst-case scheduling delay of a flow along `path` (its links in hop
+// order), in minislots, including the initial wait for the first link's
+// block (a packet can arrive just after the block started) and one full
+// frame per intermediate hop whose outbound block starts before the
+// inbound block ends. `frame_total_slots` is the full frame length in
+// minislots (control + data).
+int worst_case_delay_slots(const MeshSchedule& schedule,
+                           const std::vector<LinkId>& path,
                            int frame_total_slots);
 
 // Number of frame wraps along the flow under this schedule (the quantity

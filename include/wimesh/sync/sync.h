@@ -16,10 +16,8 @@
 // which FrameConfig already reserves; their airtime therefore does not
 // consume data minislots and is not separately simulated.
 
-#include <memory>
 #include <vector>
 
-#include "wimesh/common/expected.h"
 #include "wimesh/common/rng.h"
 #include "wimesh/des/simulator.h"
 #include "wimesh/graph/graph.h"
@@ -54,21 +52,11 @@ class SyncProtocol {
   // `master`. Until the first wave completes, nodes run on their initial
   // (unsynced) offsets, drawn uniform in (-initial_offset_bound,
   // initial_offset_bound) — a cold clock is equally likely to be ahead of
-  // or behind true time. Violating the preconditions trips WIMESH_ASSERT;
-  // use validate()/create() for a recoverable error instead.
+  // or behind true time. Violating the preconditions trips WIMESH_ASSERT
+  // (scenario parsing rejects a disconnected topology with a named error).
   SyncProtocol(Simulator& sim, const Graph& topology, NodeId master,
                SyncConfig config, Rng rng,
                SimTime initial_offset_bound = SimTime::microseconds(50));
-
-  // Checks the constructor preconditions and reports a typed error instead
-  // of aborting: the master must be a node of `topology` and the topology
-  // must be connected (a partitioned mesh cannot share one time reference).
-  static Expected<bool> validate(const Graph& topology, NodeId master);
-
-  // Validating factory: validate() + construct.
-  static Expected<std::unique_ptr<SyncProtocol>> create(
-      Simulator& sim, const Graph& topology, NodeId master, SyncConfig config,
-      Rng rng, SimTime initial_offset_bound = SimTime::microseconds(50));
 
   // Begins periodic resync waves at t = 0 (the first wave is immediate).
   void start();

@@ -92,10 +92,12 @@ struct SlotRange {
   friend bool operator==(const SlotRange&, const SlotRange&) = default;
 };
 
-// Gaps of a frame of `frame_slots` slots not overlapping any `busy` range,
-// in slot order (where best-effort grants are fitted).
-std::vector<SlotRange> free_gaps(std::vector<SlotRange> busy,
-                                 int frame_slots);
+// First-fit placement: the earliest start >= `from` of a block of `length`
+// slots that overlaps none of `busy` and ends within `frame_slots`, or
+// nullopt when there is none. `busy` may come in any order (it is sorted
+// in place) and may overlap itself; zero-length ranges block nothing.
+std::optional<int> first_fit(std::vector<SlotRange>& busy, int length,
+                             int from, int frame_slots);
 
 // Per-frame minislot grants for every link in a LinkSet. In 802.16 mesh
 // terms this is the steady-state result of centralized scheduling carried

@@ -32,17 +32,17 @@ const char* reject_reason_name(RejectReason r) {
   return "?";
 }
 
+AdmissionEngine::AdmissionEngine(QosPlanner planner, EngineConfig config)
+    : topology_(planner.topology()),
+      config_(std::move(config)),
+      planner_(std::move(planner)) {}
+
 AdmissionEngine::AdmissionEngine(const Topology& topology,
                                  const RadioModel& radio,
                                  EmulationParams params, PhyMode phy,
                                  EngineConfig config)
-    : topology_(topology),
-      params_(params),
-      config_(std::move(config)),
-      radio_(radio),
-      phy_(std::move(phy)),
-      planner_(std::make_unique<QosPlanner>(topology, radio_, params, phy_,
-                                            config_.routing)) {}
+    : AdmissionEngine(QosPlanner(topology, radio, params, std::move(phy)),
+                      std::move(config)) {}
 
 Decision AdmissionEngine::offer(const FlowSpec& flow, SimTime now) {
   const trace::Span span(trace::SpanName::kAdmitDecide, now);
@@ -89,8 +89,8 @@ Decision AdmissionEngine::decide(const FlowSpec& flow, SimTime now) {
   ++stats_.guaranteed_offered;
   std::vector<FlowSpec> candidate = active_;
   candidate.push_back(flow);
-  BuiltProblem bp = planner_->build_problem(candidate);
-  const int data_slots = params_.frame.data_slots;
+  BuiltProblem bp = planner_.build_problem(candidate);
+  const int data_slots = planner_.params().frame.data_slots;
 
   // Stage 1: clique-bound fast reject — the same lower bound the cold
   // feasibility path checks first, so rejecting here never diverges from
@@ -125,7 +125,7 @@ Decision AdmissionEngine::decide(const FlowSpec& flow, SimTime now) {
   // Stage 3: the cold path itself — warm-started ILP feasibility solve
   // through the shared cache.
   ++stats_.full_solves;
-  auto planned = planner_->plan(candidate, config_.scheduler, config_.ilp,
+  auto planned = planner_.plan(candidate, config_.scheduler, config_.ilp,
                                 PlanObjective::kFeasibility);
   if (!planned.has_value()) {
     return not_admitted(flow, DecisionPath::kFullSolve,
@@ -215,8 +215,8 @@ std::vector<int> AdmissionEngine::set_topology_epoch(
   };
 
   epoch_topology_ = surviving_topology(topology_, alive_, link_is_down);
-  planner_ = std::make_unique<QosPlanner>(epoch_topology_, radio_, params_,
-                                          phy_, config_.routing);
+  planner_ = planner_.for_survivors(epoch_topology_,
+                                    planner_.params().guard_time);
   label_components(epoch_topology_.graph, alive_, &island_of_node_);
 
   // Evict booked flows the epoch can no longer serve: a dead endpoint, or
@@ -245,9 +245,8 @@ std::vector<int> AdmissionEngine::set_topology_epoch(
   return evicted;
 }
 
-std::optional<MeshSchedule> AdmissionEngine::try_repair(
-    const BuiltProblem& bp) const {
-  const int data_slots = params_.frame.data_slots;
+std::optional<MeshSchedule> AdmissionEngine::try_repair(BuiltProblem& bp) {
+  const int data_slots = planner_.params().frame.data_slots;
   const SchedulingProblem& np = bp.problem;
   MeshSchedule candidate(np.links, data_slots);
   // Keep every incumbent grant that still covers its link's demand,
@@ -273,39 +272,31 @@ std::optional<MeshSchedule> AdmissionEngine::try_repair(
   // conflicting neighbors (kept + already-placed).
   for (LinkId l : pending) {
     const int demand = np.demand[static_cast<std::size_t>(l)];
-    std::vector<SlotRange> busy;
+    busy_.clear();
     for (EdgeId e : np.conflicts.incident(l)) {
       const LinkId m = np.conflicts.other_end(e, l);
-      if (const auto g = candidate.grant(m)) busy.push_back(*g);
+      if (const auto g = candidate.grant(m)) busy_.push_back(*g);
     }
-    bool placed = false;
-    for (const SlotRange& gap : free_gaps(std::move(busy), data_slots)) {
-      if (gap.length < demand) continue;
-      candidate.set_grant(l, SlotRange{gap.start, demand});
-      placed = true;
-      break;
-    }
-    if (!placed) return std::nullopt;
+    const auto start = first_fit(busy_, demand, 0, data_slots);
+    if (!start.has_value()) return std::nullopt;
+    candidate.set_grant(l, SlotRange{*start, demand});
   }
   if (!acceptable(np, bp.guaranteed, candidate)) return std::nullopt;
   return candidate;
 }
 
 bool AdmissionEngine::acceptable(const SchedulingProblem& problem,
-                                 const std::vector<FlowPlan>& guaranteed,
+                                 std::vector<FlowPlan>& guaranteed,
                                  const MeshSchedule& schedule) const {
   if (!validate_schedule(problem, schedule)) return false;
-  if (config_.scheduler != SchedulerKind::kIlpDelayAware) return true;
-  if (!budgets_satisfied(problem, schedule)) return false;
+  const bool delay_aware = config_.scheduler == SchedulerKind::kIlpDelayAware;
+  if (delay_aware && !budgets_satisfied(problem, schedule)) return false;
   // The strict per-flow check plan() runs after solving (step 5); the
   // wrap budgets imply it whenever max_delay spans >= 2 frames, but
   // re-checking keeps repair sound below that.
-  for (const FlowPlan& f : guaranteed) {
-    FlowPath fp;
-    fp.links = f.links;
-    const int slots =
-        worst_case_delay_slots(schedule, fp, params_.frame.total_slots());
-    if (params_.frame.slot_duration() * slots > f.spec.max_delay) {
+  for (FlowPlan& f : guaranteed) {
+    if (!annotate_delay(f, schedule, planner_.params().frame) &&
+        delay_aware) {
       return false;
     }
   }
@@ -326,7 +317,8 @@ AdmissionEngine::Incumbent AdmissionEngine::incumbent_of(
   }
   // Keep only the guaranteed skeleton: the plan's best-effort extras are
   // tied to the batch flow set and are re-fitted at the next full solve.
-  next.schedule = MeshSchedule(next.problem.links, params_.frame.data_slots);
+  next.schedule =
+      MeshSchedule(next.problem.links, planner_.params().frame.data_slots);
   for (LinkId l = 0; l < next.problem.links.count(); ++l) {
     if (const auto g = planned.schedule.grant(l)) {
       next.schedule.set_grant(l, *g);
@@ -337,20 +329,13 @@ AdmissionEngine::Incumbent AdmissionEngine::incumbent_of(
 }
 
 void AdmissionEngine::adopt(Incumbent next, SimTime now, bool compaction) {
-  for (FlowPlan& f : next.guaranteed) {
-    FlowPath fp;
-    fp.links = f.links;
-    const int slots =
-        worst_case_delay_slots(next.schedule, fp, params_.frame.total_slots());
-    f.worst_case_delay = params_.frame.slot_duration() * slots;
-    f.delay_bound_met = f.worst_case_delay <= f.spec.max_delay;
-  }
   incumbent_ = std::move(next);
   ++generation_;
   ++stats_.hot_swaps;
   // Hot-swap at the top of the NEXT frame: nodes adopt atomically on a
   // frame boundary, never mid-frame (TdmaOverlayNode::stage_grants).
-  const std::int64_t activation = params_.frame.frame_index(now) + 1;
+  const std::int64_t activation =
+      planner_.params().frame.frame_index(now) + 1;
   trace::event(trace::EventType::kAdmitHotSwap, now, -1,
                static_cast<std::int64_t>(generation_), activation,
                incumbent_.schedule.used_slots());
@@ -365,7 +350,7 @@ void AdmissionEngine::adopt(Incumbent next, SimTime now, bool compaction) {
     dep.schedule = incumbent_.schedule;
     dep.guaranteed = incumbent_.guaranteed;
     dep.activation_frame = activation;
-    dep.guard = params_.guard_time;
+    dep.guard = planner_.params().guard_time;
     dep.generation = generation_;
     deploy_(dep);
   }
@@ -399,10 +384,10 @@ bool AdmissionEngine::compact(SimTime now) {
       });
   if (!any_guaranteed) {
     // Nothing to schedule: adopt the empty skeleton directly.
-    BuiltProblem bp = planner_->build_problem(active_);
+    BuiltProblem bp = planner_.build_problem(active_);
     Incumbent next;
     next.schedule =
-        MeshSchedule(bp.problem.links, params_.frame.data_slots);
+        MeshSchedule(bp.problem.links, planner_.params().frame.data_slots);
     next.problem = std::move(bp.problem);
     next.guaranteed = std::move(bp.guaranteed);
     adopt(std::move(next), now, /*compaction=*/true);
@@ -412,17 +397,17 @@ bool AdmissionEngine::compact(SimTime now) {
   // was feasible when admitted and departures only shrink it, so this
   // succeeds unless the solver hits its limits; then fall back to a
   // feasibility solve, then to the always-possible shrink repair.
-  auto planned = planner_->plan(active_, config_.scheduler, config_.ilp,
+  auto planned = planner_.plan(active_, config_.scheduler, config_.ilp,
                                PlanObjective::kMinimizeSlots);
   if (!planned.has_value()) {
-    planned = planner_->plan(active_, config_.scheduler, config_.ilp,
+    planned = planner_.plan(active_, config_.scheduler, config_.ilp,
                             PlanObjective::kFeasibility);
   }
   if (planned.has_value()) {
     adopt(incumbent_of(std::move(*planned)), now, /*compaction=*/true);
     return true;
   }
-  BuiltProblem bp = planner_->build_problem(active_);
+  BuiltProblem bp = planner_.build_problem(active_);
   if (auto repaired = try_repair(bp)) {
     Incumbent next;
     next.problem = std::move(bp.problem);
@@ -588,17 +573,14 @@ ChurnResult replay_poisson_churn(AdmissionEngine& engine,
 
 // ---------------------------------------------------------------------------
 
-DifferentialReport differential_replay(const Topology& topology,
-                                       const RadioModel& radio,
-                                       const EmulationParams& params,
-                                       const PhyMode& phy,
+DifferentialReport differential_replay(const QosPlanner& planner,
                                        const EngineConfig& config,
                                        const ChurnSpec& spec) {
   DifferentialReport report;
-  AdmissionEngine engine(topology, radio, params, phy, config);
+  AdmissionEngine engine(planner, config);
   // The oracle is a cold from-scratch planner: no cache (so no memoized
   // answers from the engine's own solves), no incumbent, no repair.
-  QosPlanner oracle(topology, radio, params, phy, config.routing);
+  const QosPlanner& oracle = planner;
   IlpSchedulerOptions oracle_options = config.ilp;
   oracle_options.cache = nullptr;
   std::vector<FlowSpec> mirror;
@@ -649,6 +631,16 @@ DifferentialReport differential_replay(const Topology& topology,
   report.churn = replay_poisson_churn(engine, spec, &observer);
   report.events = report.churn.events;
   return report;
+}
+
+DifferentialReport differential_replay(const Topology& topology,
+                                       const RadioModel& radio,
+                                       const EmulationParams& params,
+                                       const PhyMode& phy,
+                                       const EngineConfig& config,
+                                       const ChurnSpec& spec) {
+  return differential_replay(QosPlanner(topology, radio, params, phy), config,
+                             spec);
 }
 
 }  // namespace wimesh::admit

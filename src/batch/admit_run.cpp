@@ -43,29 +43,24 @@ void appendf(std::string* out, const char* fmt, ...) {
 
 AdmitRunResult run_admission_churn(const Scenario& scenario,
                                    ScheduleCache* cache) {
-  // MeshNetwork's constructor owns auto_guard resolution (guard derived
-  // from the sync error bound at the mesh diameter); borrow that one code
-  // path instead of duplicating it.
-  const MeshConfig cfg = MeshNetwork(scenario.config).config();
-
+  // The mesh's own planner: resolved guard, routing and, under 'radio =',
+  // the SINR conflict graph the mesh runs on.
+  const MeshNetwork net(scenario.config);
   admit::EngineConfig ec;
-  ec.scheduler = cfg.scheduler;
-  ec.routing = cfg.routing;
-  ec.ilp = cfg.ilp;
+  ec.scheduler = net.config().scheduler;
+  ec.ilp = net.config().ilp;
   ec.ilp.cache = cache;
   ec.degrade_on_reject = scenario.admit_degrade;
   ec.compaction_departures = scenario.admit_compaction;
 
-  const RadioModel radio(cfg.comm_range, cfg.interference_range);
   AdmitRunResult out;
   if (scenario.admit_check) {
     out.checked = true;
-    out.differential = admit::differential_replay(
-        cfg.topology, radio, cfg.emulation, cfg.phy, ec, scenario.admit_churn);
+    out.differential =
+        admit::differential_replay(net.planner(), ec, scenario.admit_churn);
     out.churn = out.differential.churn;
   } else {
-    admit::AdmissionEngine engine(cfg.topology, radio, cfg.emulation, cfg.phy,
-                                  ec);
+    admit::AdmissionEngine engine(net.planner(), ec);
     out.churn = admit::replay_poisson_churn(engine, scenario.admit_churn);
   }
   return out;

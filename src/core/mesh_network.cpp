@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "wimesh/admit/engine.h"
 #include "wimesh/common/log.h"
 #include "wimesh/common/strings.h"
 #include "wimesh/des/simulator.h"
@@ -140,24 +141,36 @@ void MeshNetwork::override_schedule(MeshSchedule schedule) {
   plan_.schedule = std::move(schedule);
   plan_.guaranteed_slots_used = plan_.schedule.used_slots();
   for (FlowPlan& f : plan_.guaranteed) {
-    FlowPath fp;
-    fp.links = f.links;
-    const int slots = worst_case_delay_slots(
-        plan_.schedule, fp, config_.emulation.frame.total_slots());
-    f.worst_case_delay = config_.emulation.frame.slot_duration() * slots;
-    f.delay_bound_met = f.worst_case_delay <= f.spec.max_delay;
+    annotate_delay(f, plan_.schedule, config_.emulation.frame);
   }
 }
 
 std::size_t MeshNetwork::admit_incrementally() {
-  auto result =
-      planner_.admit_incrementally(flows_, config_.scheduler, config_.ilp);
-  if (result.admitted > 0) {
-    plan_ = std::move(result.plan);
-    has_plan_ = true;
-    flows_.resize(result.admitted);
+  admit::EngineConfig ec;
+  ec.scheduler = config_.scheduler;
+  ec.ilp = config_.ilp;
+  admit::AdmissionEngine engine(planner_, ec);
+  std::size_t admitted = 0;
+  while (admitted < flows_.size() &&
+         engine.offer(flows_[admitted], SimTime::zero()).outcome ==
+             admit::Outcome::kAdmitted) {
+    ++admitted;
   }
-  return result.admitted;
+  if (admitted == 0) return 0;
+  // One plan of the admitted prefix: the paper's compact schedule, or any
+  // feasible one when the min-slot search exhausts its limits.
+  const std::vector<FlowSpec> prefix(
+      flows_.begin(), flows_.begin() + static_cast<std::ptrdiff_t>(admitted));
+  auto planned = planner_.plan(prefix, config_.scheduler, config_.ilp);
+  if (!planned.has_value()) {
+    planned = planner_.plan(prefix, config_.scheduler, config_.ilp,
+                            PlanObjective::kFeasibility);
+  }
+  if (!planned.has_value()) return 0;
+  plan_ = std::move(*planned);
+  has_plan_ = true;
+  flows_.resize(admitted);
+  return admitted;
 }
 
 SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
@@ -227,6 +240,18 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
   // plan_ until the first repaired schedule activates at a frame boundary.
   std::unique_ptr<faults::FaultRuntime> fault_rt;
   const MeshPlan* live_plan = &plan_;
+  // Each flow's route under the live plan, by its index in result.flows
+  // (an empty path when the plan does not carry the flow); re-bound
+  // whenever the live plan changes, so forwarding never searches the plan.
+  const FlowPlan no_route;
+  std::vector<const FlowPlan*> routes(result.flows.size());
+  const auto bind_routes = [&](const MeshPlan& plan) {
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      const FlowPlan* route = plan.find_flow(result.flows[i].spec.id);
+      routes[i] = route != nullptr ? route : &no_route;
+    }
+  };
+  bind_routes(plan_);
 
   // A flow whose route crosses a partition cut gets its drops typed
   // kPartitioned — never a generic no-route/no-capacity — so split-brain
@@ -238,15 +263,16 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     return fallback;
   };
 
-  // Sends `p` one hop onward from `at` under the live plan: into the
-  // overlay queue of its outgoing link (dropped when the link holds no
-  // grant or was revoked by a hot-swap), or straight to the contention MAC
-  // toward `next`, in the flow's access category (which only EDCA tells
-  // apart).
+  // Sends `p` of the flow with result index `flow` one hop onward from
+  // `at` under the live plan: into the overlay queue of its outgoing link
+  // (dropped when the link holds no grant or was revoked by a hot-swap),
+  // or straight to the contention MAC toward `next`, in the flow's access
+  // category (which only EDCA tells apart).
   const auto forward = [&](NodeId at, NodeId next, MacPacket p,
-                           ServiceClass service) {
+                           std::size_t flow) {
+    const ServiceClass service = result.flows[flow].spec.service;
     if (mode == MacMode::kTdmaOverlay) {
-      const LinkId link = live_plan->out_link(p.flow_id, at);
+      const LinkId link = routes[flow]->out_link(at);
       if (link == kInvalidLink ||
           live_plan->schedule.all_grants(link).empty()) {
         if (auditor) {
@@ -284,7 +310,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
       return;
     }
     // Forward to the next hop.
-    const NodeId next = live_plan->next_hop(packet.flow_id, at);
+    const NodeId next = routes[it->second]->next_hop(at);
     if (next == kInvalidNode) {  // stale route; drop
       if (auditor) {
         auditor->on_packet_dropped(
@@ -301,7 +327,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
       }
       return;
     }
-    forward(at, next, packet, fr.spec.service);
+    forward(at, next, packet, it->second);
   };
 
   // ---- MACs.
@@ -376,11 +402,8 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
   // ---- Traffic sources.
   std::vector<std::unique_ptr<TrafficSource>> sources;
   for (const FlowSpec& spec : flows_) {
-    FlowResult& fr = result.flows[flow_index[spec.id]];
-    auto emit = [&, spec_id = spec.id, src = spec.src](MacPacket p) {
-      const auto it = flow_index.find(spec_id);
-      FlowResult& stats_entry = result.flows[it->second];
-      if (p.created_at <= duration) stats_entry.stats.on_sent();
+    auto emit = [&, flow = flow_index[spec.id], src = spec.src](MacPacket p) {
+      if (p.created_at <= duration) result.flows[flow].stats.on_sent();
       p.from = src;
       if (auditor) auditor->on_packet_created(p);
       if (fault_rt && !fault_rt->node_up(src)) {
@@ -390,10 +413,8 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
         }
         return;
       }
-      forward(src, live_plan->next_hop(spec_id, src), p,
-              stats_entry.spec.service);
+      forward(src, routes[flow]->next_hop(src), p, flow);
     };
-    (void)fr;
     // Random phase in one packet interval desynchronizes CBR sources.
     Rng src_rng = root.split();
     const SimTime phase = SimTime::nanoseconds(static_cast<std::int64_t>(
@@ -433,15 +454,6 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
   // ---- Fault injection (opt-in; constructed last so its RNG split is the
   // final draw off the root and fault-free runs stay bit-identical).
   if (config_.faults.enabled()) {
-    faults::PlannerInputs inputs;
-    inputs.comm_range = config_.comm_range;
-    inputs.interference_range = config_.interference_range;
-    inputs.phy = config_.phy;
-    inputs.emulation = config_.emulation;  // guard already resolved
-    inputs.routing = config_.routing;
-    inputs.scheduler = config_.scheduler;
-    inputs.ilp = config_.ilp;
-
     faults::Callbacks cb;
     if (mode == MacMode::kTdmaOverlay) {
       cb.node_up_changed = [&](NodeId node, bool up) {
@@ -463,6 +475,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
                         guard = d.guard,
                         frame = d.activation_frame] {
           live_plan = plan;
+          bind_routes(*plan);
           trace::event(trace::EventType::kPlanActivated, sim.now(), -1,
                        frame);
           if (auditor) {
@@ -474,7 +487,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
       };
     }
     fault_rt = std::make_unique<faults::FaultRuntime>(
-        sim, config_.faults, config_.topology, std::move(inputs), flows_,
+        sim, config_.faults, planner_, config_.scheduler, config_.ilp, flows_,
         &plan_, mode == MacMode::kTdmaOverlay, channel, sync.get(),
         auditor.get(), root.split(), std::move(cb));
     fault_rt->start();

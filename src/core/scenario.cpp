@@ -256,6 +256,16 @@ Expected<Topology> build_custom_topology(const CustomTopologyState& st) {
     }
     t.graph.add_edge(link.u, link.v);
   }
+  // One time reference and a route between any two nodes need one
+  // connected mesh (as 'topology = random' already demands).
+  const std::vector<int> hops = bfs_hops(t.graph, 0);
+  const auto cut = std::find(hops.begin(), hops.end(), -1);
+  if (cut != hops.end()) {
+    return make_error(str_cat("line ", st.header_line,
+                              ": custom topology is disconnected (node ",
+                              cut - hops.begin(),
+                              " has no path to node 0)"));
+  }
   return t;
 }
 

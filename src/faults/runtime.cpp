@@ -22,8 +22,8 @@ std::pair<int, int> shed_rank(const FlowSpec& spec) {
 }  // namespace
 
 FaultRuntime::FaultRuntime(Simulator& sim, FaultPlan plan,
-                           const Topology& topology,
-                           PlannerInputs planner_inputs,
+                           const QosPlanner& planner, SchedulerKind scheduler,
+                           IlpSchedulerOptions ilp,
                            std::vector<FlowSpec> flows,
                            const MeshPlan* initial_plan, bool tdma,
                            WifiChannel& channel, SyncProtocol* sync,
@@ -31,8 +31,11 @@ FaultRuntime::FaultRuntime(Simulator& sim, FaultPlan plan,
                            Callbacks callbacks)
     : sim_(sim),
       plan_(std::move(plan)),
-      topology_(topology),
-      inputs_(std::move(planner_inputs)),
+      planner_(planner),
+      topology_(planner.topology()),
+      scheduler_(scheduler),
+      ilp_(std::move(ilp)),
+      guard_(planner.params().guard_time),
       flows_(std::move(flows)),
       tdma_(tdma),
       channel_(channel),
@@ -40,10 +43,10 @@ FaultRuntime::FaultRuntime(Simulator& sim, FaultPlan plan,
       auditor_(auditor),
       impairment_(rng),
       callbacks_(std::move(callbacks)),
-      alive_(static_cast<std::size_t>(topology.node_count()), 1),
-      failed_masters_(static_cast<std::size_t>(topology.node_count()), 0),
+      alive_(static_cast<std::size_t>(topology_.node_count()), 1),
+      failed_masters_(static_cast<std::size_t>(topology_.node_count()), 0),
       current_plan_(initial_plan),
-      island_of_node_(static_cast<std::size_t>(topology.node_count()), 0) {
+      island_of_node_(static_cast<std::size_t>(topology_.node_count()), 0) {
   WIMESH_ASSERT(initial_plan != nullptr);
   report_.enabled = plan_.enabled();
 }
@@ -68,7 +71,7 @@ void FaultRuntime::waive(SimTime until) {
 
 void FaultRuntime::apply(const FaultEvent& event) {
   const SimTime now = sim_.now();
-  const SimTime frame = inputs_.emulation.frame.frame_duration;
+  const SimTime frame = planner_.params().frame.frame_duration;
   ++report_.events_applied;
   trace::event(trace::EventType::kFaultApplied, now, event.node,
                static_cast<std::int64_t>(event.kind));
@@ -284,9 +287,7 @@ void FaultRuntime::run_recovery(SimTime fault_at) {
     // already queued, so the guard is monotone within a run.
     const SimTime needed =
         sync_->config().recommended_guard(sync_->max_tree_depth());
-    if (needed > inputs_.emulation.guard_time) {
-      inputs_.emulation.guard_time = needed;
-    }
+    guard_ = std::max(guard_, needed);
   } else {
     island_masters_ = elect_island_masters();
   }
@@ -323,9 +324,7 @@ void FaultRuntime::repair_schedule(SimTime fault_at, const Topology& survivors,
     candidates.push_back(spec);
   }
 
-  const QosPlanner planner(
-      survivors, RadioModel(inputs_.comm_range, inputs_.interference_range),
-      inputs_.emulation, inputs_.phy, inputs_.routing);
+  const QosPlanner planner = planner_.for_survivors(survivors, guard_);
 
   // Islands are fault-induced zones: a split mesh plans each island
   // independently (in parallel) with the zones border pass resolving
@@ -357,7 +356,7 @@ void FaultRuntime::repair_schedule(SimTime fault_at, const Topology& survivors,
   std::vector<int> shed_ids;
   Expected<MeshPlan> repaired = make_error("unplanned");
   for (;;) {
-    repaired = planner.plan(candidates, inputs_.scheduler, inputs_.ilp,
+    repaired = planner.plan(candidates, scheduler_, ilp_,
                             PlanObjective::kMinimizeSlots, zoned);
     if (repaired.has_value()) break;
     auto victim = candidates.end();
@@ -382,10 +381,10 @@ void FaultRuntime::repair_schedule(SimTime fault_at, const Topology& survivors,
   repaired_plans_.push_back(std::move(*repaired));
   current_plan_ = &repaired_plans_.back();
 
-  const FrameConfig& frame = inputs_.emulation.frame;
+  const FrameConfig& frame = planner_.params().frame;
   Deployment deployment;
   deployment.plan = current_plan_;
-  deployment.guard = inputs_.emulation.guard_time;
+  deployment.guard = guard_;
   deployment.activation_frame = frame.frame_index(now) + 1;
   deployment.activation_time = frame.frame_start(deployment.activation_frame);
   deployment.shed_flow_ids = shed_ids;

@@ -285,7 +285,7 @@ void PortfolioBranchAndBound::run_round(Strategy& s, long quota) {
     }
 
     // Bound pruning against the incumbent before paying for the LP.
-    if (have_cutoff && node.parent_bound >= cutoff - opt_.objective_gap_tol) {
+    if (have_cutoff && node.parent_bound >= cutoff - kIlpObjectiveGapTol) {
       continue;
     }
 
@@ -315,7 +315,7 @@ void PortfolioBranchAndBound::run_round(Strategy& s, long quota) {
     }
 
     const double bound = norm(lp.objective);
-    if (have_cutoff && bound >= cutoff - opt_.objective_gap_tol) {
+    if (have_cutoff && bound >= cutoff - kIlpObjectiveGapTol) {
       continue;  // cannot improve
     }
 
@@ -529,7 +529,7 @@ IlpResult PortfolioBranchAndBound::run() {
     // dominated by the final incumbent close the gap exactly as if they
     // had been pruned before the limit hit.
     const bool gap_closed =
-        lower_bound >= shared_incumbent_obj_ - opt_.objective_gap_tol;
+        lower_bound >= shared_incumbent_obj_ - kIlpObjectiveGapTol;
     result_.best_bound =
         sense * (gap_closed ? shared_incumbent_obj_ : lower_bound);
     if (opt_.stop_at_first_feasible) {

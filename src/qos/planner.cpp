@@ -11,22 +11,27 @@
 
 namespace wimesh {
 
-NodeId MeshPlan::next_hop(int flow_id, NodeId at) const {
-  const FlowPlan* f = find_flow(flow_id);
-  if (f == nullptr) return kInvalidNode;
-  for (std::size_t i = 0; i + 1 < f->node_path.size(); ++i) {
-    if (f->node_path[i] == at) return f->node_path[i + 1];
+NodeId FlowPlan::next_hop(NodeId at) const {
+  for (std::size_t i = 0; i + 1 < node_path.size(); ++i) {
+    if (node_path[i] == at) return node_path[i + 1];
   }
   return kInvalidNode;
 }
 
-LinkId MeshPlan::out_link(int flow_id, NodeId at) const {
-  const FlowPlan* f = find_flow(flow_id);
-  if (f == nullptr) return kInvalidLink;
-  for (std::size_t i = 0; i + 1 < f->node_path.size(); ++i) {
-    if (f->node_path[i] == at) return f->links[i];
+LinkId FlowPlan::out_link(NodeId at) const {
+  for (std::size_t i = 0; i + 1 < node_path.size(); ++i) {
+    if (node_path[i] == at) return links[i];
   }
   return kInvalidLink;
+}
+
+bool annotate_delay(FlowPlan& flow, const MeshSchedule& schedule,
+                    const FrameConfig& frame) {
+  const int slots =
+      worst_case_delay_slots(schedule, flow.links, frame.total_slots());
+  flow.worst_case_delay = frame.slot_duration() * slots;
+  flow.delay_bound_met = flow.worst_case_delay <= flow.spec.max_delay;
+  return flow.delay_bound_met;
 }
 
 const FlowPlan* MeshPlan::find_flow(int flow_id) const {
@@ -43,7 +48,7 @@ QosPlanner::QosPlanner(const Topology& topology, const RadioModel& radio,
                        EmulationParams params, PhyMode phy,
                        RoutingPolicy routing,
                        const radio::RadioEnvironment* radio_env)
-    : topology_(topology),
+    : topology_(&topology),
       radio_(radio),
       params_(params),
       phy_(std::move(phy)),
@@ -56,12 +61,21 @@ QosPlanner::QosPlanner(const Topology& topology, const RadioModel& radio,
   WIMESH_ASSERT(topology.graph.node_count() > 0);
 }
 
+QosPlanner QosPlanner::for_survivors(const Topology& survivors,
+                                     SimTime guard) const {
+  WIMESH_ASSERT(survivors.node_count() == topology_->node_count());
+  QosPlanner out = *this;
+  out.topology_ = &survivors;
+  out.params_.guard_time = guard;
+  return out;
+}
+
 std::vector<NodeId> QosPlanner::route(
     NodeId src, NodeId dst,
     const std::vector<std::vector<double>>& link_load) const {
   WIMESH_ASSERT(src != dst);
   if (routing_ == RoutingPolicy::kHopCount) {
-    const auto parents = spanning_tree_parents(topology_.graph, src);
+    const auto parents = spanning_tree_parents(topology_->graph, src);
     std::vector<NodeId> path{dst};
     while (path.back() != src) {
       const NodeId p = parents[static_cast<std::size_t>(path.back())];
@@ -76,9 +90,9 @@ std::vector<NodeId> QosPlanner::route(
   // The "+1" keeps hop count dominant until links approach saturation, so
   // detours are only taken when they actually relieve congestion.
   const double frame_s = params_.frame.frame_duration.to_seconds();
-  Digraph g(topology_.node_count());
-  for (EdgeId e = 0; e < topology_.graph.edge_count(); ++e) {
-    const auto& ed = topology_.graph.edge(e);
+  Digraph g(topology_->node_count());
+  for (EdgeId e = 0; e < topology_->graph.edge_count(); ++e) {
+    const auto& ed = topology_->graph.edge(e);
     const auto load_of = [&](NodeId a, NodeId b) {
       return link_load[static_cast<std::size_t>(a)]
                       [static_cast<std::size_t>(b)];
@@ -112,7 +126,7 @@ BuiltProblem QosPlanner::build_problem(
   // ---- 1. Route everything and register links. Guaranteed flows are
   // routed first so best-effort detours cannot displace voice; within a
   // class, declaration order decides (as admission would).
-  const auto node_count = static_cast<std::size_t>(topology_.node_count());
+  const auto node_count = static_cast<std::size_t>(topology_->node_count());
   std::vector<std::vector<double>> link_load(
       node_count, std::vector<double>(node_count, 0.0));
   std::vector<FlowSpec> ordered;
@@ -123,8 +137,8 @@ BuiltProblem QosPlanner::build_problem(
     if (spec.service == ServiceClass::kBestEffort) ordered.push_back(spec);
   }
   for (const FlowSpec& spec : ordered) {
-    WIMESH_ASSERT(spec.src >= 0 && spec.src < topology_.node_count());
-    WIMESH_ASSERT(spec.dst >= 0 && spec.dst < topology_.node_count());
+    WIMESH_ASSERT(spec.src >= 0 && spec.src < topology_->node_count());
+    WIMESH_ASSERT(spec.dst >= 0 && spec.dst < topology_->node_count());
     FlowPlan f;
     f.spec = spec;
     f.node_path = route(spec.src, spec.dst, link_load);
@@ -181,7 +195,7 @@ BuiltProblem QosPlanner::build_problem(
   out.problem.conflicts =
       radio_env_ != nullptr
           ? build_conflict_graph_sinr(out.problem.links, *radio_env_)
-          : build_conflict_graph(out.problem.links, topology_.positions,
+          : build_conflict_graph(out.problem.links, topology_->positions,
                                  radio_);
   for (const FlowPlan& f : out.guaranteed) {
     FlowPath fp;
@@ -314,7 +328,7 @@ Expected<MeshPlan> QosPlanner::plan(const std::vector<FlowSpec>& flows,
       partition.zone_of_node = zone_opts.explicit_zone_of_node;
     } else {
       partition =
-          zones::partition_zones(topology_.graph, zone_opts.zone_count);
+          zones::partition_zones(topology_->graph, zone_opts.zone_count);
     }
     auto zoned_result =
         zones::schedule_zoned(problem, partition, data_slots, zone_opts);
@@ -352,17 +366,11 @@ Expected<MeshPlan> QosPlanner::plan(const std::vector<FlowSpec>& flows,
 
   // ---- 5. Verify guaranteed delay bounds against the actual schedule.
   for (FlowPlan& f : plan.guaranteed) {
-    FlowPath fp;
-    fp.links = f.links;
-    const int slots = worst_case_delay_slots(plan.schedule, fp,
-                                             params_.frame.total_slots());
-    f.worst_case_delay = params_.frame.slot_duration() * slots;
-    f.delay_bound_met = f.worst_case_delay <= f.spec.max_delay;
     // Zoned solves give up the global delay proof (cross-zone flows and
     // border relocations escape any single zone's constraints), so a
     // missed bound is reported via delay_bound_met rather than fatal.
-    if (kind == SchedulerKind::kIlpDelayAware && !f.delay_bound_met &&
-        !use_zones) {
+    if (!annotate_delay(f, plan.schedule, params_.frame) &&
+        kind == SchedulerKind::kIlpDelayAware && !use_zones) {
       return make_error(str_cat("flow ", f.spec.id,
                                 " misses its delay bound: ",
                                 f.worst_case_delay.to_string(), " > ",
@@ -423,18 +431,15 @@ Expected<MeshPlan> QosPlanner::plan(const std::vector<FlowSpec>& flows,
         const auto mg = plan.schedule.all_grants(m);
         busy_ranges.insert(busy_ranges.end(), mg.begin(), mg.end());
       }
-      bool placed = false;
-      for (const SlotRange& gap :
-           free_gaps(std::move(busy_ranges), data_slots)) {
-        if (gap.length < chunk) continue;
-        plan.schedule.add_extra_grant(l, SlotRange{gap.start, chunk});
-        remaining[idx] -= chunk;
-        placed = true;
-        break;
+      const auto start = first_fit(busy_ranges, chunk, 0, data_slots);
+      if (!start.has_value()) {
+        // No gap can ever fit this granule again: the link is done.
+        remaining[idx] = 0;
+        continue;
       }
-      // No gap can ever fit this granule again: the link is done.
-      if (!placed) remaining[idx] = 0;
-      pass_progress |= placed;
+      plan.schedule.add_extra_grant(l, SlotRange{*start, chunk});
+      remaining[idx] -= chunk;
+      pass_progress = true;
     }
     any_request = false;
     for (int r : remaining) any_request |= r > 0;
@@ -442,34 +447,6 @@ Expected<MeshPlan> QosPlanner::plan(const std::vector<FlowSpec>& flows,
   }
 
   return plan;
-}
-
-QosPlanner::AdmissionResult QosPlanner::admit_incrementally(
-    const std::vector<FlowSpec>& flows, SchedulerKind kind,
-    const IlpSchedulerOptions& ilp_options) const {
-  AdmissionResult best;
-  best.admitted = 0;
-  // Longest feasible prefix; each attempt re-plans from scratch, exactly as
-  // a centralized 802.16 scheduler would on each admission request. Only
-  // feasibility matters per candidate, so the cheap objective is used.
-  std::vector<FlowSpec> prefix;
-  for (const FlowSpec& spec : flows) {
-    prefix.push_back(spec);
-    auto attempt =
-        plan(prefix, kind, ilp_options, PlanObjective::kFeasibility);
-    if (!attempt.has_value()) break;
-    best.plan = std::move(*attempt);
-    best.admitted = prefix.size();
-  }
-  if (best.admitted > 0) {
-    // One final min-slots pass over the admitted set, so the returned plan
-    // carries the paper's compact schedule; keep the feasibility plan if
-    // the search exhausts its limits.
-    prefix.resize(best.admitted);
-    auto final_plan = plan(prefix, kind, ilp_options);
-    if (final_plan.has_value()) best.plan = std::move(*final_plan);
-  }
-  return best;
 }
 
 }  // namespace wimesh

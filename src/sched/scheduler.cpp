@@ -670,17 +670,9 @@ std::optional<ScheduleResult> schedule_flow_order_greedy(
       const LinkId m = problem.conflicts.other_end(e, l);
       if (const auto g = schedule.grant(m)) busy.push_back(*g);
     }
-    std::sort(busy.begin(), busy.end(),
-              [](const SlotRange& a, const SlotRange& b) {
-                return a.start < b.start;
-              });
-    int cursor = lower_start;
-    for (const SlotRange& b : busy) {
-      if (cursor + d <= b.start) break;
-      cursor = std::max(cursor, b.end());
-    }
-    if (cursor + d > frame_slots) return std::nullopt;
-    schedule.set_grant(l, SlotRange{cursor, d});
+    const auto start = first_fit(busy, d, lower_start, frame_slots);
+    if (!start.has_value()) return std::nullopt;
+    schedule.set_grant(l, SlotRange{*start, d});
   }
   WIMESH_ASSERT(validate_schedule(problem, schedule));
   TransmissionOrder order = order_from_schedule(problem, schedule);
@@ -781,24 +773,15 @@ std::optional<ScheduleResult> schedule_greedy(const SchedulingProblem& problem,
   MeshSchedule schedule(problem.links, frame_slots);
   for (LinkId l : act) {
     const int d = problem.demand[static_cast<std::size_t>(l)];
-    // Collect busy intervals of already-placed conflicting links.
+    // First-fit around the already-placed conflicting links.
     std::vector<SlotRange> busy;
     for (EdgeId e : problem.conflicts.incident(l)) {
       const LinkId m = problem.conflicts.other_end(e, l);
       if (const auto g = schedule.grant(m)) busy.push_back(*g);
     }
-    std::sort(busy.begin(), busy.end(),
-              [](const SlotRange& a, const SlotRange& b) {
-                return a.start < b.start;
-              });
-    // First-fit gap.
-    int cursor = 0;
-    for (const SlotRange& b : busy) {
-      if (cursor + d <= b.start) break;
-      cursor = std::max(cursor, b.end());
-    }
-    if (cursor + d > frame_slots) return std::nullopt;
-    schedule.set_grant(l, SlotRange{cursor, d});
+    const auto start = first_fit(busy, d, 0, frame_slots);
+    if (!start.has_value()) return std::nullopt;
+    schedule.set_grant(l, SlotRange{*start, d});
   }
   WIMESH_ASSERT(validate_schedule(problem, schedule));
   TransmissionOrder order = order_from_schedule(problem, schedule);
@@ -865,19 +848,20 @@ bool validate_schedule(const SchedulingProblem& problem,
   return true;
 }
 
-int worst_case_delay_slots(const MeshSchedule& schedule, const FlowPath& flow,
+int worst_case_delay_slots(const MeshSchedule& schedule,
+                           const std::vector<LinkId>& path,
                            int frame_total_slots) {
-  WIMESH_ASSERT(!flow.links.empty());
+  WIMESH_ASSERT(!path.empty());
   WIMESH_ASSERT(frame_total_slots >= schedule.frame_slots());
   // Worst case: the packet arrives just as the first block starts and must
   // wait a full frame for the next occurrence.
   int delay = frame_total_slots;
-  const auto first = schedule.grant(flow.links.front());
+  const auto first = schedule.grant(path.front());
   WIMESH_ASSERT(first.has_value());
   delay += first->length;
   int prev_end = first->end();
-  for (std::size_t i = 1; i < flow.links.size(); ++i) {
-    const auto g = schedule.grant(flow.links[static_cast<std::size_t>(i)]);
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const auto g = schedule.grant(path[i]);
     WIMESH_ASSERT(g.has_value());
     int gap = g->start - prev_end;
     if (gap < 0) gap += frame_total_slots;  // waits for the next frame

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "wimesh/common/strings.h"
 #include "wimesh/graph/topology.h"
 #include "wimesh/trace/trace.h"
 
@@ -22,32 +21,6 @@ SimTime SyncConfig::max_error_bound(int max_hops) const {
                           static_cast<double>(resync_interval.ns());
   return SimTime::nanoseconds(
       static_cast<std::int64_t>(std::ceil(residual_ns + drift_ns)));
-}
-
-Expected<bool> SyncProtocol::validate(const Graph& topology, NodeId master) {
-  if (topology.node_count() <= 0) {
-    return make_error("sync: topology has no nodes");
-  }
-  if (master < 0 || master >= topology.node_count()) {
-    return make_error(str_cat("sync: master ", master,
-                              " is out of range [0, ", topology.node_count(),
-                              ")"));
-  }
-  if (!is_connected(topology)) {
-    return make_error(
-        "sync: topology is disconnected; a partitioned mesh cannot share "
-        "one time reference");
-  }
-  return true;
-}
-
-Expected<std::unique_ptr<SyncProtocol>> SyncProtocol::create(
-    Simulator& sim, const Graph& topology, NodeId master, SyncConfig config,
-    Rng rng, SimTime initial_offset_bound) {
-  auto ok = validate(topology, master);
-  if (!ok.has_value()) return make_error(ok.error());
-  return std::make_unique<SyncProtocol>(sim, topology, master, config, rng,
-                                        initial_offset_bound);
 }
 
 SyncProtocol::SyncProtocol(Simulator& sim, const Graph& topology,

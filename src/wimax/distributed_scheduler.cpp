@@ -12,27 +12,6 @@ int DistributedScheduleResult::used_slots() const {
   return used;
 }
 
-namespace {
-
-// First-fit placement of a block of `length` around the busy set.
-std::optional<SlotRange> first_fit(std::vector<SlotRange> busy, int length,
-                                   int frame_slots) {
-  std::sort(busy.begin(), busy.end(),
-            [](const SlotRange& a, const SlotRange& b) {
-              return a.start < b.start;
-            });
-  int cursor = 0;
-  for (const SlotRange& b : busy) {
-    if (b.length == 0) continue;
-    if (cursor + length <= b.start) break;
-    cursor = std::max(cursor, b.end());
-  }
-  if (cursor + length > frame_slots) return std::nullopt;
-  return SlotRange{cursor, length};
-}
-
-}  // namespace
-
 DistributedScheduleResult run_distributed_scheduling(
     const LinkSet& links, const std::vector<int>& demand,
     const Graph& conflicts, int frame_slots,
@@ -117,10 +96,11 @@ DistributedScheduleResult run_distributed_scheduling(
       if (want <= 0) continue;
       if (given_up[i]) continue;               // gave up; demand stays unmet
       if (wait_until[i] > out.rounds) continue;  // backing off
-      const auto candidate = first_fit(local_view(l), want, frame_slots);
-      if (!candidate.has_value()) continue;  // no gap in this view; wait
+      std::vector<SlotRange> view = local_view(l);
+      const auto start = first_fit(view, want, 0, frame_slots);
+      if (!start.has_value()) continue;  // no gap in this view; wait
       tentative.push_back(Tentative{
-          l, *candidate,
+          l, SlotRange{*start, want},
           mesh_election_hash(static_cast<std::uint32_t>(l),
                              static_cast<std::uint32_t>(out.rounds),
                              config.election_seed)});

@@ -69,22 +69,22 @@ int MeshSchedule::granted_slots() const {
   return total;
 }
 
-std::vector<SlotRange> free_gaps(std::vector<SlotRange> busy,
-                                 int frame_slots) {
+std::optional<int> first_fit(std::vector<SlotRange>& busy, int length,
+                             int from, int frame_slots) {
   std::sort(busy.begin(), busy.end(),
             [](const SlotRange& a, const SlotRange& b) {
               return a.start < b.start;
             });
-  std::vector<SlotRange> gaps;
-  int cursor = 0;
+  // Every range starting before the candidate block ends either lies
+  // wholly before it or pushes it past its own end.
+  int cursor = from;
   for (const SlotRange& b : busy) {
-    if (b.start > cursor) gaps.push_back(SlotRange{cursor, b.start - cursor});
+    if (b.length == 0) continue;
+    if (cursor + length <= b.start) break;
     cursor = std::max(cursor, b.end());
   }
-  if (cursor < frame_slots) {
-    gaps.push_back(SlotRange{cursor, frame_slots - cursor});
-  }
-  return gaps;
+  if (cursor + length > frame_slots) return std::nullopt;
+  return cursor;
 }
 
 }  // namespace wimesh

@@ -253,39 +253,25 @@ Expected<ZonedScheduleResult> schedule_zoned(const SchedulingProblem& problem,
     if (!out.border_link[static_cast<std::size_t>(l)]) continue;
     const int demand = problem.demand[static_cast<std::size_t>(l)];
     if (demand == 0) continue;
-    // Committed grants this link must avoid, as a sorted busy list.
+    // Committed grants this link must avoid.
     std::vector<SlotRange> busy;
     for (NodeId m : problem.conflicts.neighbors(l)) {
       const SlotRange& g = committed[static_cast<std::size_t>(m)];
       if (g.length > 0) busy.push_back(g);
     }
-    std::sort(busy.begin(), busy.end(),
-              [](const SlotRange& a, const SlotRange& b) {
-                return a.start < b.start;
-              });
-    const auto fits = [&](const SlotRange& range) {
-      for (const SlotRange& b : busy) {
-        if (range.overlaps(b)) return false;
-      }
-      return true;
-    };
     SlotRange grant = requested[static_cast<std::size_t>(l)];
     WIMESH_ASSERT(grant.length == demand);
-    bool relocated = false;
-    if (!fits(grant)) {
-      // First fit: start at 0 and hop over each busy block that blocks
-      // the current candidate.
-      relocated = true;
-      grant.start = 0;
-      for (const SlotRange& b : busy) {
-        if (grant.overlaps(b)) grant.start = b.end();
+    const bool relocated =
+        std::any_of(busy.begin(), busy.end(),
+                    [&](const SlotRange& b) { return grant.overlaps(b); });
+    if (relocated) {
+      const auto start = first_fit(busy, demand, 0, max_slots);
+      if (!start.has_value()) {
+        return make_error(str_cat("border reconciliation finds no ", demand,
+                                  "-slot gap for link ", l,
+                                  " within the cap of ", max_slots));
       }
-      if (grant.end() > max_slots) {
-        return make_error(str_cat(
-            "border reconciliation needs ", grant.end(),
-            " slots for link ", l, ", exceeding the cap of ", max_slots));
-      }
-      WIMESH_ASSERT(fits(grant));
+      grant.start = *start;
     }
     committed[static_cast<std::size_t>(l)] = grant;
     composed_slots = std::max(composed_slots, grant.end());

@@ -84,6 +84,12 @@ TEST(MeshNetworkTest, AdmissionCapsCalls) {
   const std::size_t admitted = net.admit_incrementally();
   EXPECT_GT(admitted, 0u);
   EXPECT_LT(admitted, 30u);
+  // The installed plan carries exactly the admitted prefix, bounds met.
+  ASSERT_EQ(net.plan().guaranteed.size(), admitted);
+  for (std::size_t i = 0; i < admitted; ++i) {
+    EXPECT_EQ(net.plan().guaranteed[i].spec.id, static_cast<int>(i));
+    EXPECT_TRUE(net.plan().guaranteed[i].delay_bound_met);
+  }
   // The admitted set must actually run cleanly.
   const SimulationResult r =
       net.run(MacMode::kTdmaOverlay, SimTime::seconds(2));

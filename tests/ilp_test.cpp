@@ -130,29 +130,6 @@ TEST(IlpSolveTest, EqualityWithBinariesSelectsExactCover) {
   EXPECT_DOUBLE_EQ(r.x[static_cast<std::size_t>(a)], 0.0);
 }
 
-TEST(IlpSolveTest, ObjectiveGapTolPrunesIntegralObjectives) {
-  // With an integral objective, setting gap tol ~1 prunes any node whose
-  // bound cannot improve by a whole unit — same optimum, fewer nodes.
-  IlpModel m;
-  m.set_objective_sense(ObjSense::kMaximize);
-  std::vector<VarId> xs;
-  for (int i = 0; i < 8; ++i) {
-    xs.push_back(m.add_binary(static_cast<double>(1 + i % 3)));
-  }
-  std::vector<LpTerm> row;
-  for (VarId v : xs) row.push_back({v, 2.0});
-  m.add_constraint(row, RowSense::kLessEqual, 9.0);
-
-  const IlpResult base = solve_ilp(m);
-  IlpOptions opt;
-  opt.objective_gap_tol = 1.0 - 1e-6;
-  const IlpResult pruned = solve_ilp(m, opt);
-  ASSERT_EQ(base.status, IlpStatus::kOptimal);
-  ASSERT_EQ(pruned.status, IlpStatus::kOptimal);
-  EXPECT_NEAR(base.objective, pruned.objective, 1e-9);
-  EXPECT_LE(pruned.nodes_explored, base.nodes_explored);
-}
-
 TEST(IlpSolveTest, DiagnosticsArePopulated) {
   IlpModel m;
   m.set_objective_sense(ObjSense::kMaximize);

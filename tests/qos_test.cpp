@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "wimesh/admit/engine.h"
 #include "wimesh/graph/topology.h"
 #include "wimesh/qos/planner.h"
 
@@ -180,11 +181,14 @@ TEST(QosPlannerTest, NextHopAndOutLinkFollowThePath) {
   const auto plan = planner.plan({FlowSpec::voip(7, 0, 3, VoipCodec::g729())},
                                  SchedulerKind::kGreedy);
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->next_hop(7, 0), 1);
-  EXPECT_EQ(plan->next_hop(7, 2), 3);
-  EXPECT_EQ(plan->next_hop(7, 3), kInvalidNode);  // destination
-  EXPECT_EQ(plan->next_hop(99, 0), kInvalidNode); // unknown flow
-  const LinkId l = plan->out_link(7, 1);
+  EXPECT_EQ(plan->find_flow(99), nullptr);  // unknown flow
+  const FlowPlan* f = plan->find_flow(7);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->next_hop(0), 1);
+  EXPECT_EQ(f->next_hop(2), 3);
+  EXPECT_EQ(f->next_hop(3), kInvalidNode);  // destination
+  EXPECT_EQ(f->out_link(3), kInvalidLink);
+  const LinkId l = f->out_link(1);
   ASSERT_NE(l, kInvalidLink);
   EXPECT_EQ(plan->links.link(l).from, 1);
   EXPECT_EQ(plan->links.link(l).to, 2);
@@ -194,19 +198,29 @@ TEST(QosPlannerTest, IncrementalAdmissionFindsCapacity) {
   const Topology topo = make_chain(4, 100.0);
   EmulationParams p = default_params();
   p.frame.data_slots = 48;  // shrink capacity so admission bites
-  QosPlanner planner(topo, RadioModel(110.0, 220.0), p,
-                     PhyMode::ofdm_802_11a(54));
+  const QosPlanner planner(topo, RadioModel(110.0, 220.0), p,
+                           PhyMode::ofdm_802_11a(54));
   std::vector<FlowSpec> flows;
   for (int c = 0; c < 20; ++c) {
     flows.push_back(FlowSpec::voip(2 * c, 0, 3, VoipCodec::g711()));
     flows.push_back(FlowSpec::voip(2 * c + 1, 3, 0, VoipCodec::g711()));
   }
-  const auto result =
-      planner.admit_incrementally(flows, SchedulerKind::kIlpDelayAware);
-  EXPECT_GT(result.admitted, 0u);
-  EXPECT_LT(result.admitted, flows.size());  // capacity must bind
-  EXPECT_TRUE(plan_schedule_conflict_free(result.plan));
-  for (const FlowPlan& f : result.plan.guaranteed) {
+  // Incremental admission on this planner: offer in order, stop at the
+  // first flow not admitted, then plan the admitted prefix.
+  admit::AdmissionEngine engine(planner, admit::EngineConfig{});
+  std::size_t admitted = 0;
+  while (admitted < flows.size() &&
+         engine.offer(flows[admitted], SimTime::zero()).outcome ==
+             admit::Outcome::kAdmitted) {
+    ++admitted;
+  }
+  EXPECT_GT(admitted, 0u);
+  EXPECT_LT(admitted, flows.size());  // capacity must bind
+  flows.resize(admitted);
+  const auto plan = planner.plan(flows, SchedulerKind::kIlpDelayAware);
+  ASSERT_TRUE(plan.has_value()) << plan.error();
+  EXPECT_TRUE(plan_schedule_conflict_free(*plan));
+  for (const FlowPlan& f : plan->guaranteed) {
     EXPECT_TRUE(f.delay_bound_met);
   }
 }

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "wimesh/admit/engine.h"
 #include "wimesh/batch/runner.h"
 #include "wimesh/common/rng.h"
 #include "wimesh/common/strings.h"
@@ -488,6 +490,110 @@ TEST(SinrConflictGraphTest, WallsAddConflictEdgesProtocolModelCannotSee) {
   EXPECT_GT(open_graph.edge_count(), walled_graph.edge_count());
   // Intra-chain conflicts (shared endpoints) are still there.
   EXPECT_GT(walled_graph.edge_count(), 0u);
+}
+
+// ------------------------------------- planning on the mesh's radio graph
+
+// A 5x5 grid under shadowing and fading whose four G.729 calls fit the
+// protocol model's conflict graph but not the SINR-derived one.
+constexpr const char* kSinrGridScenario = R"(
+topology = grid 5 5 100
+comm_range = 110
+interference_range = 220
+radio = on,shadowing=6,fading=jakes,doppler=6,seed=3
+voip 0 0 24 g729 100
+voip 2 4 20 g729 100
+voip 4 12 0 g729 100
+voip 6 6 18 g729 100
+)";
+
+admit::EngineConfig engine_config_of(const MeshNetwork& net) {
+  admit::EngineConfig ec;
+  ec.scheduler = net.config().scheduler;
+  ec.ilp = net.config().ilp;
+  return ec;
+}
+
+std::size_t offer_all(admit::AdmissionEngine& engine,
+                      const std::vector<FlowSpec>& flows) {
+  std::size_t admitted = 0;
+  for (const FlowSpec& f : flows) {
+    if (engine.offer(f, SimTime::zero()).outcome ==
+        admit::Outcome::kAdmitted) {
+      ++admitted;
+    }
+  }
+  return admitted;
+}
+
+TEST(RadioPlanningTest, EngineOnMeshPlannerRejectsWhatComputePlanRejects) {
+  const auto sc = parse_scenario(kSinrGridScenario);
+  ASSERT_TRUE(sc.has_value()) << sc.error();
+  MeshNetwork net(sc->config);
+  for (const FlowSpec& f : sc->flows) net.add_flow(f);
+  const auto plan = net.compute_plan();
+  ASSERT_FALSE(plan.has_value());
+  EXPECT_NE(plan.error().find("clique lower bound"), std::string::npos)
+      << plan.error();
+
+  // An engine on the mesh's planner decides on the same SINR graph, so it
+  // cannot carry the whole set compute_plan rejects.
+  admit::AdmissionEngine engine(net.planner(), engine_config_of(net));
+  const std::size_t admitted = offer_all(engine, sc->flows);
+  EXPECT_GT(admitted, 0u);
+  EXPECT_LT(admitted, sc->flows.size());
+  EXPECT_TRUE(engine.live_consistent());
+
+  // The protocol model sees room for all of them: the difference is the
+  // conflict graph, not the flows.
+  const MeshConfig& cfg = net.config();
+  admit::AdmissionEngine protocol(
+      cfg.topology, RadioModel(cfg.comm_range, cfg.interference_range),
+      cfg.emulation, cfg.phy, engine_config_of(net));
+  EXPECT_EQ(offer_all(protocol, sc->flows), sc->flows.size());
+}
+
+TEST(RadioPlanningTest, SurvivorPlannerPosesTheSinrGraph) {
+  const auto sc = parse_scenario(kSinrGridScenario);
+  ASSERT_TRUE(sc.has_value()) << sc.error();
+  const MeshNetwork net(sc->config);
+  const MeshConfig& cfg = net.config();
+  const RadioEnvironment env(cfg.radio, cfg.topology.positions, cfg.phy,
+                             cfg.radio.seed);
+
+  // Node 12 (the centre) crashes; the corner-to-corner flows route round.
+  std::vector<char> alive(static_cast<std::size_t>(cfg.topology.node_count()),
+                          1);
+  alive[12] = 0;
+  const Topology survivors = surviving_topology(
+      cfg.topology, alive, [](NodeId, NodeId) { return false; });
+  const std::vector<FlowSpec> flows{
+      FlowSpec::voip(0, 0, 24, VoipCodec::g729()),
+      FlowSpec::voip(1, 4, 20, VoipCodec::g729())};
+
+  const SimTime guard = cfg.emulation.guard_time + SimTime::microseconds(7);
+  const QosPlanner derived = net.planner().for_survivors(survivors, guard);
+  EXPECT_EQ(derived.params().guard_time, guard);
+  EXPECT_EQ(derived.params().frame.data_slots,
+            cfg.emulation.frame.data_slots);
+  const BuiltProblem bp = derived.build_problem(flows);
+  for (const FlowPlan& f : bp.guaranteed) {
+    EXPECT_EQ(std::count(f.node_path.begin(), f.node_path.end(), 12), 0);
+  }
+  const Graph sinr = build_conflict_graph_sinr(bp.problem.links, env);
+  expect_same_graph(bp.problem.conflicts, sinr, "fault repair planner");
+  // The check has teeth: the protocol model poses another graph here.
+  EXPECT_NE(build_conflict_graph(bp.problem.links, cfg.topology.positions,
+                                 RadioModel(cfg.comm_range,
+                                            cfg.interference_range))
+                .edge_count(),
+            sinr.edge_count());
+
+  // An admission engine's topology epoch derives its planner the same way.
+  admit::AdmissionEngine engine(net.planner(), engine_config_of(net));
+  engine.set_topology_epoch(alive, SimTime::zero());
+  expect_same_graph(engine.planner().build_problem(flows).problem.conflicts,
+                    sinr, "engine epoch planner");
 }
 
 // ---------------------------------------------------------------- minstrel

@@ -205,6 +205,15 @@ TEST(ScenarioParserTest, OutOfRangeInputsAreNamedLineErrors) {
       {"video 0 8 0 999", 2, "video mean_bps"},
       {"fault = node-crash@0.1 node=99", 2, "node 99"},
       {"fault = link-down@0.1 link=0-9", 2, "node 9"},
+      // A disconnected mesh is named at its header line instead of
+      // reaching the sync tree's or the router's assertion.
+      {"topology = custom\nnode 0 0 0\nnode 1 100 0\nnode 2 900 0\n"
+       "link 0 1",
+       2, "disconnected (node 2 has no path"},
+      {"mac = dcf\ntopology = custom\nnode 0 0 0\nnode 1 100 0\n"
+       "node 2 200 0\nnode 3 300 0\nlink 0 1\nlink 2 3\n"
+       "voip 2 0 3 g729 100",
+       3, "disconnected (node 2 has no path"},
   };
   for (const Case& c : cases) {
     const auto sc = parse_scenario(std::string("topology = grid 3 3 100\n") +

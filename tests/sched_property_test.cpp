@@ -191,7 +191,7 @@ TEST_P(SchedulerSweep, DelayMetricIsConsistentWithWraps) {
   for (const FlowPath& f : p.flows) {
     const int wraps = count_frame_wraps(r->result.schedule, f);
     const int delay =
-        worst_case_delay_slots(r->result.schedule, f, total_slots);
+        worst_case_delay_slots(r->result.schedule, f.links, total_slots);
     // delay >= initial frame + per-hop blocks; delay <= (wraps+2) frames.
     EXPECT_GE(delay, total_slots);
     EXPECT_LE(delay, (wraps + 2) * total_slots);

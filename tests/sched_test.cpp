@@ -316,7 +316,7 @@ TEST(DelayMetricsTest, WorstCaseDelayHandComputed) {
   FlowPath flow;
   flow.links = {l0, l1};
   // initial wait 10 + d0 (2) + gap (4-2=2) + d1 (2) = 16.
-  EXPECT_EQ(worst_case_delay_slots(s, flow, 10), 16);
+  EXPECT_EQ(worst_case_delay_slots(s, flow.links, 10), 16);
   EXPECT_EQ(count_frame_wraps(s, flow), 0);
 }
 
@@ -331,7 +331,7 @@ TEST(DelayMetricsTest, WrapAddsAFrame) {
   FlowPath flow;
   flow.links = {l0, l1};
   // initial wait 10 + d0 (2) + gap ((0-6) mod 10 = 4) + d1 (2) = 18.
-  EXPECT_EQ(worst_case_delay_slots(s, flow, 10), 18);
+  EXPECT_EQ(worst_case_delay_slots(s, flow.links, 10), 18);
   EXPECT_EQ(count_frame_wraps(s, flow), 1);
 }
 
@@ -351,9 +351,10 @@ TEST(DelayMetricsTest, DelayAwareBeatsUnawareOnLongChain) {
 
   const int total = 70;  // frame slots incl. control
   const int aware_delay =
-      worst_case_delay_slots(r_aware->result.schedule, aware_p.flows[0], total);
+      worst_case_delay_slots(r_aware->result.schedule,
+                             aware_p.flows[0].links, total);
   const int rr_delay =
-      worst_case_delay_slots(rr->schedule, aware_p.flows[0], total);
+      worst_case_delay_slots(rr->schedule, aware_p.flows[0].links, total);
   EXPECT_LE(aware_delay, rr_delay);
   EXPECT_EQ(count_frame_wraps(r_aware->result.schedule, aware_p.flows[0]), 0);
 }

@@ -177,41 +177,7 @@ TEST(SyncProtocolTest, DeterministicForSameSeed) {
   EXPECT_NE(sample(5), sample(6));
 }
 
-// ------------------------------------------- validation and failover
-
-TEST(SyncValidationTest, RejectsEmptyTopology) {
-  const Graph empty(0);
-  const auto v = SyncProtocol::validate(empty, 0);
-  ASSERT_FALSE(v.has_value());
-  EXPECT_NE(v.error().find("no nodes"), std::string::npos);
-}
-
-TEST(SyncValidationTest, RejectsOutOfRangeMaster) {
-  const Topology t = make_chain(4, 100.0);
-  for (NodeId bad : {NodeId{-1}, NodeId{4}, NodeId{99}}) {
-    const auto v = SyncProtocol::validate(t.graph, bad);
-    ASSERT_FALSE(v.has_value()) << "master " << bad;
-    EXPECT_NE(v.error().find("out of range"), std::string::npos);
-  }
-}
-
-TEST(SyncValidationTest, RejectsDisconnectedTopology) {
-  Graph g(4);
-  g.add_edge(0, 1);  // 2 and 3 are isolated
-  const auto v = SyncProtocol::validate(g, 0);
-  ASSERT_FALSE(v.has_value());
-  EXPECT_NE(v.error().find("disconnected"), std::string::npos);
-}
-
-TEST(SyncValidationTest, CreateFactoryMirrorsValidate) {
-  Simulator sim;
-  const Topology t = make_chain(4, 100.0);
-  auto good = SyncProtocol::create(sim, t.graph, 0, SyncConfig{}, Rng(7));
-  ASSERT_TRUE(good.has_value());
-  EXPECT_EQ((*good)->max_tree_depth(), 3);
-  auto bad = SyncProtocol::create(sim, t.graph, 9, SyncConfig{}, Rng(7));
-  EXPECT_FALSE(bad.has_value());
-}
+// ------------------------------------------------------------- failover
 
 TEST(SyncFailoverTest, FailMasterStopsWavesAndReRootRestores) {
   Simulator sim;

@@ -56,6 +56,36 @@ TEST(SlotRangeTest, OverlapCases) {
   EXPECT_EQ(a.end(), 4);
 }
 
+TEST(FirstFitTest, OverlappingBusyRangesMergeIntoOneObstacle) {
+  // [2,6) and [4,9) overlap, given out of order; [12,14) stands alone.
+  std::vector<SlotRange> busy{{12, 2}, {4, 5}, {2, 4}};
+  EXPECT_EQ(first_fit(busy, 2, 0, 20), 0);   // before the first range
+  EXPECT_EQ(first_fit(busy, 3, 0, 20), 9);   // [0,2) is too short
+  EXPECT_EQ(first_fit(busy, 3, 5, 20), 9);   // from inside the merged block
+  EXPECT_EQ(first_fit(busy, 4, 0, 20), 14);  // [9,12) is too short
+  EXPECT_EQ(first_fit(busy, 1, 10, 20), 10);
+  EXPECT_EQ(busy.front().start, 2);  // sorted in place
+}
+
+TEST(FirstFitTest, ZeroLengthBusyRangesBlockNothing) {
+  std::vector<SlotRange> busy{{3, 0}, {5, 0}, {8, 2}};
+  EXPECT_EQ(first_fit(busy, 8, 0, 20), 0);
+  EXPECT_EQ(first_fit(busy, 9, 0, 20), 10);
+  std::vector<SlotRange> none{{0, 0}};
+  EXPECT_EQ(first_fit(none, 20, 0, 20), 0);
+}
+
+TEST(FirstFitTest, BlockMustEndWithinTheFrame) {
+  std::vector<SlotRange> busy{{0, 4}, {10, 6}};
+  EXPECT_EQ(first_fit(busy, 4, 0, 20), 4);
+  EXPECT_EQ(first_fit(busy, 4, 7, 20), 16);  // ends exactly at the frame end
+  EXPECT_EQ(first_fit(busy, 5, 7, 20), std::nullopt);
+  EXPECT_EQ(first_fit(busy, 2, 19, 20), std::nullopt);
+  std::vector<SlotRange> empty;
+  EXPECT_EQ(first_fit(empty, 20, 0, 20), 0);
+  EXPECT_EQ(first_fit(empty, 21, 0, 20), std::nullopt);
+}
+
 TEST(MeshScheduleTest, GrantBookkeeping) {
   LinkSet ls;
   const LinkId l0 = ls.add({0, 1});
