@@ -64,8 +64,11 @@ Topology make_tree(NodeId arity, NodeId depth, double spacing = 100.0);
 
 // Breadth-first spanning tree (forest, if g is disconnected) of `g` rooted
 // at `root`, returned as parent[v]. kInvalidNode marks both the root and
-// any node unreachable from it; use bfs_hops to tell them apart.
-std::vector<NodeId> spanning_tree_parents(const Graph& g, NodeId root);
+// any node unreachable from it; use bfs_hops to tell them apart. With
+// `stop_at` set, the search ends once that node is discovered: the parents
+// on its path to the root are final, the rest of the tree is partial.
+std::vector<NodeId> spanning_tree_parents(const Graph& g, NodeId root,
+                                          NodeId stop_at = kInvalidNode);
 
 // The part of `topology` that survives a fault epoch: every edge whose
 // endpoints are both alive (alive[v] != 0) and that `link_down` does not

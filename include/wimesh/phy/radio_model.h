@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "wimesh/common/expected.h"
-#include "wimesh/graph/graph.h"
 #include "wimesh/graph/topology.h"
 
 namespace wimesh {
@@ -39,11 +38,13 @@ class RadioModel {
     return distance(tx, rx) <= interference_range_;
   }
 
-  // Connectivity graph induced by comm_range over the positions.
-  Graph build_connectivity(const std::vector<Point>& positions) const;
-
-  // For each node, the set of nodes whose transmissions reach it with
-  // interfering power (excluding itself).
+  // The interference neighbourhood of every node: sets[i] holds each
+  // j != i with interferes(positions[j], positions[i]), in ascending
+  // NodeId. distance() is symmetric, so j is in sets[i] iff i is in
+  // sets[j]. The one spatial index of the protocol model: the geometric
+  // conflict builder and WifiChannel both read it. Nodes are hashed into
+  // cells of side interference_range, so the cost is O(N * local
+  // density), not O(N^2).
   std::vector<std::vector<NodeId>> build_interference_sets(
       const std::vector<Point>& positions) const;
 

@@ -158,7 +158,8 @@ class QosPlanner {
 
  private:
   // `link_load` carries the airtime (seconds/frame) already reserved per
-  // directed link during this planning pass; only kLoadAware reads it.
+  // directed link during this planning pass; only kLoadAware reads it
+  // (build_problem leaves it empty under kHopCount).
   std::vector<NodeId> route(
       NodeId src, NodeId dst,
       const std::vector<std::vector<double>>& link_load) const;

@@ -274,7 +274,8 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     if (mode == MacMode::kTdmaOverlay) {
       const LinkId link = routes[flow]->out_link(at);
       if (link == kInvalidLink ||
-          live_plan->schedule.all_grants(link).empty()) {
+          (!live_plan->schedule.grant(link).has_value() &&
+           live_plan->schedule.extra_grants(link).empty())) {
         if (auditor) {
           auditor->on_packet_dropped(
               p, typed_drop(audit::DropReason::kNoCapacity, p.flow_id));

@@ -137,7 +137,8 @@ Topology make_tree(NodeId arity, NodeId depth, double spacing) {
   return t;
 }
 
-std::vector<NodeId> spanning_tree_parents(const Graph& g, NodeId root) {
+std::vector<NodeId> spanning_tree_parents(const Graph& g, NodeId root,
+                                          NodeId stop_at) {
   // The graph may be disconnected (a surviving post-fault topology): nodes
   // the BFS never reaches simply keep kInvalidNode as parent, matching the
   // root itself — callers routing through the forest must check
@@ -157,6 +158,7 @@ std::vector<NodeId> spanning_tree_parents(const Graph& g, NodeId root) {
       if (!seen[static_cast<std::size_t>(v)]) {
         seen[static_cast<std::size_t>(v)] = true;
         parent[static_cast<std::size_t>(v)] = u;
+        if (v == stop_at) return parent;
         frontier.push(v);
       }
     }

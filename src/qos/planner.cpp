@@ -75,7 +75,7 @@ std::vector<NodeId> QosPlanner::route(
     const std::vector<std::vector<double>>& link_load) const {
   WIMESH_ASSERT(src != dst);
   if (routing_ == RoutingPolicy::kHopCount) {
-    const auto parents = spanning_tree_parents(topology_->graph, src);
+    const auto parents = spanning_tree_parents(topology_->graph, src, dst);
     std::vector<NodeId> path{dst};
     while (path.back() != src) {
       const NodeId p = parents[static_cast<std::size_t>(path.back())];
@@ -127,8 +127,11 @@ BuiltProblem QosPlanner::build_problem(
   // routed first so best-effort detours cannot displace voice; within a
   // class, declaration order decides (as admission would).
   const auto node_count = static_cast<std::size_t>(topology_->node_count());
-  std::vector<std::vector<double>> link_load(
-      node_count, std::vector<double>(node_count, 0.0));
+  const bool load_aware = routing_ == RoutingPolicy::kLoadAware;
+  std::vector<std::vector<double>> link_load;
+  if (load_aware) {
+    link_load.assign(node_count, std::vector<double>(node_count, 0.0));
+  }
   std::vector<FlowSpec> ordered;
   for (const FlowSpec& spec : flows) {
     if (spec.service == ServiceClass::kGuaranteed) ordered.push_back(spec);
@@ -154,13 +157,15 @@ BuiltProblem QosPlanner::build_problem(
         spec.packet_interval);
     // Record the airtime this flow reserves per frame on each hop so the
     // load-aware router sees it when placing the next flow.
-    const double per_frame_airtime_s =
-        DcfMac::overlay_service_time(phy_, spec.packet_bytes).to_seconds() *
-        f.packets_per_frame;
-    for (std::size_t i = 1; i < f.node_path.size(); ++i) {
-      link_load[static_cast<std::size_t>(f.node_path[i - 1])]
-               [static_cast<std::size_t>(f.node_path[i])] +=
-          per_frame_airtime_s;
+    if (load_aware) {
+      const double per_frame_airtime_s =
+          DcfMac::overlay_service_time(phy_, spec.packet_bytes).to_seconds() *
+          f.packets_per_frame;
+      for (std::size_t i = 1; i < f.node_path.size(); ++i) {
+        link_load[static_cast<std::size_t>(f.node_path[i - 1])]
+                 [static_cast<std::size_t>(f.node_path[i])] +=
+            per_frame_airtime_s;
+      }
     }
     // worst delay <= (budget + 2) frames (initial wait + per-wrap frames +
     // the in-frame traversal), so the budget below is conservative.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "wimesh/phy/phy.h"
+#include "wimesh/common/rng.h"
 #include "wimesh/phy/radio_model.h"
 
 namespace wimesh {
@@ -67,15 +68,18 @@ TEST(RadioModelTest, RangesAndPredicates) {
   EXPECT_TRUE(radio.can_communicate(a, Point{60, 80}));  // dist 100
 }
 
-TEST(RadioModelTest, BuildConnectivityMatchesRanges) {
-  const RadioModel radio(100.0, 200.0);
-  const std::vector<Point> pos{{0, 0}, {90, 0}, {180, 0}, {400, 0}};
-  const Graph g = radio.build_connectivity(pos);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 2));
-  EXPECT_FALSE(g.has_edge(0, 2));  // 180 > 100
-  EXPECT_FALSE(g.has_edge(2, 3));
-  EXPECT_EQ(g.edge_count(), 2);
+// All-pairs reference for build_interference_sets.
+std::vector<std::vector<NodeId>> all_pairs_interferers(
+    const RadioModel& radio, const std::vector<Point>& pos) {
+  std::vector<std::vector<NodeId>> sets(pos.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      if (i != j && radio.interferes(pos[j], pos[i])) {
+        sets[i].push_back(static_cast<NodeId>(j));
+      }
+    }
+  }
+  return sets;
 }
 
 TEST(RadioModelTest, InterferenceSetsAreDirectionallySymmetricHere) {
@@ -86,16 +90,52 @@ TEST(RadioModelTest, InterferenceSetsAreDirectionallySymmetricHere) {
   EXPECT_EQ(sets[0], (std::vector<NodeId>{1}));       // node 2 is 260 away
   EXPECT_EQ(sets[1], (std::vector<NodeId>{0, 2}));    // 120 and 140
   EXPECT_EQ(sets[2], (std::vector<NodeId>{1}));
+  EXPECT_EQ(sets, all_pairs_interferers(radio, pos));
 }
 
 TEST(RadioModelTest, ChainTopologyInterference) {
   // Nodes 100m apart, interference 200m: node i interferes with i±1, i±2.
+  // Node i±2 sits exactly at range, on a cell edge of the spatial hash.
   const RadioModel radio(100.0, 200.0);
   const Topology chain = make_chain(6, 100.0);
   const auto sets = radio.build_interference_sets(chain.positions);
-  EXPECT_EQ(sets[0].size(), 2u);
-  EXPECT_EQ(sets[2].size(), 4u);
-  EXPECT_EQ(sets[5].size(), 2u);
+  EXPECT_EQ(sets[0], (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(sets[2], (std::vector<NodeId>{0, 1, 3, 4}));
+  EXPECT_EQ(sets[5], (std::vector<NodeId>{3, 4}));
+  EXPECT_EQ(sets, all_pairs_interferers(radio, chain.positions));
+}
+
+TEST(RadioModelTest, InterferenceSetsMatchAllPairsOnCellEdges) {
+  // Coordinates drawn from cell edges (multiples of the range), their
+  // tiny-negative neighbours and exact-range offsets, plus uniform ones:
+  // the cases where floor(x / range) puts in-range nodes two cells apart.
+  const RadioModel radio(110.0, 220.0);
+  Rng rng(7);
+  const double tiny = -4.191496926165328e-16;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Point> pos;
+    const int n = 2 + static_cast<int>(rng.uniform_int(0, 60));
+    for (int i = 0; i < n; ++i) {
+      const auto coord = [&] {
+        const double edge =
+            220.0 * static_cast<double>(rng.uniform_int(-3, 3));
+        switch (rng.uniform_int(0, 3)) {
+          case 0:
+            return edge;
+          case 1:
+            return edge + tiny;
+          case 2:
+            return edge + (rng.chance(0.5) ? 100.0 : -100.0);
+          default:
+            return rng.uniform(-700.0, 700.0);
+        }
+      };
+      pos.push_back(Point{coord(), coord()});
+    }
+    ASSERT_EQ(radio.build_interference_sets(pos),
+              all_pairs_interferers(radio, pos))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace
