@@ -1,6 +1,6 @@
 // R-S1 — city-scale scheduling: wall-clock cost of planning and simulating
-// meshes from neighborhood size (100 nodes) to city size (2,025 nodes)
-// with zone-partitioned scheduling (wimesh::zones).
+// meshes from neighborhood size (100 nodes) to city size (2,025 and 10,000
+// nodes) with zone-partitioned scheduling (wimesh::zones).
 //
 // Each mesh is an R x R grid carrying localized VoIP call pairs spread
 // across the area (3-hop calls spaced beyond interference range of each
@@ -10,8 +10,9 @@
 // the scaling comparison.
 //
 // For every size the bench reports plan wall time, simulation wall-clock
-// per simulated second, the composed schedule length, and the zone/border
-// accounting; --audit (implied by --smoke) runs the invariant auditor and
+// per simulated second (and per node-second: flat when simulation cost is
+// linear in the node count), the composed schedule length, and the
+// zone/border accounting; --audit (implied by --smoke) runs the invariant auditor and
 // the bench fails on any violation — the composed zone schedule must be
 // conflict-free in execution, not just on paper.
 //
@@ -158,6 +159,8 @@ std::string to_json(const std::vector<SizeResult>& results, int jobs) {
     w.value(r.plan_wall_s);
     w.key("sim_wall_per_sim_s");
     w.value(r.sim_wall_per_sim_s);
+    w.key("sim_wall_per_node_s");
+    w.value(r.sim_wall_per_sim_s / r.nodes);
     w.key("audit_violations");
     w.value(static_cast<std::uint64_t>(r.audit_violations));
     w.end_object();
@@ -186,12 +189,13 @@ int main(int argc, char** argv) {
 
   bench::heading("R-S1", args.smoke ? "city-scale scheduling (smoke)"
                                     : "city-scale scheduling");
-  bench::row("%7s %7s %7s %6s %8s %6s %9s %11s %12s", "nodes", "calls",
-             "links", "zones", "border", "slots", "plan_s", "sim_s/sim_s",
-             "audit_viol");
+  bench::row("%7s %7s %7s %6s %8s %6s %9s %11s %12s %12s", "nodes",
+             "calls", "links", "zones", "border", "slots", "plan_s",
+             "sim_s/sim_s", "s/node-s", "audit_viol");
 
   const std::vector<NodeId> sides =
-      args.smoke ? std::vector<NodeId>{10} : std::vector<NodeId>{10, 20, 32, 45};
+      args.smoke ? std::vector<NodeId>{10}
+                 : std::vector<NodeId>{10, 20, 32, 45, 100};
   std::vector<SizeResult> results;
   bool ok = true;
   for (const NodeId side : sides) {
@@ -199,9 +203,10 @@ int main(int argc, char** argv) {
     if (!run_size(side, args, &r)) ok = false;
     if (r.nodes == 0) continue;  // plan failure: nothing to report
     results.push_back(r);
-    bench::row("%7d %7d %7d %6d %8d %6d %9.3f %11.3f %12llu", r.nodes,
+    bench::row("%7d %7d %7d %6d %8d %6d %9.3f %11.3f %12.2e %12llu", r.nodes,
                r.calls, r.links, r.zone_count, r.border_links,
                r.guaranteed_slots, r.plan_wall_s, r.sim_wall_per_sim_s,
+               r.sim_wall_per_sim_s / r.nodes,
                static_cast<unsigned long long>(r.audit_violations));
   }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "wimesh/des/simulator.h"
@@ -67,6 +69,159 @@ TEST(WifiChannelTest, AirtimeMatchesPhy) {
   f.type = WifiFrame::Type::kAck;
   EXPECT_EQ(rig.channel->frame_airtime(f),
             PhyMode::ofdm_802_11a(54).ack_airtime());
+}
+
+// A MAC that only records what the channel tells it.
+struct CountingMac : MacInterface {
+  int busy = 0;
+  int idle = 0;
+  std::vector<std::pair<NodeId, std::uint64_t>> received;  // (from, id)
+  void on_medium_busy() override { ++busy; }
+  void on_medium_idle() override { ++idle; }
+  void on_frame_received(const WifiFrame& frame) override {
+    received.emplace_back(frame.from, frame.packet.id);
+  }
+};
+
+struct PlannedTx {
+  SimTime start;
+  SimTime end;
+  WifiFrame frame;
+};
+
+// Drives overlapping unicast and broadcast frames from random nodes
+// through the channel and checks every node's carrier-sense edges and
+// decoded frames against an all-pairs evaluation of the protocol model:
+// busy/idle at every other node within interference range, a reception at
+// every addressed node within decode range, lost when any other
+// transmission overlapping it is audible there (or is the receiver's own).
+void expect_channel_matches_all_pairs(bool deliver_overheard,
+                                      std::uint64_t seed) {
+  const RadioModel radio(110.0, 220.0);
+  Rng rng(seed);
+  constexpr NodeId kNodes = 30;
+  std::vector<Point> pos;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    // Lattice points put many pairs at exactly the decode and
+    // interference ranges; the rest fill in uniformly.
+    if (i % 2 == 0) {
+      pos.push_back({110.0 * static_cast<double>(rng.uniform_int(0, 5)),
+                     110.0 * static_cast<double>(rng.uniform_int(0, 5))});
+    } else {
+      pos.push_back({rng.uniform(-50.0, 600.0), rng.uniform(-50.0, 600.0)});
+    }
+  }
+  bool at_range = false;
+  for (const Point& a : pos) {
+    for (const Point& b : pos) {
+      at_range = at_range || distance(a, b) == radio.interference_range();
+    }
+  }
+  ASSERT_TRUE(at_range);
+
+  Simulator sim;
+  WifiChannel channel(sim, pos, radio, PhyMode::ofdm_802_11a(54),
+                      ErrorModel{0.0}, Rng(1), deliver_overheard);
+  std::vector<CountingMac> macs(static_cast<std::size_t>(kNodes));
+  for (NodeId i = 0; i < kNodes; ++i) {
+    channel.attach(i, &macs[static_cast<std::size_t>(i)]);
+  }
+
+  // Strictly increasing starts, none equal to an earlier frame's end (so
+  // event order at equal times never matters), one live frame per node.
+  std::vector<PlannedTx> plan;
+  std::vector<SimTime> free_at(static_cast<std::size_t>(kNodes));
+  std::vector<SimTime> ends;
+  SimTime t = SimTime::microseconds(10);
+  for (std::uint64_t k = 0; k < 600; ++k) {
+    t = t + SimTime::nanoseconds(rng.uniform_int(1, 40000));
+    const auto tx = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+    if (free_at[static_cast<std::size_t>(tx)] >= t ||
+        std::find(ends.begin(), ends.end(), t) != ends.end()) {
+      continue;
+    }
+    WifiFrame f;
+    f.from = tx;
+    f.packet.id = k;
+    f.packet.bytes = static_cast<std::size_t>(rng.uniform_int(40, 1500));
+    if (!rng.chance(0.3)) {
+      f.to = static_cast<NodeId>(rng.uniform_int(0, kNodes - 2));
+      if (f.to >= tx) ++f.to;
+    }
+    const SimTime end = t + channel.frame_airtime(f);
+    plan.push_back({t, end, f});
+    ends.push_back(end);
+    free_at[static_cast<std::size_t>(tx)] = end;
+  }
+  for (const PlannedTx& p : plan) {
+    sim.schedule_at(p.start, [&channel, f = p.frame] { channel.transmit(f); });
+  }
+  sim.run_all();
+
+  std::vector<int> busy(static_cast<std::size_t>(kNodes), 0);
+  std::vector<std::vector<std::pair<NodeId, std::uint64_t>>> received(
+      static_cast<std::size_t>(kNodes));
+  std::uint64_t corrupted = 0;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const WifiFrame& f = plan[i].frame;
+    const Point& tx_pos = pos[static_cast<std::size_t>(f.from)];
+    for (NodeId n = 0; n < kNodes; ++n) {
+      if (n != f.from &&
+          radio.interferes(tx_pos, pos[static_cast<std::size_t>(n)])) {
+        ++busy[static_cast<std::size_t>(n)];
+      }
+    }
+    for (NodeId rx = 0; rx < kNodes; ++rx) {
+      const Point& rx_pos = pos[static_cast<std::size_t>(rx)];
+      if (rx == f.from || !radio.can_communicate(tx_pos, rx_pos)) continue;
+      if (f.to != kInvalidNode && !deliver_overheard && f.to != rx) continue;
+      bool lost = false;
+      for (std::size_t j = 0; j < plan.size(); ++j) {
+        const NodeId other = plan[j].frame.from;
+        lost = lost ||
+               (j != i && plan[j].start < plan[i].end &&
+                plan[i].start < plan[j].end &&
+                (other == rx ||
+                 radio.interferes(pos[static_cast<std::size_t>(other)],
+                                  rx_pos)));
+      }
+      if (lost) {
+        ++corrupted;
+      } else {
+        received[static_cast<std::size_t>(rx)].emplace_back(f.from,
+                                                            f.packet.id);
+      }
+    }
+  }
+
+  EXPECT_EQ(channel.frames_transmitted(), plan.size());
+  EXPECT_EQ(channel.receptions_corrupted(), corrupted);
+  EXPECT_GT(corrupted, 0u);
+  std::size_t decoded = 0;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    CountingMac& mac = macs[static_cast<std::size_t>(n)];
+    EXPECT_EQ(mac.busy, busy[static_cast<std::size_t>(n)]) << "node " << n;
+    EXPECT_EQ(mac.idle, busy[static_cast<std::size_t>(n)]) << "node " << n;
+    std::sort(mac.received.begin(), mac.received.end());
+    std::sort(received[static_cast<std::size_t>(n)].begin(),
+              received[static_cast<std::size_t>(n)].end());
+    EXPECT_EQ(mac.received, received[static_cast<std::size_t>(n)])
+        << "node " << n;
+    decoded += mac.received.size();
+  }
+  EXPECT_GT(decoded, 0u);
+}
+
+TEST(WifiChannelTest, NeighbourhoodsMatchAllPairsReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_channel_matches_all_pairs(/*deliver_overheard=*/false, seed);
+  }
+}
+
+TEST(WifiChannelTest, OverheardFramesMatchAllPairsReference) {
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    expect_channel_matches_all_pairs(/*deliver_overheard=*/true, seed);
+  }
 }
 
 TEST(DcfMacTest, UnicastDeliveryWithAck) {
