@@ -6,17 +6,17 @@
 // budgets, find a conflict-free assignment of contiguous minislot blocks.
 // Three schedulers are provided:
 //
-//  * IlpScheduler — the paper's approach: binary variables pick the relative
-//    transmission ORDER of every conflicting link pair (plus, when delay-
-//    aware, per-flow-hop "frame wrap" indicators whose sum is capped by the
-//    flow's delay budget); an ILP finds an order that fits in S slots. A
-//    linear search over S yields the minimum schedule length
-//    (min_slots_search).
+//  * schedule_ilp — the paper's approach: binary variables pick the relative
+//    transmission ORDER of every conflicting link pair; when delay-aware,
+//    one budget row per flow caps the flow's frame wraps, counted over the
+//    order binaries of its consecutive hops; a feasibility ILP finds an
+//    order that fits in S slots. A linear search over S yields the minimum
+//    schedule length (min_slots_search).
 //  * order_to_schedule — given only the relative order, reconstructs slot
 //    offsets with Bellman–Ford on the conflict graph (a difference-
 //    constraint system). This is the cheap per-frame step once the
 //    expensive ILP has fixed the order.
-//  * GreedyScheduler — the delay-unaware baseline: first-fit block
+//  * schedule_greedy — the delay-unaware baseline: first-fit block
 //    placement in descending demand order.
 
 #include <optional>

@@ -141,7 +141,7 @@ Expected<OrderModel> build_order_model(const SchedulingProblem& problem,
   for (LinkId l : act) {
     const int d = problem.demand[static_cast<std::size_t>(l)];
     start[static_cast<std::size_t>(l)] = out.model.add_continuous(
-        0.0, static_cast<double>(frame_slots - d), 0.0);
+        0.0, static_cast<double>(frame_slots - d));
   }
 
   out.pair_var.assign(
@@ -153,7 +153,7 @@ Expected<OrderModel> build_order_model(const SchedulingProblem& problem,
     const int dl = problem.demand[static_cast<std::size_t>(l)];
     const int dm = problem.demand[static_cast<std::size_t>(m)];
     if (dl == 0 || dm == 0) continue;
-    const VarId o = out.model.add_binary(0.0);
+    const VarId o = out.model.add_binary();
     // Heaviest pairs decide the schedule's shape; branch them first.
     out.model.set_branch_priority(o, dl + dm);
     out.pairs.push_back({l, m, o});
@@ -542,7 +542,6 @@ Expected<ScheduleResult> schedule_ilp_impl(const SchedulingProblem& problem,
   }
 
   IlpOptions iopt;
-  iopt.stop_at_first_feasible = true;  // pure feasibility program
   iopt.max_nodes = options.max_nodes;
   iopt.time_limit_seconds = options.time_limit_seconds;
   iopt.portfolio = options.portfolio;

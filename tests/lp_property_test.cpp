@@ -1,8 +1,9 @@
 // Parameterized property suite for the LP/ILP stack on randomized
-// instances: optimality certificates by cross-checking against exhaustive
-// search, feasibility of every returned point, and invariance under model
-// transformations that must not change the optimum (row scaling, variable
-// order permutation, redundant rows).
+// instances: LP optima and ILP feasibility verdicts cross-checked against
+// exhaustive search, feasibility of every returned point, and invariance
+// under model transformations that must not change the answer (row
+// scaling, variable order permutation, redundant rows, branch priorities,
+// warm starts).
 
 #include <gtest/gtest.h>
 
@@ -223,20 +224,35 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LpRandomSweep,
 
 class IlpRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
+// A returned point must meet every row and bound within the LP tolerance,
+// with every binary exactly 0 or 1.
+::testing::AssertionResult valid_point(const IlpModel& m,
+                                       const std::vector<double>& x) {
+  const double violation = m.lp().max_violation(x);
+  if (violation > kLpFeasibilityTol) {
+    return ::testing::AssertionFailure() << "violation " << violation;
+  }
+  for (VarId v : m.binary_vars()) {
+    const double val = x[static_cast<std::size_t>(v)];
+    if (val != 0.0 && val != 1.0) {
+      return ::testing::AssertionFailure() << "binary " << v << " = " << val;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST_P(IlpRandomSweep, MatchesExhaustiveSearchOnMixedPrograms) {
+  // Small mixed programs: binaries plus one continuous z in [0, 3]. For a
+  // fixed binary assignment every row bounds z from one side (or not at
+  // all), so enumerating the binaries and intersecting z's interval is an
+  // exact feasibility oracle.
   Rng rng(GetParam());
+  int feasible = 0, infeasible = 0;
   for (int trial = 0; trial < 12; ++trial) {
-    // Small mixed program: binaries plus one bounded integer.
     const int nb = 5;
     IlpModel m;
-    m.set_objective_sense(ObjSense::kMaximize);
-    std::vector<double> obj;
-    for (int j = 0; j < nb; ++j) {
-      obj.push_back(std::floor(rng.uniform(-4.0, 8.0)));
-      m.add_binary(obj.back());
-    }
-    const double int_obj = std::floor(rng.uniform(-2.0, 4.0));
-    const VarId z = m.add_integer(0, 3, int_obj);
+    for (int j = 0; j < nb; ++j) m.add_binary();
+    const VarId z = m.add_continuous(0, 3);
     std::vector<std::vector<double>> rows;
     std::vector<double> zcoef, rhs;
     const int nrows = 2 + static_cast<int>(rng.next_below(3));
@@ -249,83 +265,97 @@ TEST_P(IlpRandomSweep, MatchesExhaustiveSearchOnMixedPrograms) {
         crow[static_cast<std::size_t>(j)] = c;
         terms.push_back({j, c});
       }
-      const double zc = std::floor(rng.uniform(0.0, 3.0));
+      const double zc = std::floor(rng.uniform(-2.0, 3.0));
       if (zc != 0.0) terms.push_back({z, zc});
       if (terms.empty()) continue;
-      const double b = std::floor(rng.uniform(1.0, 10.0));
+      const double b = std::floor(rng.uniform(-3.0, 8.0));
       m.add_constraint(terms, RowSense::kLessEqual, b);
       rows.push_back(crow);
       zcoef.push_back(zc);
       rhs.push_back(b);
     }
 
-    double best = -1e100;
-    for (int mask = 0; mask < (1 << nb); ++mask) {
-      for (int zv = 0; zv <= 3; ++zv) {
-        bool ok = true;
-        for (std::size_t i = 0; i < rows.size() && ok; ++i) {
-          double lhs = zcoef[i] * zv;
-          for (int j = 0; j < nb; ++j) {
-            if (mask & (1 << j)) lhs += rows[i][static_cast<std::size_t>(j)];
-          }
-          ok = lhs <= rhs[i] + 1e-9;
-        }
-        if (!ok) continue;
-        double val = int_obj * zv;
+    bool any_feasible = false;
+    for (int mask = 0; mask < (1 << nb) && !any_feasible; ++mask) {
+      double z_lo = 0.0, z_up = 3.0;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        double slack = rhs[i];  // zcoef[i] * z <= slack
         for (int j = 0; j < nb; ++j) {
-          if (mask & (1 << j)) val += obj[static_cast<std::size_t>(j)];
+          if (mask & (1 << j)) slack -= rows[i][static_cast<std::size_t>(j)];
         }
-        best = std::max(best, val);
+        if (zcoef[i] > 0.0) {
+          z_up = std::min(z_up, slack / zcoef[i]);
+        } else if (zcoef[i] < 0.0) {
+          z_lo = std::max(z_lo, slack / zcoef[i]);
+        } else if (slack < 0.0) {
+          z_up = -1.0;  // the row fails whatever z is
+        }
       }
+      any_feasible = z_lo <= z_up;
     }
 
     const IlpResult r = solve_ilp(m);
-    if (best < -1e99) {
-      EXPECT_EQ(r.status, IlpStatus::kInfeasible);
+    if (!any_feasible) {
+      ++infeasible;
+      EXPECT_EQ(r.status, IlpStatus::kInfeasible) << "trial " << trial;
       continue;
     }
-    ASSERT_EQ(r.status, IlpStatus::kOptimal) << "trial " << trial;
-    EXPECT_NEAR(r.objective, best, 1e-6) << "trial " << trial;
-    EXPECT_LE(m.lp().max_violation(r.x), 1e-6);
+    ++feasible;
+    ASSERT_EQ(r.status, IlpStatus::kFeasible) << "trial " << trial;
+    EXPECT_TRUE(valid_point(m, r.x)) << "trial " << trial;
   }
+  // Both verdicts are exercised.
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
+// Branch priorities only reorder the search: the verdict is the same and
+// either point is valid.
 TEST_P(IlpRandomSweep, BranchPriorityDoesNotChangeTheOptimum) {
   Rng rng(GetParam() ^ 0xbeef);
+  int reordered = 0;
   for (int trial = 0; trial < 8; ++trial) {
     IlpModel a;
-    a.set_objective_sense(ObjSense::kMaximize);
     std::vector<VarId> vars;
-    for (int j = 0; j < 6; ++j) {
-      vars.push_back(a.add_binary(std::floor(rng.uniform(-3.0, 6.0))));
+    for (int j = 0; j < 6; ++j) vars.push_back(a.add_binary());
+    for (int i = 0; i < 3; ++i) {
+      std::vector<LpTerm> terms;
+      double cap = 0.0;
+      for (VarId v : vars) {
+        const double c = std::floor(rng.uniform(1.0, 4.0));
+        terms.push_back({v, c});
+        cap += c;
+      }
+      a.add_constraint(terms,
+                       i % 2 == 0 ? RowSense::kLessEqual
+                                  : RowSense::kGreaterEqual,
+                       std::floor(cap / 2.0) + 0.5);
     }
-    std::vector<LpTerm> terms;
-    for (VarId v : vars) {
-      terms.push_back({v, std::floor(rng.uniform(1.0, 4.0))});
-    }
-    a.add_constraint(terms, RowSense::kLessEqual, 7.0);
 
     IlpModel b = a;
     for (VarId v : vars) b.set_branch_priority(v, rng.uniform(0.0, 10.0));
 
     const IlpResult ra = solve_ilp(a);
     const IlpResult rb = solve_ilp(b);
-    ASSERT_EQ(ra.status, IlpStatus::kOptimal);
-    ASSERT_EQ(rb.status, IlpStatus::kOptimal);
-    EXPECT_NEAR(ra.objective, rb.objective, 1e-9);
+    ASSERT_EQ(ra.status, rb.status) << "trial " << trial;
+    ASSERT_NE(ra.status, IlpStatus::kLimitReached) << "trial " << trial;
+    if (ra.nodes_per_strategy != rb.nodes_per_strategy) ++reordered;
+    if (ra.status != IlpStatus::kFeasible) continue;
+    EXPECT_TRUE(valid_point(a, ra.x)) << "trial " << trial;
+    EXPECT_TRUE(valid_point(b, rb.x)) << "trial " << trial;
   }
+  EXPECT_GT(reordered, 0) << "priorities never changed the search";
 }
 
+// Warm starts only change how node LPs are solved: cold nodes reach the
+// same verdict, install no basis, and either point is valid.
 TEST_P(IlpRandomSweep, WarmStartDoesNotChangeTheOptimum) {
   Rng rng(GetParam() ^ 0xa11);
   for (int trial = 0; trial < 8; ++trial) {
     IlpModel m;
-    m.set_objective_sense(ObjSense::kMaximize);
     std::vector<VarId> vars;
-    for (int j = 0; j < 10; ++j) {
-      vars.push_back(m.add_binary(std::floor(rng.uniform(-2.0, 9.0))));
-    }
-    vars.push_back(m.add_integer(0, 4, std::floor(rng.uniform(-1.0, 5.0))));
+    for (int j = 0; j < 10; ++j) vars.push_back(m.add_binary());
+    vars.push_back(m.add_continuous(0, 4));
     for (int i = 0; i < 4; ++i) {
       std::vector<LpTerm> terms;
       double cap = 0.0;
@@ -336,7 +366,10 @@ TEST_P(IlpRandomSweep, WarmStartDoesNotChangeTheOptimum) {
         cap += c;
       }
       if (terms.empty()) continue;
-      m.add_constraint(terms, RowSense::kLessEqual, std::floor(cap / 3.0));
+      m.add_constraint(terms,
+                       i % 2 == 0 ? RowSense::kLessEqual
+                                  : RowSense::kGreaterEqual,
+                       std::floor(cap / 3.0) + 0.5);
     }
 
     IlpOptions cold;
@@ -345,9 +378,9 @@ TEST_P(IlpRandomSweep, WarmStartDoesNotChangeTheOptimum) {
     const IlpResult rc = solve_ilp(m, cold);
     ASSERT_EQ(rw.status, rc.status) << "trial " << trial;
     EXPECT_EQ(rc.install_pivots, 0) << "trial " << trial;
-    if (rw.status != IlpStatus::kOptimal) continue;
-    EXPECT_NEAR(rw.objective, rc.objective, 1e-9) << "trial " << trial;
-    EXPECT_LE(m.lp().max_violation(rw.x), 1e-6) << "trial " << trial;
+    if (rw.status != IlpStatus::kFeasible) continue;
+    EXPECT_TRUE(valid_point(m, rw.x)) << "trial " << trial;
+    EXPECT_TRUE(valid_point(m, rc.x)) << "trial " << trial;
   }
 }
 
