@@ -38,14 +38,6 @@ Graph build_conflict_graph(const LinkSet& links,
                            const std::vector<Point>& positions,
                            const RadioModel& radio);
 
-// Conflict graph from connectivity only (no geometry): links conflict when
-// they share an endpoint or one link's transmitter is a graph-neighbor of
-// the other link's receiver. Equivalent to the protocol model with
-// interference range == comm range; useful for abstract topologies.
-// Sparse like the geometric variant: candidates are the links incident to
-// the 1-hop neighborhood of either endpoint (2-hop link adjacency).
-Graph build_conflict_graph(const LinkSet& links, const Graph& connectivity);
-
 // Physical (SINR-derived) conflict graph: links l=(a→b) and m=(c→d)
 // conflict when they share an endpoint or when the MEAN received power
 // (path loss + shadowing; fading averages out over a schedule's lifetime)
@@ -59,14 +51,12 @@ Graph build_conflict_graph(const LinkSet& links, const Graph& connectivity);
 Graph build_conflict_graph_sinr(const LinkSet& links,
                                 const radio::RadioEnvironment& env);
 
-// Reference O(L^2) pairwise builders — the original implementations, kept
-// as the oracle for the sparse builders' differential tests. Same graph,
+// Reference O(L^2) pairwise builder — the original implementation, kept
+// as the oracle for the sparse builder's differential tests. Same graph,
 // bit for bit, just quadratic.
 Graph build_conflict_graph_naive(const LinkSet& links,
                                  const std::vector<Point>& positions,
                                  const RadioModel& radio);
-Graph build_conflict_graph_naive(const LinkSet& links,
-                                 const Graph& connectivity);
 
 // Lower bound on the number of slots any conflict-free schedule needs:
 // the demand of every clique must serialize. Evaluates the per-node clique

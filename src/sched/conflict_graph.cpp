@@ -29,16 +29,6 @@ bool geometric_conflict(const Link& a, const Link& b,
          radio.interferes(pos(a.to), pos(b.from));
 }
 
-// Likewise for the connectivity-only variant: any endpoint adjacency
-// between the two links serializes them (ACK-aware).
-bool connectivity_conflict(const Link& a, const Link& b,
-                           const Graph& connectivity) {
-  return share_endpoint(a, b) || connectivity.has_edge(a.from, b.to) ||
-         connectivity.has_edge(a.from, b.from) ||
-         connectivity.has_edge(a.to, b.to) ||
-         connectivity.has_edge(a.to, b.from);
-}
-
 // Links incident (as from OR to) to each node, ascending LinkId per node.
 std::vector<std::vector<LinkId>> links_by_node(const LinkSet& links) {
   NodeId max_node = -1;
@@ -54,30 +44,6 @@ std::vector<std::vector<LinkId>> links_by_node(const LinkSet& links) {
     }
   }
   return out;
-}
-
-// Shared sparse skeleton: `candidates_of(l, out)` appends every link that
-// could possibly conflict with l (a superset is fine; duplicates are
-// fine); the exact predicate then filters. Candidates are sorted so edges
-// are added in the same (l asc, m asc) order the pairwise reference uses —
-// the resulting Graph is bit-identical, EdgeIds included.
-template <typename CandidatesFn, typename ConflictFn>
-Graph build_sparse(const LinkSet& links, const CandidatesFn& candidates_of,
-                   const ConflictFn& conflict) {
-  Graph g(links.count());
-  std::vector<LinkId> candidates;
-  for (LinkId l = 0; l < links.count(); ++l) {
-    candidates.clear();
-    candidates_of(l, &candidates);
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (LinkId m : candidates) {
-      if (m <= l) continue;
-      if (conflict(links.link(l), links.link(m))) g.add_edge(l, m);
-    }
-  }
-  return g;
 }
 
 }  // namespace
@@ -101,54 +67,38 @@ Graph build_conflict_graph(const LinkSet& links,
     end_positions.push_back(positions[n]);
   }
   const auto near = radio.build_interference_sets(end_positions);
-  return build_sparse(
-      links,
-      [&](LinkId l, std::vector<LinkId>* out) {
-        // Any conflicting link has an endpoint equal to, or within
-        // interference range of, one of l's endpoints, so the links
-        // incident to those endpoints' closed interference neighbourhoods
-        // form a complete candidate set.
-        const Link& a = links.link(l);
-        const auto add_incident = [&](NodeId n) {
-          const auto& at = incident[static_cast<std::size_t>(n)];
-          out->insert(out->end(), at.begin(), at.end());
-        };
-        for (NodeId u : {a.from, a.to}) {
-          add_incident(u);
-          for (NodeId k : near[end_index[static_cast<std::size_t>(u)]]) {
-            add_incident(ends[static_cast<std::size_t>(k)]);
-          }
-        }
-      },
-      [&](const Link& a, const Link& b) {
-        return geometric_conflict(a, b, positions, radio);
-      });
-}
-
-Graph build_conflict_graph(const LinkSet& links, const Graph& connectivity) {
-  if (links.count() == 0) return Graph(0);
-  const auto incident = links_by_node(links);
-  return build_sparse(
-      links,
-      [&](LinkId l, std::vector<LinkId>* out) {
-        // A conflicting link has an endpoint equal or graph-adjacent to
-        // one of l's endpoints: enumerate the links incident to that
-        // closed 1-hop neighborhood (2-hop adjacency in link space).
-        const Link& a = links.link(l);
-        for (NodeId u : {a.from, a.to}) {
-          const auto& at = incident[static_cast<std::size_t>(u)];
-          out->insert(out->end(), at.begin(), at.end());
-          for (EdgeId e : connectivity.incident(u)) {
-            const NodeId v = connectivity.other_end(e, u);
-            if (static_cast<std::size_t>(v) >= incident.size()) continue;
-            const auto& atv = incident[static_cast<std::size_t>(v)];
-            out->insert(out->end(), atv.begin(), atv.end());
-          }
-        }
-      },
-      [&](const Link& a, const Link& b) {
-        return connectivity_conflict(a, b, connectivity);
-      });
+  // Any conflicting link has an endpoint equal to, or within interference
+  // range of, one of l's endpoints, so the links incident to those
+  // endpoints' closed interference neighbourhoods form a complete
+  // candidate set. Sorted candidates add edges in the (l asc, m asc) order
+  // of the pairwise reference: the Graph is bit-identical, EdgeIds
+  // included.
+  Graph g(links.count());
+  std::vector<LinkId> candidates;
+  for (LinkId l = 0; l < links.count(); ++l) {
+    const Link& a = links.link(l);
+    candidates.clear();
+    const auto add_incident = [&](NodeId n) {
+      const auto& at = incident[static_cast<std::size_t>(n)];
+      candidates.insert(candidates.end(), at.begin(), at.end());
+    };
+    for (NodeId u : {a.from, a.to}) {
+      add_incident(u);
+      for (NodeId k : near[end_index[static_cast<std::size_t>(u)]]) {
+        add_incident(ends[static_cast<std::size_t>(k)]);
+      }
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (LinkId m : candidates) {
+      if (m <= l) continue;
+      if (geometric_conflict(a, links.link(m), positions, radio)) {
+        g.add_edge(l, m);
+      }
+    }
+  }
+  return g;
 }
 
 Graph build_conflict_graph_sinr(const LinkSet& links,
@@ -188,19 +138,6 @@ Graph build_conflict_graph_naive(const LinkSet& links,
     for (LinkId m = l + 1; m < links.count(); ++m) {
       if (geometric_conflict(links.link(l), links.link(m), positions,
                              radio)) {
-        g.add_edge(l, m);
-      }
-    }
-  }
-  return g;
-}
-
-Graph build_conflict_graph_naive(const LinkSet& links,
-                                 const Graph& connectivity) {
-  Graph g(links.count());
-  for (LinkId l = 0; l < links.count(); ++l) {
-    for (LinkId m = l + 1; m < links.count(); ++m) {
-      if (connectivity_conflict(links.link(l), links.link(m), connectivity)) {
         g.add_edge(l, m);
       }
     }
