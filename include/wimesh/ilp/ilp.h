@@ -25,7 +25,7 @@ class IlpModel {
  public:
   // Continuous variable with bounds [lo, up].
   VarId add_continuous(double lo, double up) {
-    return lp_.add_variable(lo, up, 0.0);
+    return lp_.add_variable(lo, up);
   }
 
   // Binary {0, 1} variable. A caller may fix it through lp().set_bounds
@@ -96,15 +96,15 @@ struct IlpOptions {
   // Purely a wall-clock knob: results do not depend on it (the time limit,
   // as always, can stop the search at a nondeterministic point).
   int threads = 1;
-  // Reuse each parent node's optimal LP basis to warm-start its children
+  // Reuse each parent node's feasible LP basis to warm-start its children
   // (dual-simplex repair instead of a fresh phase 1). Each strategy's
   // round keeps one live LP tableau, so a child is repaired in place from
   // whatever node the round solved last. Off: every node cold-starts.
   bool warm_start = true;
   // Optional warm basis for the root LP (e.g. from the previous stage of a
   // linear search over schedule lengths), and a slot to receive this
-  // solve's optimal root basis. Both may be null; `root_basis_out` is left
-  // empty when the root relaxation was not solved to optimality.
+  // solve's root basis. Both may be null; `root_basis_out` is left empty
+  // when the root relaxation was not found feasible.
   const LpBasis* root_basis = nullptr;
   LpBasis* root_basis_out = nullptr;
 };

@@ -2,20 +2,22 @@
 
 // Linear programming substrate.
 //
-// The paper's scheduler solves binary integer programs; no external solver
-// (CBC/GLPK/CPLEX) is available offline, so this module implements the LP
-// relaxation engine from scratch: a dense two-phase primal simplex with
-// general variable bounds (so binary 0/1 bounds cost nothing extra), bound
-// flips, and Bland anti-cycling fallback, plus a dual simplex that repairs
-// a warm-started basis after bound changes. LpSolver keeps its tableau
-// between solves of one model, so a sequence of bound-only changes (the
-// nodes of a branch & bound dive) is repaired in place instead of being
-// rebuilt. The ILP branch & bound in wimesh/ilp sits on top.
+// Each stage of the paper's schedule-length search asks whether a binary
+// program has a feasible point; no external solver (CBC/GLPK/CPLEX) is
+// available offline, so this module implements the LP relaxation engine
+// from scratch. It decides feasibility only: a solve returns a point that
+// meets every row and bound, or proves that none exists. A cold solve is a
+// dense phase-1 primal simplex with general variable bounds (so binary 0/1
+// bounds cost nothing extra), bound flips, and Bland anti-cycling fallback;
+// a warm solve installs a supplied basis and repairs it with the dual
+// simplex after bound changes. LpSolver keeps its tableau between solves of
+// one model, so a sequence of bound-only changes (the nodes of a branch &
+// bound dive) is repaired in place instead of being rebuilt. The ILP
+// branch & bound in wimesh/ilp sits on top.
 //
-// Problem form:
-//   minimize / maximize   c'x
-//   subject to            lhs_i : a_i'x (<= | = | >=) rhs_i
-//                         lo_j <= x_j <= up_j   (either side may be infinite)
+// Problem form: find x with
+//   a_i'x (<= | = | >=) rhs_i   for every row i
+//   lo_j <= x_j <= up_j         (either side may be infinite)
 
 #include <cstddef>
 #include <cstdint>
@@ -33,7 +35,6 @@ using VarId = int;
 using RowId = int;
 
 enum class RowSense { kLessEqual, kEqual, kGreaterEqual };
-enum class ObjSense { kMinimize, kMaximize };
 
 struct LpTerm {
   VarId var = -1;
@@ -44,16 +45,13 @@ struct LpTerm {
 // integrality marks on top).
 class LpModel {
  public:
-  // Adds a variable with bounds [lo, up] and objective coefficient obj.
-  VarId add_variable(double lo, double up, double obj);
+  // Adds a variable with bounds [lo, up].
+  VarId add_variable(double lo, double up);
 
   // Adds a constraint  sum(terms) sense rhs. Terms may repeat a variable
   // (coefficients are summed).
   RowId add_constraint(const std::vector<LpTerm>& terms, RowSense sense,
                        double rhs);
-
-  void set_objective_sense(ObjSense sense) { obj_sense_ = sense; }
-  ObjSense objective_sense() const { return obj_sense_; }
 
   // Tightens (replaces) the bounds of an existing variable.
   void set_bounds(VarId v, double lo, double up);
@@ -65,7 +63,6 @@ class LpModel {
 
   double lower_bound(VarId v) const { return vars_[check_var(v)].lo; }
   double upper_bound(VarId v) const { return vars_[check_var(v)].up; }
-  double objective_coef(VarId v) const { return vars_[check_var(v)].obj; }
 
   struct Row {
     std::vector<LpTerm> terms;
@@ -77,9 +74,6 @@ class LpModel {
     return rows_[static_cast<std::size_t>(r)];
   }
 
-  // Objective value of a given assignment (no feasibility check).
-  double objective_value(const std::vector<double>& x) const;
-
   // Max constraint violation + max bound violation of an assignment.
   double max_violation(const std::vector<double>& x) const;
 
@@ -87,7 +81,6 @@ class LpModel {
   struct Var {
     double lo = 0.0;
     double up = kLpInfinity;
-    double obj = 0.0;
   };
 
   std::size_t check_var(VarId v) const {
@@ -98,18 +91,16 @@ class LpModel {
   std::vector<Var> vars_;
   std::vector<Row> rows_;
   std::size_t nonzeros_ = 0;
-  ObjSense obj_sense_ = ObjSense::kMinimize;
 };
 
 enum class LpStatus {
-  kOptimal,
-  kInfeasible,
-  kUnbounded,
-  kIterationLimit,
+  kFeasible,        // a point within every row and bound was found
+  kInfeasible,      // proven: no such point exists
+  kIterationLimit,  // kLpMaxIterations pivots before either
 };
 
 // Simplex basis snapshot over the structural and slack columns (variables
-// first, then one slack per row). Captured from an optimal solve and fed
+// first, then one slack per row). Captured from a feasible solve and fed
 // back into a later solve of a model with the SAME dimensions — typically
 // the parent node's basis in branch & bound, or the previous stage of the
 // min-slot linear search. Coefficients, bounds and right-hand sides may
@@ -126,26 +117,26 @@ struct LpBasis {
 
 struct LpResult {
   LpStatus status = LpStatus::kInfeasible;
-  double objective = 0.0;       // valid when kOptimal
-  std::vector<double> x;        // primal values, valid when kOptimal
+  std::vector<double> x;        // the point, valid when kFeasible
   long iterations = 0;          // simplex pivots performed
   long install_pivots = 0;      // pivots spent installing a warm basis
   bool warm_start_used = false; // true when a supplied basis was installed
 };
 
 // Simplex limits: pivots per solve (kIterationLimit beyond), the primal
-// feasibility tolerance and the reduced-cost optimality tolerance.
+// feasibility tolerance and the reduced-cost tolerance at which phase 1
+// stops.
 inline constexpr long kLpMaxIterations = 200'000;
 inline constexpr double kLpFeasibilityTol = 1e-7;
 inline constexpr double kLpOptimalityTol = 1e-9;
 
 // Solves the LP. Deterministic; no randomness. When `warm_start` is
 // non-null, non-empty and installable, the simplex starts from that basis
-// (restoring primal feasibility with a dual-simplex pass when the basis is
-// dual-feasible but primal-infeasible) instead of running phase 1 from
-// scratch; otherwise it silently cold-starts. When `basis_out` is non-null
-// and the solve ends kOptimal, the final basis is stored there for reuse
-// (left empty when the optimal basis still contains an artificial column).
+// (restoring primal feasibility with a dual-simplex pass) instead of
+// running phase 1 from scratch; otherwise it silently cold-starts. When
+// `basis_out` is non-null and the solve ends kFeasible, the final basis is
+// stored there for reuse (left empty when it still contains an artificial
+// column).
 LpResult solve_lp(const LpModel& model, const LpBasis* warm_start = nullptr,
                   LpBasis* basis_out = nullptr);
 
@@ -156,11 +147,11 @@ class Simplex;
 // A solver that keeps its tableau alive between solves of one model. The
 // first solve (and every solve without a warm basis) builds the tableau
 // anew from the model, exactly as solve_lp does. A later warm-started solve
-// re-reads the variable bounds (and objective) from the model, shifts the
-// tableau to them in place, pivots in only the hinted columns that are not
-// basic already, and repairs primal feasibility with the dual simplex.
-// An in-place optimum whose point violates the model by more than the
-// feasibility tolerance is re-solved from a fresh build. The rows must not
+// re-reads the variable bounds from the model, shifts the tableau to them
+// in place, pivots in only the hinted columns that are not basic already,
+// and repairs primal feasibility with the dual simplex. An in-place repair
+// whose point violates the model by more than the feasibility tolerance is
+// re-solved from a fresh build. The rows must not
 // change between solves. `model` is not owned and must outlive the
 // solver.
 class LpSolver {

@@ -123,7 +123,7 @@ struct IlpSchedulerOptions {
   // demand, mutually conflicting, identical conflict neighborhoods) to
   // lowest-LinkId-first, collapsing the factorial symmetry group. Links on
   // flows whose delay budget binds are never fixed (their order affects
-  // wrap counts). Preserves feasibility and the optimal objective.
+  // wrap counts). Preserves feasibility.
   bool symmetry_breaking = true;
   // Warm-start node LPs from the parent basis, and chain the root basis
   // across the min-slot search's successive stages.

@@ -12,7 +12,7 @@
 namespace wimesh {
 
 VarId IlpModel::add_binary() {
-  const VarId v = lp_.add_variable(0.0, 1.0, 0.0);
+  const VarId v = lp_.add_variable(0.0, 1.0);
   binary_vars_.push_back(v);
   return v;
 }
@@ -39,7 +39,7 @@ constexpr long kRoundQuota = 64;
 constexpr int kMaxStrategies = 4;
 
 // A search node is the set of tightened bounds on the binaries, relative
-// to the root model, plus the parent's optimal LP basis for warm-starting
+// to the root model, plus the parent's feasible LP basis for warm-starting
 // this node's relaxation.
 struct Node {
   std::vector<double> int_lo;
@@ -231,8 +231,6 @@ void PortfolioBranchAndBound::run_round(Strategy& s, long quota) {
       s.lp_limit_hit = true;
       continue;
     }
-    // The objective is zero, so a feasible relaxation is optimal.
-    WIMESH_ASSERT(lp.status == LpStatus::kOptimal);
 
     const int k = pick_branch_var(s.cfg, lp.x);
     if (k < 0) {
@@ -287,7 +285,6 @@ IlpResult PortfolioBranchAndBound::run() {
     result_.status = IlpStatus::kLimitReached;
     return result_;
   }
-  WIMESH_ASSERT(root_lp.status == LpStatus::kOptimal);
 
   if (pick_branch_var(kStrategyConfigs[0], root_lp.x) < 0) {
     // The root relaxation is already integral.

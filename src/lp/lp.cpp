@@ -6,10 +6,10 @@
 
 namespace wimesh {
 
-VarId LpModel::add_variable(double lo, double up, double obj) {
+VarId LpModel::add_variable(double lo, double up) {
   WIMESH_ASSERT_MSG(lo <= up, "variable created with empty domain");
-  WIMESH_ASSERT(!std::isnan(lo) && !std::isnan(up) && std::isfinite(obj));
-  vars_.push_back(Var{lo, up, obj});
+  WIMESH_ASSERT(!std::isnan(lo) && !std::isnan(up));
+  vars_.push_back(Var{lo, up});
   return static_cast<VarId>(vars_.size() - 1);
 }
 
@@ -47,13 +47,6 @@ void LpModel::set_bounds(VarId v, double lo, double up) {
   var.up = up;
 }
 
-double LpModel::objective_value(const std::vector<double>& x) const {
-  WIMESH_ASSERT(x.size() == vars_.size());
-  double obj = 0.0;
-  for (std::size_t j = 0; j < vars_.size(); ++j) obj += vars_[j].obj * x[j];
-  return obj;
-}
-
 double LpModel::max_violation(const std::vector<double>& x) const {
   WIMESH_ASSERT(x.size() == vars_.size());
   double worst = 0.0;
@@ -83,12 +76,16 @@ double LpModel::max_violation(const std::vector<double>& x) const {
 
 namespace detail {
 
-// Dense two-phase primal simplex with general (possibly infinite) variable
-// bounds. Column layout: [structural | slack (one per row) | artificial
-// (one per row)]. The full tableau T = B^-1 * A is maintained explicitly;
-// per-pivot cost is O(rows * cols), which is fine at the scale of the
-// scheduling ILP relaxations this repo solves (hundreds of rows). The
-// tableau survives between solve() calls; see LpSolver.
+// Dense simplex with general (possibly infinite) variable bounds that
+// looks for a feasible point only. Column layout: [structural | slack (one
+// per row) | artificial (one per row)]. A cold solve runs phase 1 (the
+// primal simplex on the sum of the artificials) from the all-artificial
+// basis; a warm solve installs a hinted basis and repairs it with the dual
+// simplex. With no objective every basis is dual feasible, so the repair
+// needs no reduced costs. The full tableau T = B^-1 * A is maintained
+// explicitly; per-pivot cost is O(rows * cols), which is fine at the scale
+// of the scheduling ILP relaxations this repo solves (hundreds of rows).
+// The tableau survives between solve() calls; see LpSolver.
 class Simplex {
  public:
   explicit Simplex(const LpModel& model) : model_(model) {}
@@ -116,43 +113,40 @@ class Simplex {
   // Moves the tableau onto the model's current variable bounds: a
   // nonbasic column whose bound moved shifts xb_ by its tableau column; a
   // basic column only takes the new lo_/up_ (the dual simplex repairs any
-  // violation, since reduced costs do not depend on bounds).
+  // violation).
   void refresh_bounds();
   // The nonbasic status a column takes for a wanted status under its
   // current bounds (a missing bound falls back to the other one, or free).
   Status status_on_bounds(int j, LpVarStatus want) const;
   // xb_ -= T[:, j] * delta: nonbasic column j moved by delta.
   void shift_nonbasic(int j, double delta);
-  void install_phase1_costs();
-  void install_phase2_costs();
-  void recompute_reduced_costs();
   double nonbasic_value(int j) const;
   Pick choose_entering(bool bland) const;
-  // Returns false on unboundedness.
-  bool step(const Pick& pick, bool* progressed);
-  // Gauss-Jordan elimination around pivot (leave_row, q). `update_rhs`
-  // applies the same row operations to xb_ (used while installing a warm
-  // basis, where xb_ is the literal rhs column); `update_costs` keeps the
-  // reduced costs in sync (used by primal/dual iterations, which maintain
-  // xb_ incrementally instead).
-  void pivot_tableau(int leave_row, int q, bool update_rhs, bool update_costs);
+  // One phase-1 iteration; returns whether the entering column moved by
+  // more than the feasibility tolerance (false: a degenerate step).
+  bool step(const Pick& pick);
+  // Gauss-Jordan elimination of the tableau around pivot (leave_row, q).
+  // `update_rhs` applies the same row operations to xb_ (used while
+  // installing a warm basis, where xb_ is the literal rhs column; the
+  // simplex iterations maintain xb_ incrementally instead).
+  void pivot_tableau(int leave_row, int q, bool update_rhs);
   bool install_warm(const LpBasis& hint);
   bool primal_feasible() const;
-  bool dual_feasible() const;
   // Gives up (kStalled) after `max_pivots` pivots of this run.
   DualOutcome run_dual(long max_pivots);
   // Length at which a run of pivots counts as stuck: Bland's rule takes
-  // over in the primal, the dual gives up.
+  // over in phase 1, the dual gives up.
   int stall_limit() const { return 2 * (m_ + cols_) + 64; }
-  // Finishes a solve from an installed warm basis: phase 2 directly when
-  // it is primal feasible, after a dual-simplex repair of at most
-  // `dual_budget` pivots when it is dual feasible. Returns false (result
-  // untouched) when neither works and the caller must start over.
+  // Finishes a solve from an installed warm basis, after a dual-simplex
+  // repair of at most `dual_budget` pivots when it is primal infeasible.
+  // Returns false (result untouched) when the repair stalls and the caller
+  // must start over.
   bool solve_warm(LpResult* result, LpBasis* basis_out, long dual_budget);
-  // Primal simplex iterations from the current basis to the end of phase 2
-  // (through phase 1 first when phase1_ is set).
-  void run_primal(LpResult* result, LpBasis* basis_out);
-  double basic_objective() const;
+  // Phase 1 from a fresh build: primal simplex iterations on the sum of
+  // the artificials until no column prices out.
+  void run_phase1(LpResult* result, LpBasis* basis_out);
+  // Reports the current (feasible) basis: kFeasible, its point and basis.
+  void finish_feasible(LpResult* result, LpBasis* basis_out) const;
   void extract_solution(LpResult* out) const;
   void extract_basis(LpBasis* out) const;
 
@@ -162,15 +156,13 @@ class Simplex {
   int m_ = 0;      // rows
   int cols_ = 0;   // n + 2m
   std::vector<double> tab_;     // m x cols, row-major: B^-1 * A
-  std::vector<double> dcost_;   // reduced costs, length cols
-  std::vector<double> cost_;    // current phase objective coefficients
+  std::vector<double> dcost_;   // phase-1 reduced costs, length cols
   std::vector<double> lo_, up_;
   std::vector<Status> status_;
   std::vector<int> basis_;      // basis_[r] = column basic in row r
   std::vector<double> xb_;      // values of basic variables by row
   long iters_ = 0;
   long install_pivots_ = 0;
-  bool phase1_ = true;
   bool built_ = false;          // tableau holds a basis of this model
   std::size_t built_nonzeros_ = 0;
 };
@@ -308,39 +300,6 @@ double Simplex::nonbasic_value(int j) const {
   return 0.0;
 }
 
-void Simplex::install_phase1_costs() {
-  cost_.assign(idx(cols_), 0.0);
-  for (int r = 0; r < m_; ++r) cost_[idx(n_ + m_ + r)] = 1.0;
-  recompute_reduced_costs();
-}
-
-void Simplex::install_phase2_costs() {
-  cost_.assign(idx(cols_), 0.0);
-  const double sense =
-      model_.objective_sense() == ObjSense::kMinimize ? 1.0 : -1.0;
-  for (int j = 0; j < n_; ++j) cost_[idx(j)] = sense * model_.objective_coef(j);
-  // Artificials are pinned to zero for phase 2 so they can never re-enter
-  // with a nonzero value.
-  for (int r = 0; r < m_; ++r) {
-    const int a = n_ + m_ + r;
-    up_[idx(a)] = 0.0;
-    if (status_[idx(a)] == Status::kAtUpper) status_[idx(a)] = Status::kAtLower;
-  }
-  recompute_reduced_costs();
-}
-
-void Simplex::recompute_reduced_costs() {
-  // d_j = c_j - c_B' (B^-1 a_j); the tableau already holds B^-1 a_j.
-  dcost_.assign(idx(cols_), 0.0);
-  for (int j = 0; j < cols_; ++j) dcost_[idx(j)] = cost_[idx(j)];
-  for (int r = 0; r < m_; ++r) {
-    const double cb = cost_[idx(basis_[idx(r)])];
-    if (cb == 0.0) continue;
-    for (int j = 0; j < cols_; ++j) dcost_[idx(j)] -= cb * t_at(r, j);
-  }
-  for (int r = 0; r < m_; ++r) dcost_[idx(basis_[idx(r)])] = 0.0;
-}
-
 Simplex::Pick Simplex::choose_entering(bool bland) const {
   Pick best;
   double best_score = kLpOptimalityTol;
@@ -368,7 +327,7 @@ Simplex::Pick Simplex::choose_entering(bool bland) const {
   return best;
 }
 
-bool Simplex::step(const Pick& pick, bool* progressed) {
+bool Simplex::step(const Pick& pick) {
   const int q = pick.col;
   const double dir = pick.dir;
 
@@ -396,7 +355,9 @@ bool Simplex::step(const Pick& pick, bool* progressed) {
       t_min = std::min(t_min, (up_[idx(b)] - xb_[idx(r)] + tol) / delta);
     }
   }
-  if (t_min == kLpInfinity) return false;  // unbounded direction
+  // Every artificial is bounded below by 0, so phase 1 is too.
+  WIMESH_ASSERT_MSG(t_min < kLpInfinity,
+                    "phase-1 objective cannot be unbounded");
 
   double best_pivot = 0.0;
   double t_leave = 0.0;
@@ -426,7 +387,6 @@ bool Simplex::step(const Pick& pick, bool* progressed) {
 
   const double t =
       leave_row >= 0 ? std::min(t_leave, t_limit) : std::min(t_min, t_limit);
-  *progressed = t > tol;
 
   // Apply the movement to the basic values.
   for (int r = 0; r < m_; ++r) {
@@ -438,7 +398,7 @@ bool Simplex::step(const Pick& pick, bool* progressed) {
     // Bound flip: the entering variable traverses to its opposite bound.
     status_[idx(q)] =
         dir > 0 ? Status::kAtUpper : Status::kAtLower;
-    return true;
+    return t > tol;
   }
 
   // Pivot: q enters the basis in leave_row, the old basic leaves at the
@@ -455,12 +415,16 @@ bool Simplex::step(const Pick& pick, bool* progressed) {
   // (Value is implicit in its status; nothing stored.)
 
   // Gauss-Jordan update of the tableau and reduced costs around (r, q).
-  pivot_tableau(leave_row, q, /*update_rhs=*/false, /*update_costs=*/true);
-  return true;
+  pivot_tableau(leave_row, q, /*update_rhs=*/false);
+  const double fd = dcost_[idx(q)];
+  if (fd != 0.0) {
+    for (int j = 0; j < cols_; ++j) dcost_[idx(j)] -= fd * t_at(leave_row, j);
+  }
+  dcost_[idx(q)] = 0.0;
+  return t > tol;
 }
 
-void Simplex::pivot_tableau(int leave_row, int q, bool update_rhs,
-                            bool update_costs) {
+void Simplex::pivot_tableau(int leave_row, int q, bool update_rhs) {
   const double piv = t_at(leave_row, q);
   WIMESH_ASSERT_MSG(std::abs(piv) > 1e-12, "numerically singular pivot");
   const double inv = 1.0 / piv;
@@ -473,15 +437,6 @@ void Simplex::pivot_tableau(int leave_row, int q, bool update_rhs,
     for (int j = 0; j < cols_; ++j) t_at(r, j) -= f * t_at(leave_row, j);
     t_at(r, q) = 0.0;  // exact zero, avoids drift
     if (update_rhs) xb_[idx(r)] -= f * xb_[idx(leave_row)];
-  }
-  if (update_costs) {
-    const double fd = dcost_[idx(q)];
-    if (fd != 0.0) {
-      for (int j = 0; j < cols_; ++j) {
-        dcost_[idx(j)] -= fd * t_at(leave_row, j);
-      }
-    }
-    dcost_[idx(q)] = 0.0;
   }
 }
 
@@ -541,7 +496,7 @@ bool Simplex::install_warm(const LpBasis& hint) {
     }
     if (best_row < 0) return false;
     const int leaving = basis_[idx(best_row)];
-    pivot_tableau(best_row, q, /*update_rhs=*/true, /*update_costs=*/false);
+    pivot_tableau(best_row, q, /*update_rhs=*/true);
     ++install_pivots_;
     basis_[idx(best_row)] = q;
     status_[idx(q)] = Status::kBasic;
@@ -565,20 +520,6 @@ bool Simplex::primal_feasible() const {
     const int b = basis_[idx(r)];
     const double v = xb_[idx(r)];
     if (v < lo_[idx(b)] - tol || v > up_[idx(b)] + tol) return false;
-  }
-  return true;
-}
-
-bool Simplex::dual_feasible() const {
-  const double tol = kLpOptimalityTol;
-  for (int j = 0; j < cols_; ++j) {
-    const Status st = status_[idx(j)];
-    if (st == Status::kBasic) continue;
-    if (lo_[idx(j)] == up_[idx(j)]) continue;  // fixed, any sign is fine
-    const double d = dcost_[idx(j)];
-    if (st == Status::kAtLower && d < -tol) return false;
-    if (st == Status::kAtUpper && d > tol) return false;
-    if (st == Status::kFreeZero && std::abs(d) > tol) return false;
   }
   return true;
 }
@@ -609,12 +550,12 @@ Simplex::DualOutcome Simplex::run_dual(long max_pivots) {
     }
     if (leave_row < 0) return DualOutcome::kFeasible;
 
-    // Entering column: dual ratio test — the column whose reduced cost
-    // reaches zero first keeps the basis dual feasible. Movement of the
-    // violated basic is -alpha * d(x_j), so eligibility depends on the
-    // direction x_j can move off its bound and the sign of alpha.
+    // Entering column: every reduced cost is zero, so every dual ratio is
+    // 0 and the ratio test takes the largest |alpha| among the eligible
+    // columns (the first wins ties). Movement of the violated basic is
+    // -alpha * d(x_j), so eligibility depends on the direction x_j can
+    // move off its bound and the sign of alpha.
     int q = -1;
-    double best_ratio = kLpInfinity;
     double best_alpha = 0.0;
     for (int j = 0; j < cols_; ++j) {
       const Status st = status_[idx(j)];
@@ -634,12 +575,7 @@ Simplex::DualOutcome Simplex::run_dual(long max_pivots) {
                    ((st == Status::kAtUpper || st == Status::kFreeZero) &&
                     alpha < 0.0);
       }
-      if (!eligible) continue;
-      const double ratio = std::abs(dcost_[idx(j)]) / std::abs(alpha);
-      if (ratio < best_ratio - 1e-12 ||
-          (ratio <= best_ratio + 1e-12 &&
-           std::abs(alpha) > std::abs(best_alpha))) {
-        best_ratio = ratio;
+      if (eligible && std::abs(alpha) > std::abs(best_alpha)) {
         q = j;
         best_alpha = alpha;
       }
@@ -660,22 +596,15 @@ Simplex::DualOutcome Simplex::run_dual(long max_pivots) {
     basis_[idx(leave_row)] = q;
     status_[idx(q)] = Status::kBasic;
     xb_[idx(leave_row)] = entering_value;
-    pivot_tableau(leave_row, q, /*update_rhs=*/false, /*update_costs=*/true);
+    pivot_tableau(leave_row, q, /*update_rhs=*/false);
     ++iters_;
   }
 }
 
-double Simplex::basic_objective() const {
-  double obj = 0.0;
-  for (int r = 0; r < m_; ++r) {
-    obj += cost_[idx(basis_[idx(r)])] * xb_[idx(r)];
-  }
-  for (int j = 0; j < cols_; ++j) {
-    if (status_[idx(j)] != Status::kBasic && cost_[idx(j)] != 0.0) {
-      obj += cost_[idx(j)] * nonbasic_value(j);
-    }
-  }
-  return obj;
+void Simplex::finish_feasible(LpResult* result, LpBasis* basis_out) const {
+  result->status = LpStatus::kFeasible;
+  extract_solution(result);
+  extract_basis(basis_out);
 }
 
 void Simplex::extract_solution(LpResult* out) const {
@@ -694,7 +623,6 @@ void Simplex::extract_solution(LpResult* out) const {
       out->x[idx(basis_[idx(r)])] = v;
     }
   }
-  out->objective = model_.objective_value(out->x);
 }
 
 void Simplex::extract_basis(LpBasis* out) const {
@@ -731,9 +659,10 @@ void Simplex::extract_basis(LpBasis* out) const {
 
 bool Simplex::solve_warm(LpResult* result, LpBasis* basis_out,
                          long dual_budget) {
-  install_phase2_costs();
+  // Artificials are fixed at zero so the repair can never bring one back
+  // with a nonzero value.
+  for (int r = 0; r < m_; ++r) up_[idx(n_ + m_ + r)] = 0.0;
   if (!primal_feasible()) {
-    if (!dual_feasible()) return false;
     switch (run_dual(dual_budget)) {
       case DualOutcome::kFeasible:
         break;
@@ -750,49 +679,45 @@ bool Simplex::solve_warm(LpResult* result, LpBasis* basis_out,
     }
   }
   result->warm_start_used = true;
-  phase1_ = false;
-  run_primal(result, basis_out);
+  finish_feasible(result, basis_out);
   return true;
 }
 
-void Simplex::run_primal(LpResult* result, LpBasis* basis_out) {
+void Simplex::run_phase1(LpResult* result, LpBasis* basis_out) {
+  // Reduced costs of the phase-1 objective, the sum of the artificials:
+  // d_j = c_j - c_B' (B^-1 a_j). The tableau already holds B^-1 a_j, and
+  // after build() every row's basic column is its artificial (cost 1).
+  dcost_.assign(idx(cols_), 0.0);
+  for (int r = 0; r < m_; ++r) dcost_[idx(n_ + m_ + r)] = 1.0;
+  for (int r = 0; r < m_; ++r) {
+    for (int j = 0; j < cols_; ++j) dcost_[idx(j)] -= t_at(r, j);
+  }
+  for (int r = 0; r < m_; ++r) dcost_[idx(basis_[idx(r)])] = 0.0;
+
   // A pivot that moves nothing is degenerate; long degenerate runs switch
   // to Bland's rule, which guarantees termination.
   int degenerate_run = 0;
-
   for (;;) {
     if (iters_ >= kLpMaxIterations) {
       result->status = LpStatus::kIterationLimit;
       return;
     }
     const Pick pick = choose_entering(degenerate_run > stall_limit());
-    if (pick.col < 0) {
-      // Phase optimum reached.
-      if (phase1_) {
-        if (basic_objective() > 1e-6) {
-          result->status = LpStatus::kInfeasible;
-          return;
-        }
-        phase1_ = false;
-        install_phase2_costs();
-        degenerate_run = 0;
-        continue;
-      }
-      result->status = LpStatus::kOptimal;
-      extract_solution(result);
-      extract_basis(basis_out);
-      return;
-    }
-    bool progressed = false;
-    if (!step(pick, &progressed)) {
-      // Unbounded can only legitimately happen in phase 2.
-      WIMESH_ASSERT_MSG(!phase1_, "phase-1 objective cannot be unbounded");
-      result->status = LpStatus::kUnbounded;
-      return;
-    }
+    if (pick.col < 0) break;
+    degenerate_run = step(pick) ? 0 : degenerate_run + 1;
     ++iters_;
-    degenerate_run = progressed ? 0 : degenerate_run + 1;
   }
+  // No column prices out. What the basic artificials still hold is the
+  // least infeasibility (a nonbasic artificial sits at zero).
+  double infeasibility = 0.0;
+  for (int r = 0; r < m_; ++r) {
+    if (basis_[idx(r)] >= n_ + m_) infeasibility += xb_[idx(r)];
+  }
+  if (infeasibility > 1e-6) {
+    result->status = LpStatus::kInfeasible;
+    return;
+  }
+  finish_feasible(result, basis_out);
 }
 
 LpResult Simplex::solve(const LpBasis* warm, LpBasis* basis_out) {
@@ -826,17 +751,17 @@ LpResult Simplex::solve(const LpBasis* warm, LpBasis* basis_out) {
   }
 
   // Warm path: install the hinted basis and finish from it (solve_warm);
-  // otherwise fall back to an ordinary cold start. A dual repair is
-  // capped: on a zero objective every dual step is degenerate, and the
+  // otherwise fall back to a cold start (phase 1). A dual repair is
+  // capped: with no objective every dual step is degenerate, and the
   // repair can cycle while still moving basic values. A live tableau is
   // repaired in place first. The in-place attempt is redone from a fresh
   // build when its repair needs more pivots than a fresh install costs
-  // (m), or when its optimum fails the model's own feasibility check.
+  // (m), or when its point fails the model's own feasibility check.
   const bool hinted = warm != nullptr && !warm->empty();
   if (hinted && built_) {
     refresh_bounds();
     if (install_warm(*warm) && solve_warm(&result, basis_out, m_)) {
-      if (result.status != LpStatus::kOptimal ||
+      if (result.status != LpStatus::kFeasible ||
           model_.max_violation(result.x) <= kLpFeasibilityTol) {
         return finish(std::move(result));
       }
@@ -852,9 +777,7 @@ LpResult Simplex::solve(const LpBasis* warm, LpBasis* basis_out) {
     }
   }
   build();
-  install_phase1_costs();
-  phase1_ = true;
-  run_primal(&result, basis_out);
+  run_phase1(&result, basis_out);
   return finish(std::move(result));
 }
 

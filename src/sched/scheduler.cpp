@@ -481,7 +481,7 @@ std::optional<ScheduleResult> schedule_tree_fast_path(
 
 namespace {
 
-// Shared body of schedule_ilp: `stage_basis` (optional) carries the optimal
+// Shared body of schedule_ilp: `stage_basis` (optional) carries the feasible
 // root LP basis across the min-slot search's successive stages — the stage
 // models differ only in bounds and big-M/cut coefficients, never in shape,
 // so the previous stage's basis dual-repairs in a handful of pivots.
@@ -525,7 +525,7 @@ Expected<ScheduleResult> schedule_ilp_impl(const SchedulingProblem& problem,
     LpBasis root_basis;
     const LpResult root = solve_lp(om.model.lp(), hint,
                                    chain ? &root_basis : nullptr);
-    if (root.status == LpStatus::kOptimal) {
+    if (root.status == LpStatus::kFeasible) {
       if (chain && !root_basis.empty()) {
         *stage_basis = root_basis;
         hint = stage_basis;
@@ -590,7 +590,7 @@ Expected<MinSlotsResult> min_slots_search(const SchedulingProblem& problem,
   MinSlotsResult out;
   bool ilp_limit_hit = false;
   // The per-stage models share their shape (only bounds and big-M/cut
-  // coefficients depend on S), so each stage's optimal root basis
+  // coefficients depend on S), so each stage's feasible root basis
   // warm-starts the next stage's root LP.
   LpBasis stage_basis;
   for (int s = lower; s <= max_slots; ++s) {

@@ -40,7 +40,6 @@ TEST(IlpModelTest, TracksIntegerVariables) {
   EXPECT_EQ(m.lp().lower_bound(c), 0.0);
   EXPECT_EQ(m.lp().upper_bound(c), 5.0);
   EXPECT_EQ(m.lp().upper_bound(a), 1.0);
-  for (VarId v : {c, a, b}) EXPECT_EQ(m.lp().objective_coef(v), 0.0);
 }
 
 TEST(IlpSolveTest, PureLpPassesThrough) {

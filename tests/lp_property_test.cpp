@@ -1,9 +1,10 @@
 // Parameterized property suite for the LP/ILP stack on randomized
-// instances: LP optima and ILP feasibility verdicts cross-checked against
-// exhaustive search, feasibility of every returned point, and invariance
-// under model transformations that must not change the answer (row
-// scaling, variable order permutation, redundant rows, branch priorities,
-// warm starts).
+// instances: LP verdicts on feasible- and infeasible-by-construction
+// models, feasibility of every returned point, agreement of cold, warm and
+// live solves, invariance under model transformations that must not change
+// the verdict (row scaling, redundant rows, branch priorities, warm
+// starts), and ILP feasibility verdicts cross-checked against exhaustive
+// search.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,7 @@ RandomLp make_random_lp(Rng& rng, int n, int rows) {
   for (int j = 0; j < n; ++j) {
     const double lo = std::floor(rng.uniform(-4.0, 0.0));
     const double up = std::floor(rng.uniform(1.0, 8.0));
-    out.model.add_variable(lo, up, std::floor(rng.uniform(-5.0, 6.0)));
+    out.model.add_variable(lo, up);
     out.feasible_point.push_back(std::floor(rng.uniform(lo, up)));
   }
   for (int i = 0; i < rows; ++i) {
@@ -47,6 +48,21 @@ RandomLp make_random_lp(Rng& rng, int n, int rows) {
   return out;
 }
 
+// A feasible verdict must come with a point that meets every row and bound
+// within the LP tolerance.
+::testing::AssertionResult feasible_point(const LpModel& m,
+                                          const LpResult& r) {
+  if (r.status != LpStatus::kFeasible) {
+    return ::testing::AssertionFailure()
+           << "status " << static_cast<int>(r.status);
+  }
+  const double violation = m.max_violation(r.x);
+  if (violation > kLpFeasibilityTol) {
+    return ::testing::AssertionFailure() << "violation " << violation;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 class LpRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LpRandomSweep, OptimalPointIsFeasibleAndBeatsConstruction) {
@@ -55,10 +71,9 @@ TEST_P(LpRandomSweep, OptimalPointIsFeasibleAndBeatsConstruction) {
     const int n = 2 + static_cast<int>(rng.next_below(6));
     const int rows = 1 + static_cast<int>(rng.next_below(10));
     RandomLp lp = make_random_lp(rng, n, rows);
-    const LpResult r = solve_lp(lp.model);
-    ASSERT_EQ(r.status, LpStatus::kOptimal);
-    EXPECT_LE(lp.model.max_violation(r.x), 1e-6);
-    EXPECT_LE(r.objective, lp.model.objective_value(lp.feasible_point) + 1e-6);
+    ASSERT_LE(lp.model.max_violation(lp.feasible_point), 0.0);
+    EXPECT_TRUE(feasible_point(lp.model, solve_lp(lp.model)))
+        << "trial " << trial;
   }
 }
 
@@ -67,14 +82,12 @@ TEST_P(LpRandomSweep, RowScalingDoesNotChangeTheOptimum) {
   for (int trial = 0; trial < 10; ++trial) {
     const int n = 3 + static_cast<int>(rng.next_below(4));
     RandomLp lp = make_random_lp(rng, n, 6);
-    const LpResult base = solve_lp(lp.model);
-    ASSERT_EQ(base.status, LpStatus::kOptimal);
+    ASSERT_TRUE(feasible_point(lp.model, solve_lp(lp.model)));
 
     // Rebuild with every row scaled by a positive constant.
     LpModel scaled;
     for (int j = 0; j < lp.model.variable_count(); ++j) {
-      scaled.add_variable(lp.model.lower_bound(j), lp.model.upper_bound(j),
-                          lp.model.objective_coef(j));
+      scaled.add_variable(lp.model.lower_bound(j), lp.model.upper_bound(j));
     }
     for (int i = 0; i < lp.model.constraint_count(); ++i) {
       const auto& row = lp.model.row(i);
@@ -84,8 +97,11 @@ TEST_P(LpRandomSweep, RowScalingDoesNotChangeTheOptimum) {
       scaled.add_constraint(terms, row.sense, row.rhs * k);
     }
     const LpResult r = solve_lp(scaled);
-    ASSERT_EQ(r.status, LpStatus::kOptimal);
-    EXPECT_NEAR(r.objective, base.objective, 1e-6);
+    ASSERT_TRUE(feasible_point(scaled, r)) << "trial " << trial;
+    // A row scaled by k >= 0.5 is violated by at most twice the tolerance
+    // before scaling.
+    EXPECT_LE(lp.model.max_violation(r.x), 2 * kLpFeasibilityTol)
+        << "trial " << trial;
   }
 }
 
@@ -93,49 +109,118 @@ TEST_P(LpRandomSweep, RedundantRowsDoNotChangeTheOptimum) {
   Rng rng(GetParam() ^ 0x123456);
   for (int trial = 0; trial < 10; ++trial) {
     RandomLp lp = make_random_lp(rng, 4, 5);
-    const LpResult base = solve_lp(lp.model);
-    ASSERT_EQ(base.status, LpStatus::kOptimal);
+    ASSERT_TRUE(feasible_point(lp.model, solve_lp(lp.model)));
     // Duplicate each row with a slacker rhs — cannot bind.
     LpModel loose = lp.model;
     for (int i = 0; i < lp.model.constraint_count(); ++i) {
       const auto& row = lp.model.row(i);
       loose.add_constraint(row.terms, row.sense, row.rhs + 10.0);
     }
-    const LpResult r = solve_lp(loose);
-    ASSERT_EQ(r.status, LpStatus::kOptimal);
-    EXPECT_NEAR(r.objective, base.objective, 1e-6);
+    EXPECT_TRUE(feasible_point(loose, solve_lp(loose))) << "trial " << trial;
   }
 }
 
-TEST_P(LpRandomSweep, MaximizeIsNegatedMinimize) {
-  Rng rng(GetParam() ^ 0x777);
+// Infeasible by construction: for multipliers lambda >= 0 over the rows
+// a_i x <= b_i of a feasible model, the Farkas row
+//   -(sum lambda_i a_i) x - t <= -(sum lambda_i b_i) - 1
+// contradicts their sum whenever t = 0. With t in [0, T] for T above the
+// reference point's weighted slack the model stays feasible, so one shape
+// carries both verdicts: a cold solve, a warm start off the feasible
+// model's basis (the dual repair's Farkas exit) and a live solver walking
+// between the two bounds on t must all agree.
+TEST_P(LpRandomSweep, FarkasRowMakesTheModelInfeasible) {
+  Rng rng(GetParam() ^ 0xfa4ca5);
+  int dual_exits = 0;
   for (int trial = 0; trial < 10; ++trial) {
-    RandomLp lp = make_random_lp(rng, 4, 5);
-    lp.model.set_objective_sense(ObjSense::kMaximize);
-    const LpResult maxr = solve_lp(lp.model);
-    ASSERT_EQ(maxr.status, LpStatus::kOptimal);
+    const int n = 3 + static_cast<int>(rng.next_below(4));
+    RandomLp lp = make_random_lp(rng, n, 6);
+    LpModel& m = lp.model;
+    const int rows = m.constraint_count();
+    std::vector<double> combo(static_cast<std::size_t>(n), 0.0);
+    double combo_rhs = 0.0;
+    double weighted_slack = 0.0;
+    for (int i = 0; i < rows; ++i) {
+      const double lambda = std::floor(rng.uniform(0.0, 4.0));
+      double lhs = 0.0;
+      for (const LpTerm& t : m.row(i).terms) {
+        combo[static_cast<std::size_t>(t.var)] += lambda * t.coef;
+        lhs += t.coef * lp.feasible_point[static_cast<std::size_t>(t.var)];
+      }
+      combo_rhs += lambda * m.row(i).rhs;
+      weighted_slack += lambda * (m.row(i).rhs - lhs);
+    }
+    const double t_up = weighted_slack + 1.0 + rng.uniform(0.0, 3.0);
+    const VarId t = m.add_variable(0.0, t_up);
+    std::vector<LpTerm> farkas;
+    for (int j = 0; j < n; ++j) {
+      farkas.push_back({j, -combo[static_cast<std::size_t>(j)]});
+    }
+    farkas.push_back({t, -1.0});
+    m.add_constraint(farkas, RowSense::kLessEqual, -combo_rhs - 1.0);
 
-    LpModel negated;
-    for (int j = 0; j < lp.model.variable_count(); ++j) {
-      negated.add_variable(lp.model.lower_bound(j), lp.model.upper_bound(j),
-                           -lp.model.objective_coef(j));
-    }
-    for (int i = 0; i < lp.model.constraint_count(); ++i) {
-      const auto& row = lp.model.row(i);
-      negated.add_constraint(row.terms, row.sense, row.rhs);
-    }
-    const LpResult minr = solve_lp(negated);
-    ASSERT_EQ(minr.status, LpStatus::kOptimal);
-    EXPECT_NEAR(maxr.objective, -minr.objective, 1e-6);
+    // Feasible with t free to absorb the slack.
+    LpBasis feasible_basis;
+    ASSERT_TRUE(feasible_point(m, solve_lp(m, nullptr, &feasible_basis)))
+        << "trial " << trial;
+    ASSERT_FALSE(feasible_basis.empty()) << "trial " << trial;
+    LpSolver live(m);
+    LpBasis live_basis;
+    ASSERT_TRUE(feasible_point(m, live.solve(nullptr, &live_basis)))
+        << "trial " << trial;
+
+    // t = 0: the Farkas row alone contradicts the rows it combines.
+    m.set_bounds(t, 0.0, 0.0);
+    EXPECT_EQ(solve_lp(m).status, LpStatus::kInfeasible) << "trial " << trial;
+    const LpResult warm = solve_lp(m, &feasible_basis, nullptr);
+    EXPECT_EQ(warm.status, LpStatus::kInfeasible) << "trial " << trial;
+    if (warm.warm_start_used) ++dual_exits;
+    EXPECT_EQ(live.solve(&live_basis, nullptr).status, LpStatus::kInfeasible)
+        << "trial " << trial;
+
+    // Back to the feasible bound: the live solver recovers.
+    m.set_bounds(t, 0.0, t_up);
+    EXPECT_TRUE(feasible_point(m, live.solve(&live_basis, nullptr)))
+        << "trial " << trial;
   }
+  // The warm verdicts come from the dual repair, not a cold fallback.
+  EXPECT_GT(dual_exits, 0);
+}
+
+// Free variables and one-sided infinite bounds: opening bounds of a
+// feasible model leaves the construction point feasible, so every solve
+// of the unbounded region must report a valid point.
+TEST_P(LpRandomSweep, UnboundedRegionsStillSolve) {
+  Rng rng(GetParam() ^ 0x0b0e);
+  int opened = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    const int n = 3 + static_cast<int>(rng.next_below(4));
+    RandomLp lp = make_random_lp(rng, n, 6);
+    LpModel& m = lp.model;
+    LpSolver live(m);
+    LpBasis basis;
+    ASSERT_TRUE(feasible_point(m, live.solve(nullptr, &basis)));
+    for (int j = 0; j < n; ++j) {
+      const double lo = rng.chance(0.5) ? -kLpInfinity : m.lower_bound(j);
+      const double up = rng.chance(0.5) ? kLpInfinity : m.upper_bound(j);
+      opened += (lo != m.lower_bound(j)) + (up != m.upper_bound(j));
+      m.set_bounds(j, lo, up);
+    }
+    ASSERT_LE(m.max_violation(lp.feasible_point), 0.0);
+    EXPECT_TRUE(feasible_point(m, solve_lp(m))) << "trial " << trial;
+    EXPECT_TRUE(feasible_point(m, solve_lp(m, &basis, nullptr)))
+        << "trial " << trial;
+    EXPECT_TRUE(feasible_point(m, live.solve(&basis, nullptr)))
+        << "trial " << trial;
+  }
+  EXPECT_GT(opened, 0);
 }
 
 // Replays a scripted branch & bound walk on one live LpSolver: each step
 // rewrites the variable bounds and warm-starts from the basis of the node
 // it branches from, as the ILP does within a portfolio round. The walk
 // covers a dive, a sibling, a backtrack over several levels, an empty-
-// domain child and a relaxed bound. Every step must agree with a cold
-// solve of the same bounds.
+// domain child and a relaxed bound. Every step must reach the verdict of
+// a cold solve and of a warm solve_lp of the same bounds.
 TEST_P(LpRandomSweep, LiveSolverMatchesColdSolverOverBranchWalk) {
   Rng rng(GetParam() ^ 0x5eed);
   for (int trial = 0; trial < 10; ++trial) {
@@ -157,19 +242,19 @@ TEST_P(LpRandomSweep, LiveSolverMatchesColdSolverOverBranchWalk) {
                      up[static_cast<std::size_t>(j)]);
       }
       Node node{std::move(lo), std::move(up), {}, {}, 0};
-      const LpResult got =
-          live.solve(parent != nullptr ? &parent->basis : nullptr,
-                     &node.basis);
+      const LpBasis* hint = parent != nullptr ? &parent->basis : nullptr;
+      const LpResult got = live.solve(hint, &node.basis);
       node.install_pivots = got.install_pivots;
       const LpResult cold = solve_lp(m);
+      const LpResult warm = solve_lp(m, hint, nullptr);
       EXPECT_EQ(got.status, cold.status) << what << ", trial " << trial;
-      if (got.status == LpStatus::kOptimal &&
-          cold.status == LpStatus::kOptimal) {
-        EXPECT_NEAR(got.objective, cold.objective, 1e-6)
-            << what << ", trial " << trial;
-        EXPECT_LE(m.max_violation(got.x), kLpFeasibilityTol)
-            << what << ", trial " << trial;
+      EXPECT_EQ(warm.status, cold.status) << what << ", trial " << trial;
+      if (got.status == LpStatus::kFeasible) {
+        EXPECT_TRUE(feasible_point(m, got)) << what << ", trial " << trial;
         node.x = got.x;
+      }
+      if (warm.status == LpStatus::kFeasible) {
+        EXPECT_TRUE(feasible_point(m, warm)) << what << ", trial " << trial;
       }
       return node;
     };
