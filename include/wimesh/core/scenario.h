@@ -79,7 +79,8 @@
 //
 //   # traffic (one per line): ids in [0, 2^31-2] (a call uses id and
 //   # id + 1), max_delay_ms in [1, 3600000], rate_bps in [1, 1e10],
-//   # mean_bps in [1000, 1e10], bytes in [1, 65535]
+//   # mean_bps in [1000, 1e10], bytes in [1, 65535], and a bulk flow's
+//   # rate_bps / (8 * bytes) at most 50,000 packets/s
 //   voip <id> <a> <b> <codec> <max_delay_ms>    # bidirectional call
 //   video <id> <src> <dst> <mean_bps>           # rtPS-style VBR stream
 //   bulk <id> <src> <dst> <bytes> <rate_bps>    # best-effort Poisson

@@ -29,6 +29,10 @@ constexpr std::int64_t kMaxDelayMs = 3'600'000;
 constexpr RealRange kRateBps{1.0, 1e10};
 constexpr RealRange kVideoRateBps{1e3, 1e10};
 constexpr std::size_t kMaxPacketBytes = 65'535;
+// Packets per second a bulk flow may offer. One OFDM preamble alone lasts
+// at least 20 us, so no PHY puts 50,000 frames a second on air; a faster
+// flow would only flood the event queue.
+constexpr double kMaxBulkPacketsPerS = 50'000.0;
 // A voip line declares flows id and id + 1.
 constexpr int kMaxFlowId = std::numeric_limits<int>::max() - 1;
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
@@ -521,6 +525,15 @@ Expected<bool> ScenarioParser::declaration(const std::vector<std::string>& t) {
           parse_int<std::size_t>(t[4], field("bytes"), 1, kMaxPacketBytes);
       const auto rate = real(5, "rate_bps", kRateBps);
       if (const auto* e = first_error(bytes, rate)) return make_error(*e);
+      const double packets_per_s =
+          *rate / (8.0 * static_cast<double>(*bytes));
+      if (packets_per_s > kMaxBulkPacketsPerS) {
+        return make_error(str_cat(
+            "bulk packet rate ", fmt_double(packets_per_s, 0),
+            " packets/s (rate_bps / (8 * bytes)) exceeds ",
+            fmt_double(kMaxBulkPacketsPerS, 0),
+            " packets/s, more frames than any PHY can send"));
+      }
       sc_.flows.push_back(
           FlowSpec::best_effort(*id, *src, *dst, *bytes, *rate));
     }

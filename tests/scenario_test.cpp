@@ -201,6 +201,8 @@ TEST(ScenarioParserTest, OutOfRangeInputsAreNamedLineErrors) {
       {"voip 0 99 0 g729 100", 2, "voip a 99"},
       {"bulk 50 2 6 1200 3e14", 2, "bulk rate_bps"},
       {"bulk 50 2 6 -5 2000000", 2, "bulk bytes"},
+      // 1.25e9 packets/s would flood the event queue.
+      {"bulk 50 2 6 1 1e10", 2, "bulk packet rate"},
       {"video 0 8 0 -1", 2, "video mean_bps"},
       {"video 0 8 0 999", 2, "video mean_bps"},
       {"fault = node-crash@0.1 node=99", 2, "node 99"},
@@ -233,7 +235,7 @@ TEST(ScenarioParserTest, OutOfRangeInputsAreNamedLineErrors) {
       "radio = oscillators=16,probe=2,seed=0\n"
       "fault = node-crash@0.1 node=8; link-down@1 link=0-1; detect_ms=0\n"
       "video 0 8 0 1000\n"
-      "bulk 50 2 6 1 1e10\n");
+      "bulk 50 2 6 1 4e5\n");  // 50,000 packets/s, the largest allowed
   ASSERT_TRUE(ok.has_value()) << ok.error();
   EXPECT_EQ(ok->config.ilp.max_nodes, 1'000'000);
   EXPECT_EQ(ok->admit_churn.seed, 18446744073709549568u);  // 2^64 - 2048
