@@ -36,8 +36,8 @@
 // Departures are lazy: the departed flow's grants stay in the deployed
 // schedule (harmless — survivors keep strictly more room than they need)
 // until `compaction_departures` departures accumulate, then survivors are
-// re-planned compactly and the new schedule is handed to the data plane,
-// activating at the next frame boundary (TdmaOverlayNode::stage_grants).
+// re-planned compactly and the new schedule becomes the incumbent; its
+// kAdmitHotSwap trace record names the next frame boundary.
 
 #include <cstdint>
 #include <functional>
@@ -98,20 +98,6 @@ struct EngineConfig {
   int compaction_departures = 8;
 };
 
-// What the engine hands the data plane on every schedule change: the new
-// grants plus the frame boundary at which every node must adopt them
-// (mirrors faults::Deployment; feed TdmaOverlayNode::stage_grants). Only
-// the guaranteed skeleton is deployed — best-effort extras are a batch
-// planning concern and are re-fitted at the next full solve.
-struct Deployment {
-  LinkSet links;
-  MeshSchedule schedule;
-  std::vector<FlowPlan> guaranteed;
-  std::int64_t activation_frame = 0;
-  SimTime guard{};
-  std::uint64_t generation = 0;  // bumped once per hot-swap
-};
-
 struct EngineStats {
   std::uint64_t offered = 0;             // all offer() calls
   std::uint64_t guaranteed_offered = 0;  // offers that gate on capacity
@@ -159,15 +145,15 @@ class AdmissionEngine {
                   EmulationParams params, PhyMode phy, EngineConfig config);
 
   // Decides one arrival. `now` is the virtual arrival time (sets the
-  // activation frame of any staged schedule change).
+  // activation frame of any schedule change it causes).
   Decision offer(const FlowSpec& flow, SimTime now);
 
   // Processes one departure; returns false when no active flow has this
-  // id. May trigger lazy compaction (and thus a deployment).
+  // id. May trigger lazy compaction (and thus a hot-swap).
   bool release(int flow_id, SimTime now);
 
   // Forces survivor re-planning and a hot-swap now; returns true when a
-  // new schedule was staged. Resets the lazy-departure counter.
+  // new schedule was adopted. Resets the lazy-departure counter.
   bool compact(SimTime now);
 
   // Fault-awareness: installs a new topology epoch — `alive` masks the
@@ -203,9 +189,6 @@ class AdmissionEngine {
   // the incumbent problem, and every active guaranteed flow's links are
   // covered by it. Holds after every event, including lazy departures.
   bool live_consistent() const;
-
-  using DeployFn = std::function<void(const Deployment&)>;
-  void set_deploy_callback(DeployFn fn) { deploy_ = std::move(fn); }
 
   const EngineStats& stats() const { return stats_; }
   const QosPlanner& planner() const { return planner_; }
@@ -263,7 +246,6 @@ class AdmissionEngine {
   Incumbent incumbent_;
   std::uint64_t generation_ = 0;
   int departures_since_compaction_ = 0;
-  DeployFn deploy_;
   EngineStats stats_;
 };
 

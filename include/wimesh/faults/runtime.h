@@ -63,13 +63,13 @@ struct Deployment {
   const MeshPlan* plan = nullptr;
   SimTime guard{};                   // possibly re-dimensioned
   std::int64_t activation_frame = 0; // first frame under the new plan
-  SimTime activation_time{};         // its global frame-start instant
-  std::vector<int> shed_flow_ids;    // shed in this repair, degradation order
 };
 
 struct Callbacks {
-  // Stage `d` into the overlays and swap the live plan at
-  // d.activation_time (a frame boundary). TDMA mode only.
+  // Hands `d` to the mesh's frame clock, which switches every node, the
+  // routes and the auditor to d.plan in one step at the top of frame
+  // d.activation_frame. A later deployment before then replaces it. TDMA
+  // mode only.
   std::function<void(const Deployment&)> deploy;
   // A node's liveness changed (crash or recovery).
   std::function<void(NodeId, bool up)> node_up_changed;

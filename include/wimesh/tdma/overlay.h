@@ -11,6 +11,11 @@
 // error is absorbed by the guard, the MAC sees an idle medium and transmits
 // back-to-back with deterministic per-packet cost.
 //
+// The mesh has one frame clock (start_frames): one event per frame tells
+// every node to begin the frame, and a node without grants schedules
+// nothing in it. A plan switch is one step at the top of that event, so
+// every node adopts the new grants before any of the frame's blocks.
+//
 // The release sizing assumes one attempt per packet. On a physical channel
 // (fading, SINR) receptions can corrupt, and an unchecked MAC retry would
 // spill transmissions past the block into slots granted to other nodes. The
@@ -22,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -81,15 +87,12 @@ class TdmaOverlayNode {
   // Installs this node's transmit grants (links with link.from == self).
   void set_grants(std::vector<TxGrant> grants);
 
-  // Stages a replacement grant set (and guard) adopted atomically at the
-  // top of frame `activation_frame`'s slot loop — i.e. exactly on a frame
-  // boundary, before any of that frame's blocks fire. Queued packets
-  // migrate to the new link serving the same neighbor; packets whose
-  // neighbor the new plan no longer serves from this node are discarded
-  // through on_revoked_drop. Grant link ids refer to the *new* plan's link
-  // set; enqueue() switches meaning at adoption.
-  void stage_grants(std::int64_t activation_frame, std::vector<TxGrant> grants,
-                    SimTime guard);
+  // Replaces the grant set (and guard) on the boundary of `frame`, before
+  // the frame begins. Queued packets migrate to the new link serving the
+  // same neighbor; packets whose neighbor the new plan no longer serves
+  // from this node are discarded through on_revoked_drop. Grant link ids
+  // refer to the *new* plan's link set; enqueue() switches meaning here.
+  void adopt(std::int64_t frame, std::vector<TxGrant> grants, SimTime guard);
 
   // Fault injection: a disabled (crashed) node stops releasing packets at
   // its block starts; its queues freeze until re-enabled.
@@ -97,8 +100,9 @@ class TdmaOverlayNode {
 
   void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
-  // Starts the per-frame slot loop; frames begin at global t = 0.
-  void start(SimTime stop);
+  // Records the start of `frame` and schedules its block starts, each when
+  // this node's clock reads it.
+  void begin_frame(std::int64_t frame);
 
   // Queues a packet for transmission on one of this node's granted links.
   // Guaranteed-class packets are served with strict priority inside every
@@ -121,20 +125,14 @@ class TdmaOverlayNode {
   std::uint64_t deadline_requeues() const { return deadline_requeues_; }
 
  private:
-  void schedule_frame(std::int64_t frame_index, SimTime stop);
+  static constexpr std::size_t kBestEffortQueueCap = 256;
+
   void on_block_start(const TxGrant& grant, std::int64_t frame_index);
   void on_deadline_requeue(const std::vector<MacPacket>& returned);
-  void adopt_staged();
 
   struct LinkQueues {
     std::deque<MacPacket> guaranteed;
     std::deque<MacPacket> best_effort;
-  };
-  struct StagedGrants {
-    std::int64_t activation_frame = 0;
-    std::vector<TxGrant> grants;
-    SimTime guard{};
-    bool pending = false;
   };
 
   Simulator& sim_;
@@ -144,14 +142,12 @@ class TdmaOverlayNode {
   EmulationParams params_;
   Hooks hooks_;
   std::vector<TxGrant> grants_;
-  StagedGrants staged_;
   // Bumped at every hot-swap; block events carry the generation they were
   // scheduled under and fizzle if a swap intervened (LinkIds are
   // plan-relative, so a stale event must not touch new-plan queues).
   std::uint64_t plan_generation_ = 0;
   bool enabled_ = true;
   std::unordered_map<LinkId, LinkQueues> queues_;
-  std::size_t best_effort_queue_cap_ = 256;
   // Ids of best-effort packets currently released to the MAC, so a deadline
   // requeue restores each packet to its service class. Cleared at every
   // block start (the MAC is verifiably empty there).
@@ -161,5 +157,14 @@ class TdmaOverlayNode {
   std::uint64_t best_effort_drops_ = 0;
   std::uint64_t deadline_requeues_ = 0;
 };
+
+// The mesh's frame clock. Runs the current frame now, and each later frame
+// that starts before `stop` as one event. Frame k calls `at_boundary(k)`,
+// if set (the place for a plan switch), then begin_frame(k) at every node.
+// `nodes` must outlive the simulation.
+void start_frames(Simulator& sim, const FrameConfig& frame,
+                  const std::vector<std::unique_ptr<TdmaOverlayNode>>& nodes,
+                  SimTime stop,
+                  std::function<void(std::int64_t)> at_boundary = {});
 
 }  // namespace wimesh

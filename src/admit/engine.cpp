@@ -332,8 +332,7 @@ void AdmissionEngine::adopt(Incumbent next, SimTime now, bool compaction) {
   incumbent_ = std::move(next);
   ++generation_;
   ++stats_.hot_swaps;
-  // Hot-swap at the top of the NEXT frame: nodes adopt atomically on a
-  // frame boundary, never mid-frame (TdmaOverlayNode::stage_grants).
+  // A hot-swap takes effect at the top of the NEXT frame, never mid-frame.
   const std::int64_t activation =
       planner_.params().frame.frame_index(now) + 1;
   trace::event(trace::EventType::kAdmitHotSwap, now, -1,
@@ -343,16 +342,6 @@ void AdmissionEngine::adopt(Incumbent next, SimTime now, bool compaction) {
     trace::event(trace::EventType::kAdmitCompaction, now, -1,
                  static_cast<std::int64_t>(active_.size()),
                  incumbent_.schedule.used_slots());
-  }
-  if (deploy_) {
-    Deployment dep;
-    dep.links = incumbent_.problem.links;
-    dep.schedule = incumbent_.schedule;
-    dep.guaranteed = incumbent_.guaranteed;
-    dep.activation_frame = activation;
-    dep.guard = planner_.params().guard_time;
-    dep.generation = generation_;
-    deploy_(dep);
   }
 }
 

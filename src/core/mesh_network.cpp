@@ -1,6 +1,7 @@
 #include "wimesh/core/mesh_network.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "wimesh/admit/engine.h"
@@ -363,6 +364,9 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
   };
 
   // ---- Overlay + sync (TDMA mode only).
+  // The repaired plan the fault runtime handed over last, waiting for the
+  // boundary of its activation frame.
+  std::optional<faults::Deployment> staged;
   if (mode == MacMode::kTdmaOverlay) {
     sync = std::make_unique<SyncProtocol>(sim, config_.topology.graph,
                                           /*master=*/0, config_.sync,
@@ -396,8 +400,30 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
         };
         overlay.set_hooks(std::move(hooks));
       }
-      overlay.start(duration + drain);
     }
+    // One frame clock for the mesh. A staged plan switches in at the top of
+    // its activation frame: every node adopts it, then forwarding and the
+    // audit monitors follow, all before any of the frame's blocks.
+    const auto switch_plan = [&](std::int64_t frame) {
+      if (!staged || frame < staged->activation_frame) return;
+      auto next = grants_by_node(*staged->plan);
+      for (NodeId node = 0; node < n; ++node) {
+        overlays[static_cast<std::size_t>(node)]->adopt(
+            frame, std::move(next[static_cast<std::size_t>(node)]),
+            staged->guard);
+      }
+      live_plan = staged->plan;
+      bind_routes(*live_plan);
+      trace::event(trace::EventType::kPlanActivated, sim.now(), -1, frame);
+      if (auditor) {
+        auditor->install_schedule(live_plan->links, live_plan->conflicts,
+                                  live_plan->schedule, config_.emulation.frame,
+                                  staged->guard);
+      }
+      staged.reset();
+    };
+    start_frames(sim, config_.emulation.frame, overlays, duration + drain,
+                 switch_plan);
   }
 
   // ---- Traffic sources.
@@ -460,32 +486,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
       cb.node_up_changed = [&](NodeId node, bool up) {
         overlays[static_cast<std::size_t>(node)]->set_enabled(up);
       };
-      cb.deploy = [&](const faults::Deployment& d) {
-        std::vector<std::vector<TdmaOverlayNode::TxGrant>> grants =
-            grants_by_node(*d.plan);
-        for (NodeId node = 0; node < n; ++node) {
-          overlays[static_cast<std::size_t>(node)]->stage_grants(
-              d.activation_frame,
-              std::move(grants[static_cast<std::size_t>(node)]), d.guard);
-        }
-        // The overlays adopt the staged grants at the top of the
-        // activation frame's slot loop (scheduled earlier, so it fires
-        // first at this timestamp); this event then repoints forwarding
-        // and the audit monitors before the frame's first data slot.
-        sim.schedule_at(d.activation_time, [&, plan = d.plan,
-                        guard = d.guard,
-                        frame = d.activation_frame] {
-          live_plan = plan;
-          bind_routes(*plan);
-          trace::event(trace::EventType::kPlanActivated, sim.now(), -1,
-                       frame);
-          if (auditor) {
-            auditor->install_schedule(plan->links, plan->conflicts,
-                                      plan->schedule, config_.emulation.frame,
-                                      guard);
-          }
-        });
-      };
+      cb.deploy = [&](const faults::Deployment& d) { staged = d; };
     }
     fault_rt = std::make_unique<faults::FaultRuntime>(
         sim, config_.faults, planner_, config_.scheduler, config_.ilp, flows_,

@@ -420,7 +420,11 @@ Expected<bool> ScenarioParser::add_faults(const std::string& value) {
       if (n != kInvalidNode) node_refs_.push_back({n, what, line_no_});
     }
   }
-  all.detection_delay = plan->detection_delay;
+  // Only a line that names detect_ms sets it (the grammar takes it only as
+  // a whole entry); a later such line wins.
+  if (value.find("detect_ms=") != std::string::npos) {
+    all.detection_delay = plan->detection_delay;
+  }
   std::stable_sort(all.events.begin(), all.events.end(),
                    [](const faults::FaultEvent& a,
                       const faults::FaultEvent& b) { return a.at < b.at; });

@@ -382,24 +382,21 @@ void FaultRuntime::repair_schedule(SimTime fault_at, const Topology& survivors,
   current_plan_ = &repaired_plans_.back();
 
   const FrameConfig& frame = planner_.params().frame;
-  Deployment deployment;
-  deployment.plan = current_plan_;
-  deployment.guard = guard_;
-  deployment.activation_frame = frame.frame_index(now) + 1;
-  deployment.activation_time = frame.frame_start(deployment.activation_frame);
-  deployment.shed_flow_ids = shed_ids;
+  const Deployment deployment{current_plan_, guard_,
+                              frame.frame_index(now) + 1};
+  const SimTime activation = frame.frame_start(deployment.activation_frame);
 
   ++report_.repairs;
-  report_.last_repair_at = deployment.activation_time;
-  report_.repair_latency = deployment.activation_time - fault_at;
-  span.set_virtual_range(fault_at, deployment.activation_time);
+  report_.last_repair_at = activation;
+  report_.repair_latency = activation - fault_at;
+  span.set_virtual_range(fault_at, activation);
   trace::event(trace::EventType::kScheduleRepaired, now, -1, report_.repairs,
                static_cast<std::int64_t>(shed_ids.size()),
                deployment.activation_frame);
 
   RepairRecord repair;
   repair.at = fault_at;
-  repair.activation = deployment.activation_time;
+  repair.activation = activation;
   repair.islands = islands_;
   repair.masters = island_masters_;
   repair.flows_planned = static_cast<int>(current_plan_->guaranteed.size());
@@ -432,7 +429,7 @@ void FaultRuntime::repair_schedule(SimTime fault_at, const Topology& survivors,
 
   // Violations across the swap transient (old-plan frames still in flight
   // while the monitors re-arm) are expected fallout.
-  waive(deployment.activation_time + frame.frame_duration);
+  waive(activation + frame.frame_duration);
   if (callbacks_.deploy) callbacks_.deploy(deployment);
 }
 

@@ -59,25 +59,8 @@ void TdmaOverlayNode::set_grants(std::vector<TxGrant> grants) {
   grants_ = std::move(grants);
 }
 
-void TdmaOverlayNode::start(SimTime stop) {
-  schedule_frame(params_.frame.frame_index(sim_.now()), stop);
-}
-
-void TdmaOverlayNode::stage_grants(std::int64_t activation_frame,
-                                   std::vector<TxGrant> grants, SimTime guard) {
-  for (const TxGrant& g : grants) {
-    WIMESH_ASSERT(g.link != kInvalidLink);
-    WIMESH_ASSERT(g.neighbor != kInvalidNode);
-    WIMESH_ASSERT(g.range.length > 0);
-  }
-  staged_.activation_frame = activation_frame;
-  staged_.grants = std::move(grants);
-  staged_.guard = guard;
-  staged_.pending = true;
-}
-
-void TdmaOverlayNode::adopt_staged() {
-  const std::int64_t activation_frame = staged_.activation_frame;
+void TdmaOverlayNode::adopt(std::int64_t frame, std::vector<TxGrant> grants,
+                            SimTime guard) {
   // Queued packets follow their neighbor into the new plan: the repaired
   // schedule may assign a different LinkId to the same adjacency, and a
   // packet in flight cares about where it is going, not what the edge was
@@ -107,24 +90,21 @@ void TdmaOverlayNode::adopt_staged() {
   }
   queues_.clear();
 
-  grants_ = std::move(staged_.grants);
-  params_.guard_time = staged_.guard;
-  staged_ = StagedGrants{};
+  params_.guard_time = guard;
   // LinkIds are plan-relative; a stale block event from before the swap
   // must not dequeue from a new-plan queue that happens to reuse its id.
   ++plan_generation_;
   trace::event(trace::EventType::kGrantSwap, sim_.now(), self_,
-               static_cast<std::int64_t>(plan_generation_), activation_frame);
+               static_cast<std::int64_t>(plan_generation_), frame);
 
-  for (const TxGrant& g : grants_) {
+  for (const TxGrant& g : grants) {
     auto it = by_neighbor.find(g.neighbor);
     if (it != by_neighbor.end()) {
       queues_[g.link] = std::move(it->second);
       by_neighbor.erase(it);
-    } else {
-      queues_.try_emplace(g.link);
     }
   }
+  set_grants(std::move(grants));  // opens an empty queue for every other link
   for (const auto& [neighbor, q] : by_neighbor) {
     if (!hooks_.on_revoked_drop) continue;
     for (const MacPacket& p : q.guaranteed) {
@@ -143,7 +123,7 @@ bool TdmaOverlayNode::enqueue(LinkId link, MacPacket packet, bool guaranteed) {
     it->second.guaranteed.push_back(packet);
     return true;
   }
-  if (it->second.best_effort.size() >= best_effort_queue_cap_) {
+  if (it->second.best_effort.size() >= kBestEffortQueueCap) {
     ++best_effort_drops_;
     if (hooks_.on_best_effort_drop) {
       hooks_.on_best_effort_drop(self_, link, packet);
@@ -168,33 +148,39 @@ std::size_t TdmaOverlayNode::total_queued() const {
   return total;
 }
 
-void TdmaOverlayNode::schedule_frame(std::int64_t frame_index, SimTime stop) {
-  const SimTime frame_start = params_.frame.frame_start(frame_index);
-  if (frame_start >= stop) return;
-  trace::event(trace::EventType::kFrameStart, frame_start, self_, frame_index);
-  if (staged_.pending && frame_index >= staged_.activation_frame) {
-    // Hot-swap exactly on the frame boundary: the repaired plan takes
-    // effect before any of this frame's blocks are scheduled.
-    adopt_staged();
-  }
+void TdmaOverlayNode::begin_frame(std::int64_t frame) {
+  const SimTime frame_start = params_.frame.frame_start(frame);
+  trace::event(trace::EventType::kFrameStart, frame_start, self_, frame);
   for (const TxGrant& grant : grants_) {
-    // Fire when *this node's clock* reads the block start.
+    // Fire when *this node's clock* reads the block start. Each block start
+    // is re-aligned against the sync clock every frame, so drift cannot
+    // accumulate across frames.
     const SimTime local_start =
         frame_start + params_.frame.data_slot_offset(grant.range.start);
     SimTime fire = sync_.global_time_for_local(self_, local_start);
     if (fire < sim_.now()) fire = sim_.now();  // clock skew at startup
     const std::uint64_t gen = plan_generation_;
-    sim_.schedule_at(fire, [this, grant, gen, frame_index] {
-      if (gen == plan_generation_) on_block_start(grant, frame_index);
+    sim_.schedule_at(fire, [this, grant, gen, frame] {
+      if (gen == plan_generation_) on_block_start(grant, frame);
     });
   }
-  // Chain the next frame relative to global time; each block start is
-  // re-aligned against the sync clock every frame, so drift cannot
-  // accumulate across frames.
-  sim_.schedule_at(frame_start + params_.frame.frame_duration,
-                   [this, frame_index, stop] {
-                     schedule_frame(frame_index + 1, stop);
-                   });
+}
+
+void start_frames(Simulator& sim, const FrameConfig& frame,
+                  const std::vector<std::unique_ptr<TdmaOverlayNode>>& nodes,
+                  SimTime stop, std::function<void(std::int64_t)> at_boundary) {
+  // Each pending frame event holds the loop; it ends when the last has run.
+  auto loop = std::make_shared<std::function<void(std::int64_t)>>();
+  *loop = [&sim, frame, &nodes, stop, at_boundary = std::move(at_boundary),
+           self = std::weak_ptr(loop)](std::int64_t k) {
+    const SimTime start = frame.frame_start(k);
+    if (start >= stop) return;
+    if (at_boundary) at_boundary(k);
+    for (const auto& node : nodes) node->begin_frame(k);
+    sim.schedule_at(start + frame.frame_duration,
+                    [next = self.lock(), k] { (*next)(k + 1); });
+  };
+  (*loop)(frame.frame_index(sim.now()));
 }
 
 void TdmaOverlayNode::on_block_start(const TxGrant& grant,

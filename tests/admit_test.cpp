@@ -172,37 +172,38 @@ TEST(AdmitPropertyTest, CompactionReclaimsDepartedGrants) {
 
 // ------------------------------------------------------ deployment safety
 
-// Every hot-swapped deployment must be conflict-free: no two grants of
+// Every hot-swapped schedule must be conflict-free: no two grants of
 // mutually interfering links may overlap in slot space. This is exactly
-// the invariant the runtime conflict monitor audits.
+// the invariant the runtime conflict monitor audits. The incumbent is
+// checked after every arrival and departure, against a conflict graph
+// built here from its own links.
 TEST(AdmitPropertyTest, DeployedSchedulesAreConflictFree) {
   const Topology topo = make_grid(3, 3, 100.0);
   AdmissionEngine engine(topo, radio(), canonical_params(), phy(),
                          engine_config());
-  std::uint64_t deployments = 0;
-  std::uint64_t last_generation = 0;
-  engine.set_deploy_callback([&](const Deployment& d) {
-    ++deployments;
-    EXPECT_GT(d.generation, last_generation) << "generations must increase";
-    last_generation = d.generation;
-    const Graph conflicts =
-        build_conflict_graph(d.links, topo.positions, radio());
-    for (LinkId l = 0; l < d.links.count(); ++l) {
-      for (LinkId m = l + 1; m < d.links.count(); ++m) {
+  const auto check = [&] {
+    const LinkSet& links = engine.problem().links;
+    const MeshSchedule& schedule = engine.schedule();
+    const Graph conflicts = build_conflict_graph(links, topo.positions, radio());
+    for (LinkId l = 0; l < links.count(); ++l) {
+      for (LinkId m = l + 1; m < links.count(); ++m) {
         if (!conflicts.has_edge(l, m)) continue;
-        for (const SlotRange& a : d.schedule.all_grants(l)) {
-          for (const SlotRange& b : d.schedule.all_grants(m)) {
+        for (const SlotRange& a : schedule.all_grants(l)) {
+          for (const SlotRange& b : schedule.all_grants(m)) {
             EXPECT_FALSE(a.overlaps(b))
                 << "conflicting links " << l << " and " << m
-                << " overlap in deployment generation " << d.generation;
+                << " overlap in generation " << engine.generation();
           }
         }
       }
     }
-  });
-  replay_poisson_churn(engine, churn_spec(4.0, 300, 3));
-  EXPECT_GT(deployments, 0u);
-  EXPECT_EQ(deployments, engine.stats().hot_swaps);
+  };
+  ChurnObserver obs;
+  obs.on_arrival = [&](SimTime, const FlowSpec&, const Decision&) { check(); };
+  obs.on_departure = [&](SimTime, int) { check(); };
+  replay_poisson_churn(engine, churn_spec(4.0, 300, 3), &obs);
+  EXPECT_GT(engine.generation(), 0u);
+  EXPECT_EQ(engine.generation(), engine.stats().hot_swaps);
 }
 
 // --------------------------------------------------- determinism properties

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "wimesh/core/scenario.h"
 #include "wimesh/faults/impairment.h"
 #include "wimesh/faults/plan.h"
+#include "wimesh/trace/trace.h"
 
 namespace wimesh {
 namespace {
@@ -297,6 +299,42 @@ TEST(FaultRecoveryTest, HotSwapLandsExactlyOnAFrameBoundary) {
   EXPECT_GE(r.faults.repair_latency, sc.config.faults.detection_delay);
   EXPECT_LT(r.faults.repair_latency,
             sc.config.faults.detection_delay + frame * 2);
+}
+
+// The plan switch is one step at the top of the activation frame: every
+// node adopts the new grants before the plan is recorded as activated,
+// whether recovery lands on a frame boundary (100 ms after the crash) or
+// inside a frame (105 ms).
+TEST(FaultRecoveryTest, EveryNodeSwapsBeforeThePlanActivates) {
+  for (const char* spec : {"node-crash@0.5 node=1; detect_ms=100",
+                           "node-crash@0.5 node=1; detect_ms=105"}) {
+    const Scenario sc = make_faulted(kGridScenario, spec);
+    MeshNetwork net(sc.config);
+    for (const FlowSpec& f : sc.flows) net.add_flow(f);
+    ASSERT_TRUE(net.compute_plan().has_value());
+    trace::Tracer tracer(trace::TraceConfig{trace::kTdma | trace::kFaults});
+    {
+      const trace::Scope scope(&tracer);
+      net.run(sc.mac, sc.duration);
+    }
+    ASSERT_EQ(tracer.dropped(), 0u);
+    const std::vector<trace::Record> records = tracer.snapshot();
+    const auto activated = std::find_if(
+        records.begin(), records.end(), [](const trace::Record& r) {
+          return r.type == trace::EventType::kPlanActivated;
+        });
+    ASSERT_NE(activated, records.end()) << spec;
+    const auto swaps_at = [&](auto first, auto last) {
+      return std::count_if(first, last, [&](const trace::Record& r) {
+        return r.type == trace::EventType::kGrantSwap &&
+               r.t0 == activated->t0;
+      });
+    };
+    EXPECT_EQ(swaps_at(records.begin(), activated),
+              sc.config.topology.node_count())
+        << spec;
+    EXPECT_EQ(swaps_at(activated, records.end()), 0) << spec;
+  }
 }
 
 TEST(FaultRecoveryTest, MasterFailoverElectsASurvivor) {

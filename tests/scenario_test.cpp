@@ -301,6 +301,21 @@ TEST(ScenarioParserTest, MultipleFaultLinesMergeSortedByTime) {
   EXPECT_EQ(sc->config.faults.detection_delay, SimTime::milliseconds(50));
 }
 
+// Only a fault line that names detect_ms sets it, and the last such line
+// wins: a line without it leaves an earlier explicit value alone.
+TEST(ScenarioParserTest, DetectMsIsSetOnlyByLinesThatNameIt) {
+  for (const char* lines :
+       {"fault = detect_ms=105\nfault = node-crash@0.5 node=1\n",
+        "fault = node-crash@0.5 node=1\nfault = detect_ms=105\n",
+        "fault = detect_ms=50\nfault = node-crash@0.5 node=1; detect_ms=105\n"}) {
+    const auto sc = parse_scenario(str_cat("topology = chain 4 100\n", lines,
+                                           "voip 0 0 3 g729 100\n"));
+    ASSERT_TRUE(sc.has_value()) << sc.error();
+    EXPECT_EQ(sc->config.faults.detection_delay, SimTime::milliseconds(105))
+        << lines;
+  }
+}
+
 TEST(ScenarioParserTest, BadFaultSpecNamesLineAndKey) {
   const auto sc = parse_scenario(
       "topology = chain 4 100\n"

@@ -76,7 +76,8 @@ TEST(EmulationMathTest, EfficiencyHigherForLargerPackets) {
             emulation_efficiency(p, phy, 60));
 }
 
-// ---- Integration rig: 3-node chain, manual 2-block schedule, perfect sync.
+// ---- Integration rig: a chain (3 nodes by default), manual schedules,
+// perfect sync unless asked otherwise.
 
 struct OverlayRig {
   Simulator sim;
@@ -90,13 +91,13 @@ struct OverlayRig {
 
   explicit OverlayRig(SimTime guard = SimTime::microseconds(50),
                       double drift_ppm = 0.0,
-                      SimTime hop_err = SimTime::zero())
-      : topo(make_chain(3, 100.0)), params(params_10ms(96, 4, guard)) {
+                      SimTime hop_err = SimTime::zero(), NodeId nodes = 3)
+      : topo(make_chain(nodes, 100.0)), params(params_10ms(96, 4, guard)) {
     Rng root(4242);
     channel = std::make_unique<WifiChannel>(
         sim, topo.positions, RadioModel(110.0, 220.0),
         PhyMode::ofdm_802_11a(54), ErrorModel{0.0}, root.split());
-    for (NodeId i = 0; i < 3; ++i) {
+    for (NodeId i = 0; i < nodes; ++i) {
       DcfMac::Callbacks cb;
       cb.on_delivered = [this, i](const MacPacket& p) {
         delivered.emplace_back(i, p);
@@ -112,11 +113,13 @@ struct OverlayRig {
                                           root.split(),
                                           /*initial_offset_bound=*/SimTime::zero());
     sync->start();
-    for (NodeId i = 0; i < 3; ++i) {
+    for (NodeId i = 0; i < nodes; ++i) {
       overlays.push_back(std::make_unique<TdmaOverlayNode>(
           sim, *macs[static_cast<std::size_t>(i)], *sync, i, params));
     }
   }
+
+  void start(SimTime stop) { start_frames(sim, params.frame, overlays, stop); }
 };
 
 TEST(TdmaOverlayTest, PacketsFlowOnlyDuringGrantsAndArriveInOrder) {
@@ -127,7 +130,7 @@ TEST(TdmaOverlayTest, PacketsFlowOnlyDuringGrantsAndArriveInOrder) {
   rig.overlays[1]->set_grants(
       {TdmaOverlayNode::TxGrant{1, 2, SlotRange{20, 20}}});
   rig.overlays[2]->set_grants({});
-  for (auto& o : rig.overlays) o->start(SimTime::seconds(1));
+  rig.start(SimTime::seconds(1));
 
   // Node 1 forwards on its own link when packets land on it.
   // (Manual forwarding for the rig; core automates this.)
@@ -160,7 +163,7 @@ TEST(TdmaOverlayTest, FirstHopDeliveryHappensInsideItsBlock) {
       {TdmaOverlayNode::TxGrant{0, 1, SlotRange{10, 10}}});
   rig.overlays[1]->set_grants({});
   rig.overlays[2]->set_grants({});
-  for (auto& o : rig.overlays) o->start(SimTime::seconds(1));
+  rig.start(SimTime::seconds(1));
   MacPacket p;
   p.id = 1;
   p.bytes = 200;
@@ -188,7 +191,7 @@ TEST(TdmaOverlayTest, OverflowTrafficWaitsForLaterFrames) {
       {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, block}}});
   rig.overlays[1]->set_grants({});
   rig.overlays[2]->set_grants({});
-  for (auto& o : rig.overlays) o->start(SimTime::seconds(1));
+  rig.start(SimTime::seconds(1));
   for (std::uint64_t i = 1; i <= 10; ++i) {
     MacPacket p;
     p.id = i;
@@ -217,7 +220,7 @@ TEST(TdmaOverlayTest, NoCollisionsUnderDriftWithAdequateGuard) {
   rig.overlays[1]->set_grants(
       {TdmaOverlayNode::TxGrant{1, 2, SlotRange{48, 48}}});
   rig.overlays[2]->set_grants({});
-  for (auto& o : rig.overlays) o->start(SimTime::seconds(2));
+  rig.start(SimTime::seconds(2));
   // Saturate both links every frame.
   for (int frame = 0; frame < 200; ++frame) {
     rig.sim.schedule_at(SimTime::milliseconds(10 * frame), [&] {
@@ -246,7 +249,7 @@ TEST(TdmaOverlayTest, MultipleGrantsPerLinkAllServeTheQueue) {
   });
   rig.overlays[1]->set_grants({});
   rig.overlays[2]->set_grants({});
-  for (auto& o : rig.overlays) o->start(SimTime::seconds(1));
+  rig.start(SimTime::seconds(1));
   const int per_block =
       packets_per_block(rig.params, PhyMode::ofdm_802_11a(54), 4, 200);
   ASSERT_GE(per_block, 1);
@@ -307,6 +310,51 @@ TEST(TdmaOverlayTest, EnqueueOnUnknownLinkIsRejected) {
   EXPECT_EQ(rig.overlays[0]->total_queued(), 0u);
   EXPECT_TRUE(rig.overlays[0]->enqueue(0, p));
   EXPECT_EQ(rig.overlays[0]->total_queued(), 1u);
+}
+
+// The frame clock is one event per frame: a node without grants records
+// its frame start and schedules nothing, however many such nodes there are.
+TEST(TdmaOverlayTest, NodesWithoutGrantsAddNoPendingEvents) {
+  const auto events_of_first_frame = [](NodeId nodes) {
+    OverlayRig rig(SimTime::microseconds(50), 0.0, SimTime::zero(), nodes);
+    rig.overlays[0]->set_grants(
+        {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 10}}});
+    const std::size_t before = rig.sim.pending_events();
+    rig.start(SimTime::seconds(1));
+    return rig.sim.pending_events() - before;
+  };
+  EXPECT_EQ(events_of_first_frame(2), 2u);  // node 0's block, next frame
+  EXPECT_EQ(events_of_first_frame(3), 2u);
+  EXPECT_EQ(events_of_first_frame(8), 2u);
+}
+
+// A switch at the frame boundary applies to that frame's blocks: a packet
+// queued under the old grant leaves in the new grant's block.
+TEST(TdmaOverlayTest, BoundarySwitchMovesTheFrameToTheNewGrants) {
+  OverlayRig rig;
+  rig.overlays[0]->set_grants(
+      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 10}}});
+  start_frames(rig.sim, rig.params.frame, rig.overlays, SimTime::seconds(1),
+               [&](std::int64_t frame) {
+                 if (frame != 2) return;
+                 rig.overlays[0]->adopt(
+                     frame, {TdmaOverlayNode::TxGrant{7, 1, SlotRange{50, 10}}},
+                     rig.params.guard_time);
+               });
+  rig.sim.run_until(SimTime::milliseconds(15));  // past frame 1's block
+  MacPacket p;
+  p.id = 1;
+  p.bytes = 200;
+  ASSERT_TRUE(rig.overlays[0]->enqueue(0, p));
+  const SimTime block = rig.params.frame.frame_start(2) +
+                        rig.params.frame.data_slot_offset(50);
+  rig.sim.run_until(block - SimTime::nanoseconds(1));
+  EXPECT_TRUE(rig.delivered.empty());  // frame 2's slot 0 is no longer ours
+  EXPECT_EQ(rig.overlays[0]->queue_length(7), 1u);
+  EXPECT_FALSE(rig.overlays[0]->enqueue(0, p));  // link 0 is gone
+  rig.sim.run_until(SimTime::milliseconds(30));
+  ASSERT_EQ(rig.delivered.size(), 1u);
+  EXPECT_EQ(rig.delivered[0].first, 1);
 }
 
 }  // namespace
