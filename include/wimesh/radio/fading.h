@@ -16,12 +16,18 @@
 // gain) and decorrelates over roughly 1/(2*doppler_hz) seconds — walking
 // speed at 5 GHz gives a few tens of milliseconds, i.e. several TDMA
 // frames, which is exactly the regime the guard-time story cares about.
+//
+// Banks are plain arrays of JakesOscillator owned by the caller: the
+// wifi channel keeps every bank of a transmitter in one flat per-run row.
+// Threshold questions ("does the power reach the carrier-sense level?")
+// go through GainThreshold, which settles most of them with a polynomial
+// cosine under a proven error bound and leaves the rest to jakes_gain_db.
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
-#include "wimesh/common/rng.h"
 #include "wimesh/common/time.h"
 #include "wimesh/graph/graph.h"
 
@@ -42,49 +48,64 @@ struct FadingConfig {
   int oscillators = 8;      // sum-of-sinusoids order
 
   bool enabled() const { return kind != Kind::kNone; }
+  // Oscillators per bank: at least one.
+  std::size_t bank_size() const;
 };
 
-// One pair's oscillator bank.
-class JakesFader {
- public:
-  // Angles/phases are drawn from `stream_seed` at construction; two faders
-  // built from the same seed are identical regardless of when or where
-  // they are built.
-  JakesFader(std::uint64_t stream_seed, const FadingConfig& config);
-
-  // Power gain in dB at virtual time t (0 dB = the mean of the process).
-  // Deep fades are floored at -60 dB so the value stays finite.
-  double gain_db(SimTime t) const;
-
- private:
-  struct Oscillator {
-    double omega = 0.0;    // 2*pi*doppler*cos(arrival angle), rad/s
-    double phase_i = 0.0;
-    double phase_q = 0.0;
-  };
-  std::vector<Oscillator> oscillators_;
-  double scale_ = 1.0;  // sqrt(1/M): unit mean envelope power
+// One sinusoid of a pair's bank.
+struct JakesOscillator {
+  double omega = 0.0;  // 2*pi*doppler*cos(arrival angle), rad/s
+  double phase_i = 0.0;
+  double phase_q = 0.0;
 };
 
-// Lazily materializes one JakesFader per unordered node pair. Lookup
-// never draws from a shared RNG — each pair's stream seed is derived
-// directly from (root seed, pair key), so creation order is irrelevant.
-class FadingProcess {
+// Appends the bank of the pair {a, b} under `root_seed` to `out`:
+// config.bank_size() oscillators drawn from the pair's private stream, so
+// two calls anywhere, in any order, append identical banks. Appends
+// nothing when fading is disabled.
+void append_pair_bank(std::uint64_t root_seed, const FadingConfig& config,
+                      NodeId a, NodeId b, std::vector<JakesOscillator>& out);
+
+// Power gain in dB of `bank` (non-empty) at virtual time t; 0 dB is the
+// mean of the process. Deep fades are floored at -60 dB so the value stays
+// finite.
+double jakes_gain_db(std::span<const JakesOscillator> bank, SimTime t);
+
+// jakes_gain_db of the pair {a, b}'s bank under `root_seed`; 0 when
+// fading is disabled. Draws the bank on every call.
+double pair_gain_db(std::uint64_t root_seed, const FadingConfig& config,
+                    NodeId a, NodeId b, SimTime t);
+
+// cos(x) by range reduction with a two-part 2*pi and an even Taylor series
+// to degree 22. Within kPolyCosGuard of zero its error is below
+// kPolyCosErrorBound; beyond it the value means nothing.
+inline constexpr double kPolyCosGuard = 1e6;
+inline constexpr double kPolyCosErrorBound = 1e-9;
+double poly_cos(double x);
+
+enum class Verdict { kBelow, kAbove, kUndecided };
+
+// The certified test of `mean_dbm + jakes_gain_db(bank, t) >= threshold_dbm`
+// for banks of `bank_size` oscillators, each side evaluated in floating
+// point exactly as RadioEnvironment::rx_power_dbm does. decide() sums the
+// bank with poly_cos and compares the envelope against precomputed bounds
+// whose slack covers kPolyCosErrorBound per cosine and every rounding of
+// the exact path, so kAbove and kBelow are never wrong. It answers
+// kUndecided — and the caller evaluates the exact power — when the
+// envelope falls inside that slack, when an oscillator argument leaves
+// kPolyCosGuard, and always when the threshold sits within a few dB of the
+// -60 dB gain floor.
+class GainThreshold {
  public:
-  FadingProcess(std::uint64_t root_seed, FadingConfig config)
-      : root_seed_(root_seed), config_(config) {}
+  GainThreshold(double mean_dbm, double threshold_dbm, std::size_t bank_size);
 
-  // Power gain in dB for the pair {a, b} at time t; 0 when disabled.
-  double gain_db(NodeId a, NodeId b, SimTime t) const;
-
-  const FadingConfig& config() const { return config_; }
+  Verdict decide(std::span<const JakesOscillator> bank, SimTime t) const;
 
  private:
-  std::uint64_t root_seed_;
-  FadingConfig config_;
-  // Pair key -> fader, grown on first use (mutable: lookups are
-  // conceptually const and the content is order-independent).
-  mutable std::unordered_map<std::uint64_t, JakesFader> faders_;
+  // Bounds on the unscaled envelope power (sum of cos)^2 + (sum of cos)^2:
+  // at or above above_sq_ is surely above, below below_sq_ surely below.
+  double above_sq_;
+  double below_sq_;
 };
 
 }  // namespace wimesh::radio

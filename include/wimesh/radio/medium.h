@@ -15,10 +15,15 @@
 // The environment is selected per scenario ('radio =' key) and defaults
 // off; a null environment leaves every legacy code path untouched, so
 // existing scenarios produce byte-identical output.
+//
+// A RadioEnvironment is immutable after construction and holds no cache:
+// every query recomputes its answer, so one environment is safe to share
+// between threads, planners and channels. Callers that read the same
+// pairs at a high rate keep their own dense copies — the wifi channel
+// builds per-run gain rows from mean_rx_power_dbm and append_fading_bank.
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "wimesh/common/expected.h"
@@ -92,7 +97,13 @@ class RadioEnvironment {
   // Instantaneous received power: mean + fading(t).
   double rx_power_dbm(NodeId tx, NodeId rx, SimTime t) const;
   double fading_gain_db(NodeId tx, NodeId rx, SimTime t) const {
-    return fading_.gain_db(tx, rx, t);
+    return pair_gain_db(fading_seed_, config_.fading, tx, rx, t);
+  }
+  // Appends the pair's fading bank (nothing when fading is off): the one
+  // fading_gain_db evaluates, drawn in the same order.
+  void append_fading_bank(NodeId tx, NodeId rx,
+                          std::vector<JakesOscillator>& out) const {
+    append_pair_bank(fading_seed_, config_.fading, tx, rx, out);
   }
 
   double snr_db(double rx_power_dbm) const {
@@ -113,14 +124,11 @@ class RadioEnvironment {
   RadioConfig config_;
   std::vector<Point> positions_;
   Propagation propagation_;
-  FadingProcess fading_;
   RateTable rates_;
   std::size_t base_rate_index_ = 0;
+  std::uint64_t fading_seed_ = 0;
   std::uint64_t shadow_seed_ = 0;
   double interference_cutoff_dbm_ = 0.0;
-  // Per-pair shadowing cache. Values are pure functions of (seed, pair),
-  // so lazy fill order cannot change results (mutable for const lookups).
-  mutable std::unordered_map<std::uint64_t, double> shadow_cache_;
 };
 
 }  // namespace wimesh::radio

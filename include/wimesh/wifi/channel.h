@@ -19,6 +19,17 @@
 // picked by the Minstrel-style controller. Half-duplex loss and the
 // legacy Bernoulli/impairment stages behave identically in both models.
 //
+// The physical model reads received power from per-run gain rows, never
+// from the environment's per-pair queries. A node's first transmission
+// builds its row: the mean power to every node, a certified carrier-sense
+// test per node, and every pair's fading bank in one flat array. Carrier
+// sense and the detection gate for non-addressees ask the certified test
+// (radio::GainThreshold), which settles almost every threshold question
+// with a polynomial cosine and falls back to the exact power only when
+// its error bound cannot. Exact power is computed for interference, kept
+// receptions and the deep-fade trace. The rows die with the channel, so a
+// network holds no radio state between runs.
+//
 // Propagation delay is negligible at mesh ranges (< 2 µs) and is modelled
 // as zero; carrier sensing is therefore instantaneous, which is the
 // standard simplification for protocol-model simulators.
@@ -144,6 +155,13 @@ class WifiChannel {
     double interference_mw = 0.0;
     int interferers = 0;
   };
+  // Physical model: one transmitter's received power at every node for
+  // this run. Node n's bank is banks[n * bank_size_, (n + 1) * bank_size_).
+  struct GainRow {
+    std::vector<double> mean_dbm;
+    std::vector<radio::GainThreshold> carrier_sense;  // empty: fading off
+    std::vector<radio::JakesOscillator> banks;
+  };
   struct ActiveTx {
     NodeId tx;
     // Whether the transmitter was up at transmit start; fixed for the
@@ -164,6 +182,16 @@ class WifiChannel {
     return tx_key_[static_cast<std::size_t>(n)] != 0;
   }
   void finish_transmission(std::uint64_t key);
+  // The row of `tx`, built on first use.
+  const GainRow& gain_row(NodeId tx);
+  // Exact fading gain and received power at `rx` (bit-identical to the
+  // environment's fading_gain_db and rx_power_dbm).
+  double gain_db(const GainRow& row, NodeId rx, SimTime now) const;
+  double rx_power_dbm(const GainRow& row, NodeId rx, SimTime now) const {
+    return row.mean_dbm[static_cast<std::size_t>(rx)] + gain_db(row, rx, now);
+  }
+  // rx_power_dbm(row, rx, now) >= the carrier-sense threshold.
+  bool senses(const GainRow& row, NodeId rx, SimTime now) const;
 
   Simulator& sim_;
   std::vector<Point> positions_;
@@ -176,6 +204,8 @@ class WifiChannel {
   ChannelImpairment* impairment_ = nullptr;
   const radio::RadioEnvironment* radio_env_ = nullptr;
   std::vector<PhyMode> rate_modes_;  // airtime per rate-table index
+  std::vector<GainRow> gain_rows_;   // per transmitter; empty until built
+  std::size_t bank_size_ = 0;        // oscillators per bank; 0 = fading off
   std::unique_ptr<radio::RateController> rate_ctrl_;
   std::vector<MacInterface*> macs_;
   std::vector<char> node_up_;

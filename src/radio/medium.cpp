@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "wimesh/common/assert.h"
+#include "wimesh/common/rng.h"
 
 namespace wimesh::radio {
 namespace {
@@ -21,9 +22,8 @@ RadioEnvironment::RadioEnvironment(RadioConfig config,
     : config_(std::move(config)),
       positions_(std::move(positions)),
       propagation_(config_.propagation),
-      fading_(Rng::derive_stream(effective_seed, kFadingStream),
-              config_.fading),
       rates_(RateTable::for_phy(base_phy)),
+      fading_seed_(Rng::derive_stream(effective_seed, kFadingStream)),
       shadow_seed_(Rng::derive_stream(effective_seed, kShadowStream)) {
   WIMESH_ASSERT(config_.shadowing_sigma_db >= 0.0);
   WIMESH_ASSERT(config_.floors.empty() ||
@@ -43,15 +43,10 @@ int RadioEnvironment::floor_of(NodeId n) const {
 
 double RadioEnvironment::shadowing_db(NodeId a, NodeId b) const {
   if (config_.shadowing_sigma_db <= 0.0) return 0.0;
-  const std::uint64_t key = pair_stream_key(a, b);
-  const auto it = shadow_cache_.find(key);
-  if (it != shadow_cache_.end()) return it->second;
   // One draw from the pair's private stream: a pure function of
-  // (seed, pair), so cache-fill order is irrelevant.
-  Rng rng(Rng::derive_stream(shadow_seed_, key));
-  const double value = rng.normal(0.0, config_.shadowing_sigma_db);
-  shadow_cache_.emplace(key, value);
-  return value;
+  // (seed, pair).
+  Rng rng(Rng::derive_stream(shadow_seed_, pair_stream_key(a, b)));
+  return rng.normal(0.0, config_.shadowing_sigma_db);
 }
 
 double RadioEnvironment::mean_rx_power_dbm(NodeId tx, NodeId rx) const {
@@ -64,7 +59,7 @@ double RadioEnvironment::mean_rx_power_dbm(NodeId tx, NodeId rx) const {
 }
 
 double RadioEnvironment::rx_power_dbm(NodeId tx, NodeId rx, SimTime t) const {
-  return mean_rx_power_dbm(tx, rx) + fading_.gain_db(tx, rx, t);
+  return mean_rx_power_dbm(tx, rx) + fading_gain_db(tx, rx, t);
 }
 
 }  // namespace wimesh::radio

@@ -1,6 +1,7 @@
 #include "wimesh/sched/conflict_graph.h"
 
 #include <algorithm>
+#include <array>
 
 namespace wimesh {
 namespace {
@@ -104,15 +105,40 @@ Graph build_conflict_graph(const LinkSet& links,
 Graph build_conflict_graph_sinr(const LinkSet& links,
                                 const radio::RadioEnvironment& env) {
   const double cutoff = env.interference_cutoff_dbm();
+  // The links' endpoints, densely indexed, and the mean power between
+  // every ordered pair of them: each computed once per build.
+  std::vector<NodeId> ends;
+  for (const Link& l : links.links()) {
+    ends.push_back(l.from);
+    ends.push_back(l.to);
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  const std::size_t e = ends.size();
+  const auto index_of = [&](NodeId n) {
+    return static_cast<std::size_t>(
+        std::lower_bound(ends.begin(), ends.end(), n) - ends.begin());
+  };
+  std::vector<double> mean(e * e);
+  for (std::size_t i = 0; i < e; ++i) {
+    for (std::size_t j = 0; j < e; ++j) {
+      mean[i * e + j] = env.mean_rx_power_dbm(ends[i], ends[j]);
+    }
+  }
+  std::vector<std::array<std::size_t, 2>> link_ends;
+  link_ends.reserve(static_cast<std::size_t>(links.count()));
+  for (const Link& l : links.links()) {
+    link_ends.push_back({index_of(l.from), index_of(l.to)});
+  }
   // Mean power any endpoint of a radiates at any endpoint of b. Both
   // endpoints of a scheduled link transmit (data + link-layer ACK), so the
   // full 2x2 endpoint cross product matters — same shape as
   // geometric_conflict, with received power replacing the range test.
-  const auto cross_power = [&](const Link& a, const Link& b) {
+  const auto cross_power = [&](LinkId a, LinkId b) {
     double strongest = -1e300;
-    for (NodeId u : {a.from, a.to}) {
-      for (NodeId v : {b.from, b.to}) {
-        strongest = std::max(strongest, env.mean_rx_power_dbm(u, v));
+    for (std::size_t u : link_ends[static_cast<std::size_t>(a)]) {
+      for (std::size_t v : link_ends[static_cast<std::size_t>(b)]) {
+        strongest = std::max(strongest, mean[u * e + v]);
       }
     }
     return strongest;
@@ -120,9 +146,8 @@ Graph build_conflict_graph_sinr(const LinkSet& links,
   Graph g(links.count());
   for (LinkId l = 0; l < links.count(); ++l) {
     for (LinkId m = l + 1; m < links.count(); ++m) {
-      const Link& a = links.link(l);
-      const Link& b = links.link(m);
-      if (share_endpoint(a, b) || cross_power(a, b) >= cutoff) {
+      if (share_endpoint(links.link(l), links.link(m)) ||
+          cross_power(l, m) >= cutoff) {
         g.add_edge(l, m);
       }
     }

@@ -1,6 +1,7 @@
 #include "wimesh/wifi/channel.h"
 
 #include <algorithm>
+#include <span>
 
 #include "wimesh/trace/trace.h"
 
@@ -69,8 +70,14 @@ void WifiChannel::set_radio(const radio::RadioEnvironment* env) {
   radio_env_ = env;
   rate_ctrl_.reset();
   rate_modes_.clear();
+  gain_rows_.clear();
+  bank_size_ = 0;
   if (env == nullptr) return;
   WIMESH_ASSERT(env->node_count() == node_count());
+  gain_rows_.resize(positions_.size());
+  if (env->config().fading.enabled()) {
+    bank_size_ = env->config().fading.bank_size();
+  }
   rate_modes_.reserve(env->rates().size());
   for (std::size_t i = 0; i < env->rates().size(); ++i) {
     rate_modes_.push_back(env->rates().phy_mode(i));
@@ -79,6 +86,46 @@ void WifiChannel::set_radio(const radio::RadioEnvironment* env) {
     rate_ctrl_ = std::make_unique<radio::RateController>(
         &env->rates(), env->base_rate_index(), env->config().rate_adapt);
   }
+}
+
+const WifiChannel::GainRow& WifiChannel::gain_row(NodeId tx) {
+  GainRow& row = gain_rows_[static_cast<std::size_t>(tx)];
+  if (!row.mean_dbm.empty()) return row;
+  const std::size_t n = positions_.size();
+  row.mean_dbm.reserve(n);
+  row.banks.reserve(n * bank_size_);
+  if (bank_size_ != 0) row.carrier_sense.reserve(n);
+  for (NodeId rx = 0; rx < node_count(); ++rx) {
+    const double mean = radio_env_->mean_rx_power_dbm(tx, rx);
+    row.mean_dbm.push_back(mean);
+    radio_env_->append_fading_bank(tx, rx, row.banks);
+    if (bank_size_ != 0) {
+      row.carrier_sense.emplace_back(mean, radio_env_->cs_threshold_dbm(),
+                                     bank_size_);
+    }
+  }
+  return row;
+}
+
+double WifiChannel::gain_db(const GainRow& row, NodeId rx,
+                            SimTime now) const {
+  if (bank_size_ == 0) return 0.0;
+  return radio::jakes_gain_db(
+      std::span(row.banks).subspan(static_cast<std::size_t>(rx) * bank_size_,
+                                   bank_size_),
+      now);
+}
+
+bool WifiChannel::senses(const GainRow& row, NodeId rx, SimTime now) const {
+  const auto i = static_cast<std::size_t>(rx);
+  if (bank_size_ != 0) {
+    const radio::Verdict verdict = row.carrier_sense[i].decide(
+        std::span(row.banks).subspan(i * bank_size_, bank_size_), now);
+    if (verdict != radio::Verdict::kUndecided) {
+      return verdict == radio::Verdict::kAbove;
+    }
+  }
+  return rx_power_dbm(row, rx, now) >= radio_env_->cs_threshold_dbm();
 }
 
 void WifiChannel::attach(NodeId node, MacInterface* mac) {
@@ -222,6 +269,7 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
   } else if (record.radiated) {
     // ---- Physical (SINR) model.
     const SimTime now = sim_.now();
+    const GainRow& row = gain_row(tx);
     ++frames_transmitted_;
     trace::event(trace::EventType::kTxStart, now, tx, frame.to,
                  static_cast<std::int64_t>(frame.type), duration.ns(),
@@ -242,8 +290,7 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
               static_cast<std::int64_t>(trace::RxDropCause::kHalfDuplex));
           continue;
         }
-        r.interference_mw +=
-            radio::dbm_to_mw(radio_env_->rx_power_dbm(tx, r.rx, now));
+        r.interference_mw += radio::dbm_to_mw(rx_power_dbm(row, r.rx, now));
         ++r.interferers;
       }
     }
@@ -255,14 +302,12 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
       if (rx == tx) return;
       if (node_up_[static_cast<std::size_t>(rx)] == 0) return;
       if (macs_[static_cast<std::size_t>(rx)] == nullptr) return;
-      const double signal_dbm = radio_env_->rx_power_dbm(tx, rx, now);
-      if (frame.to != rx && signal_dbm < radio_env_->cs_threshold_dbm()) {
-        return;
-      }
+      if (frame.to != rx && !senses(row, rx, now)) return;
+      const double fade = gain_db(row, rx, now);
       Reception r;
       r.frame = frame;
       r.rx = rx;
-      r.signal_dbm = signal_dbm;
+      r.signal_dbm = row.mean_dbm[static_cast<std::size_t>(rx)] + fade;
       for (const auto& [ongoing_key, ongoing] : active_) {
         if (!ongoing.radiated) continue;
         if (ongoing.tx == rx) {
@@ -275,16 +320,13 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
           }
           continue;
         }
-        r.interference_mw += radio::dbm_to_mw(
-            radio_env_->rx_power_dbm(ongoing.tx, rx, now));
+        r.interference_mw +=
+            radio::dbm_to_mw(rx_power_dbm(gain_row(ongoing.tx), rx, now));
         ++r.interferers;
       }
-      if (frame.to == rx) {
-        const double fade = radio_env_->fading_gain_db(tx, rx, now);
-        if (fade <= kDeepFadeDb) {
-          trace::event(trace::EventType::kRadioFadeDeep, now, rx, tx,
-                       static_cast<std::int64_t>(fade * 100.0));
-        }
+      if (frame.to == rx && fade <= kDeepFadeDb) {
+        trace::event(trace::EventType::kRadioFadeDeep, now, rx, tx,
+                     static_cast<std::int64_t>(fade * 100.0));
       }
       record.receptions.push_back(std::move(r));
     };
@@ -300,8 +342,7 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
     // it exactly (fading will have moved by then).
     for (NodeId n = 0; n < node_count(); ++n) {
       if (n == tx || macs_[static_cast<std::size_t>(n)] == nullptr) continue;
-      if (radio_env_->rx_power_dbm(tx, n, now) >=
-          radio_env_->cs_threshold_dbm()) {
+      if (senses(row, n, now)) {
         record.cs_nodes.push_back(n);
         macs_[static_cast<std::size_t>(n)]->on_medium_busy();
       }

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -180,39 +181,52 @@ TEST(FadingTest, PairStreamKeyIsUnorderedAndCollisionFree) {
 }
 
 TEST(FadingTest, DisabledFadingIsAlwaysZero) {
-  radio::FadingProcess off(99, FadingConfig{});
-  EXPECT_DOUBLE_EQ(off.gain_db(0, 1, SimTime::seconds(1)), 0.0);
-  EXPECT_DOUBLE_EQ(off.gain_db(4, 2, SimTime::milliseconds(17)), 0.0);
+  const FadingConfig off;
+  EXPECT_DOUBLE_EQ(radio::pair_gain_db(99, off, 0, 1, SimTime::seconds(1)),
+                   0.0);
+  EXPECT_DOUBLE_EQ(
+      radio::pair_gain_db(99, off, 4, 2, SimTime::milliseconds(17)), 0.0);
+  std::vector<radio::JakesOscillator> bank;
+  radio::append_pair_bank(99, off, 0, 1, bank);
+  EXPECT_TRUE(bank.empty());
 }
 
 TEST(FadingTest, GainIsPureFunctionOfSeedPairAndTime) {
   FadingConfig cfg;
   cfg.kind = FadingConfig::Kind::kJakes;
-  radio::FadingProcess p1(42, cfg);
-  radio::FadingProcess p2(42, cfg);
+  const auto gain = [&](std::uint64_t seed, NodeId a, NodeId b, SimTime t) {
+    return radio::pair_gain_db(seed, cfg, a, b, t);
+  };
 
-  // Query p1 and p2 in opposite pair orders: values must agree anyway.
+  // Query the pairs in opposite orders: values must agree anyway.
   const SimTime t = SimTime::milliseconds(13);
-  const double g01_first = p1.gain_db(0, 1, t);
-  const double g23_first = p1.gain_db(2, 3, t);
-  const double g23_second = p2.gain_db(2, 3, t);
-  const double g01_second = p2.gain_db(0, 1, t);
+  const double g01_first = gain(42, 0, 1, t);
+  const double g23_first = gain(42, 2, 3, t);
+  const double g23_second = gain(42, 2, 3, t);
+  const double g01_second = gain(42, 0, 1, t);
   EXPECT_DOUBLE_EQ(g01_first, g01_second);
   EXPECT_DOUBLE_EQ(g23_first, g23_second);
 
   // Unordered pair: both directions fade identically (reciprocity).
-  EXPECT_DOUBLE_EQ(p1.gain_db(1, 0, t), g01_first);
+  EXPECT_DOUBLE_EQ(gain(42, 1, 0, t), g01_first);
 
   // Different seed, different channel.
-  radio::FadingProcess p3(43, cfg);
-  EXPECT_NE(p3.gain_db(0, 1, t), g01_first);
+  EXPECT_NE(gain(43, 0, 1, t), g01_first);
+
+  // A bank appended after another pair's is the pair's own bank.
+  std::vector<radio::JakesOscillator> banks;
+  radio::append_pair_bank(42, cfg, 2, 3, banks);
+  radio::append_pair_bank(42, cfg, 0, 1, banks);
+  ASSERT_EQ(banks.size(), 2 * cfg.bank_size());
+  EXPECT_EQ(radio::jakes_gain_db(
+                std::span(banks).subspan(cfg.bank_size()), t),
+            g01_first);
 }
 
 TEST(FadingTest, JakesEnvelopeHasUnitMeanPowerAndVaries) {
   FadingConfig cfg;
   cfg.kind = FadingConfig::Kind::kJakes;
   cfg.doppler_hz = 10.0;
-  radio::FadingProcess p(7, cfg);
 
   double sum_linear = 0.0;
   double min_db = 1e9;
@@ -220,7 +234,8 @@ TEST(FadingTest, JakesEnvelopeHasUnitMeanPowerAndVaries) {
   constexpr int kSamples = 4000;
   for (int i = 0; i < kSamples; ++i) {
     // ~20 s at 5 ms spacing: many decorrelation times at 10 Hz Doppler.
-    const double g = p.gain_db(0, 1, SimTime::milliseconds(5 * i));
+    const double g =
+        radio::pair_gain_db(7, cfg, 0, 1, SimTime::milliseconds(5 * i));
     sum_linear += std::pow(10.0, g / 10.0);
     min_db = std::min(min_db, g);
     max_db = std::max(max_db, g);
@@ -233,6 +248,137 @@ TEST(FadingTest, JakesEnvelopeHasUnitMeanPowerAndVaries) {
   EXPECT_LT(min_db, -10.0);
   // The -60 dB floor holds.
   EXPECT_GE(min_db, -60.0);
+}
+
+// A 5x5 grid under shadowing and fading: the environment the certified
+// threshold tests sample pairs from.
+RadioEnvironment fading_grid_env(std::uint64_t seed, int oscillators,
+                                 double doppler_hz = 8.0) {
+  RadioConfig rc;
+  rc.enabled = true;
+  rc.shadowing_sigma_db = 6.0;
+  rc.fading.kind = FadingConfig::Kind::kJakes;
+  rc.fading.doppler_hz = doppler_hz;
+  rc.fading.oscillators = oscillators;
+  return RadioEnvironment(rc, make_grid(5, 5, 100.0).positions,
+                          PhyMode::ofdm_802_11a(54), seed);
+}
+
+std::vector<radio::JakesOscillator> bank_of(const RadioEnvironment& env,
+                                            NodeId a, NodeId b) {
+  std::vector<radio::JakesOscillator> bank;
+  env.append_fading_bank(a, b, bank);
+  return bank;
+}
+
+TEST(FadingTest, PolyCosStaysWithinItsBoundUpToTheGuard) {
+  double worst = 0.0;
+  const auto check = [&](double x) {
+    worst = std::max(worst, std::fabs(radio::poly_cos(x) - std::cos(x)));
+  };
+  // Every reduction boundary (odd multiples of pi) near zero and near the
+  // guard, where the reduced argument is largest.
+  for (int k = -8; k <= 8; ++k) {
+    for (const double base : {0.0, 1.59e5 * 2.0 * 3.14159265358979}) {
+      const double x = base + (2.0 * k + 1.0) * 3.14159265358979323846;
+      check(std::nextafter(x, -1e9));
+      check(x);
+      check(std::nextafter(x, 1e9));
+    }
+  }
+  check(radio::kPolyCosGuard);
+  check(-radio::kPolyCosGuard);
+  Rng rng(11);
+  for (int i = 0; i < 200000; ++i) {
+    const double scale = i % 4 == 0 ? 10.0 : radio::kPolyCosGuard;
+    check(rng.uniform(-scale, scale));
+  }
+  EXPECT_LT(worst, radio::kPolyCosErrorBound);
+}
+
+TEST(FadingTest, CertifiedThresholdNeverContradictsTheExactPower) {
+  int decided = 0;
+  int samples = 0;
+  for (const int oscillators : {1, 8, 1024}) {
+    const int per_env = oscillators == 1024 ? 60 : 600;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const RadioEnvironment env = fading_grid_env(seed, oscillators);
+      Rng rng(seed * 31 + static_cast<std::uint64_t>(oscillators));
+      for (int i = 0; i < per_env; ++i) {
+        const auto a = static_cast<NodeId>(rng.uniform_int(0, 24));
+        const auto b = static_cast<NodeId>(rng.uniform_int(0, 24));
+        const SimTime t =
+            SimTime::nanoseconds(rng.uniform_int(0, 30'000'000'000));
+        const double mean = env.mean_rx_power_dbm(a, b);
+        const double exact = env.rx_power_dbm(a, b, t);
+        // Thresholds around the instantaneous power, around the mean, and
+        // around the -60 dB gain floor.
+        double threshold = 0.0;
+        switch (i % 4) {
+          case 0: threshold = exact + rng.uniform(-20.0, 20.0); break;
+          case 1: threshold = exact + rng.uniform(-1e-6, 1e-6); break;
+          case 2: threshold = mean + rng.uniform(-15.0, 15.0); break;
+          default: threshold = mean - 60.0 + rng.uniform(-6.0, 6.0); break;
+        }
+        const radio::GainThreshold test(
+            mean, threshold, static_cast<std::size_t>(oscillators));
+        const radio::Verdict v = test.decide(bank_of(env, a, b), t);
+        ++samples;
+        if (v == radio::Verdict::kUndecided) continue;
+        ++decided;
+        EXPECT_EQ(v == radio::Verdict::kAbove, exact >= threshold)
+            << "oscillators=" << oscillators << " seed=" << seed << " pair "
+            << a << "-" << b << " t=" << t.ns() << " threshold=" << threshold;
+      }
+    }
+  }
+  // The test has teeth: far from its slack the test decides.
+  EXPECT_GT(decided, samples / 2);
+}
+
+TEST(FadingTest, ThresholdOnTheExactPowerReachesTheFallback) {
+  for (const int oscillators : {1, 8, 1024}) {
+    const RadioEnvironment env = fading_grid_env(5, oscillators);
+    for (const auto& [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {3, 17}}) {
+      const auto bank = bank_of(env, a, b);
+      for (const SimTime t :
+           {SimTime::milliseconds(3), SimTime::microseconds(1234567)}) {
+        const double exact = env.rx_power_dbm(a, b, t);
+        // The channel's rule: the certified verdict, else the exact power.
+        const auto at_least = [&](double threshold) {
+          const radio::GainThreshold test(
+              env.mean_rx_power_dbm(a, b), threshold,
+              static_cast<std::size_t>(oscillators));
+          const radio::Verdict v = test.decide(bank, t);
+          EXPECT_EQ(v, radio::Verdict::kUndecided)
+              << "oscillators=" << oscillators << " pair " << a << "-" << b
+              << " threshold=" << threshold;
+          return v == radio::Verdict::kUndecided ? exact >= threshold
+                                                 : v == radio::Verdict::kAbove;
+        };
+        EXPECT_TRUE(at_least(exact));
+        EXPECT_TRUE(at_least(std::nextafter(exact, -1e300)));
+        EXPECT_FALSE(at_least(std::nextafter(exact, 1e300)));
+      }
+    }
+  }
+}
+
+TEST(FadingTest, HugeDopplerAtLateTimesTripsTheArgumentGuard) {
+  const RadioEnvironment env = fading_grid_env(9, 8, /*doppler_hz=*/1e6);
+  const auto bank = bank_of(env, 0, 1);
+  const double mean = env.mean_rx_power_dbm(0, 1);
+  // 50 dB below the mean: only a fade deeper than that puts the power
+  // below the threshold.
+  const radio::GainThreshold test(mean, mean - 50.0, 8);
+  // Early on every argument is small and the answer is certain.
+  const SimTime early = SimTime::nanoseconds(20);
+  ASSERT_GT(env.rx_power_dbm(0, 1, early), mean - 50.0);
+  EXPECT_EQ(test.decide(bank, early), radio::Verdict::kAbove);
+  // 2*pi*1e6 rad/s passes the guard within a second.
+  for (const SimTime late : {SimTime::seconds(1), SimTime::seconds(30)}) {
+    EXPECT_EQ(test.decide(bank, late), radio::Verdict::kUndecided);
+  }
 }
 
 // --------------------------------------------------------------- reception
@@ -490,6 +636,78 @@ TEST(SinrConflictGraphTest, WallsAddConflictEdgesProtocolModelCannotSee) {
   EXPECT_GT(open_graph.edge_count(), walled_graph.edge_count());
   // Intra-chain conflicts (shared endpoints) are still there.
   EXPECT_GT(walled_graph.edge_count(), 0u);
+}
+
+// The SINR builder as it was first written: four mean_rx_power_dbm calls
+// per link pair. The reference the dense builder must match edge for edge.
+Graph sinr_conflict_graph_per_pair(const LinkSet& links,
+                                   const RadioEnvironment& env) {
+  const double cutoff = env.interference_cutoff_dbm();
+  Graph g(links.count());
+  for (LinkId l = 0; l < links.count(); ++l) {
+    for (LinkId m = l + 1; m < links.count(); ++m) {
+      const Link& a = links.link(l);
+      const Link& b = links.link(m);
+      const bool shared = a.from == b.from || a.from == b.to ||
+                          a.to == b.from || a.to == b.to;
+      double strongest = -1e300;
+      for (NodeId u : {a.from, a.to}) {
+        for (NodeId v : {b.from, b.to}) {
+          strongest = std::max(strongest, env.mean_rx_power_dbm(u, v));
+        }
+      }
+      if (shared || strongest >= cutoff) g.add_edge(l, m);
+    }
+  }
+  return g;
+}
+
+TEST(SinrConflictGraphTest, DenseBuilderMatchesPerPairReference) {
+  const std::string dir = WIMESH_SCENARIO_DIR;
+  int scenarios = 0;
+  for (const char* file :
+       {"office_3floor.wimesh", "campus_outdoor.wimesh", "mixed_rate.wimesh"}) {
+    const auto text = read_text_file(dir + "/" + file);
+    ASSERT_TRUE(text.has_value()) << text.error();
+    const auto sc = parse_scenario(*text);
+    ASSERT_TRUE(sc.has_value()) << file << ": " << sc.error();
+    ASSERT_TRUE(sc->config.radio.enabled) << file;
+    MeshNetwork net(sc->config);
+    for (const auto& f : sc->flows) net.add_flow(f);
+    ASSERT_TRUE(net.compute_plan().has_value()) << file;
+    const MeshConfig& cfg = net.config();
+    const RadioEnvironment env(cfg.radio, cfg.topology.positions, cfg.phy,
+                               cfg.radio.seed);
+    for (const LinkSet& links :
+         {net.plan().links, all_directed_links(cfg.topology.graph)}) {
+      expect_same_graph(build_conflict_graph_sinr(links, env),
+                        sinr_conflict_graph_per_pair(links, env), file);
+    }
+    ++scenarios;
+  }
+  EXPECT_EQ(scenarios, 3);
+
+  // A shadowing/fading seed sweep on a grid, with a cutoff that leaves the
+  // graph neither empty nor complete.
+  const Topology topo = make_grid(6, 6, 100.0);
+  const LinkSet links = all_directed_links(topo.graph);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    RadioConfig rc;
+    rc.enabled = true;
+    rc.shadowing_sigma_db = 8.0;
+    rc.fading.kind = FadingConfig::Kind::kJakes;
+    rc.interference_cutoff_dbm = -70.0;
+    const RadioEnvironment env(rc, topo.positions, PhyMode::ofdm_802_11a(54),
+                               seed);
+    const Graph dense = build_conflict_graph_sinr(links, env);
+    const std::size_t pairs =
+        static_cast<std::size_t>(links.count()) *
+        static_cast<std::size_t>(links.count() - 1) / 2;
+    EXPECT_GT(dense.edge_count(), 0u);
+    EXPECT_LT(dense.edge_count(), pairs);
+    expect_same_graph(dense, sinr_conflict_graph_per_pair(links, env),
+                      "seed " + std::to_string(seed));
+  }
 }
 
 // ------------------------------------- planning on the mesh's radio graph

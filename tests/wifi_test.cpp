@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -430,6 +431,68 @@ TEST(DcfMacTest, ServiceTimeAccessors) {
   EXPECT_EQ(DcfMac::overlay_service_time(phy, 200),
             phy.difs() + phy.airtime(200 + kMacOverheadBytes) + phy.sifs() +
                 phy.ack_airtime());
+}
+
+// ------------------------------------------- physical-model carrier sense
+
+// Four nodes under shadowing and Jakes fading; node 0 sends to node 1 and
+// nodes 2 and 3 only sense.
+const std::vector<Point> kSensePositions{
+    {0.0, 0.0}, {80.0, 0.0}, {150.0, 60.0}, {260.0, 10.0}};
+
+radio::RadioConfig sensing_radio(double cs_threshold_dbm) {
+  radio::RadioConfig rc;
+  rc.enabled = true;
+  rc.shadowing_sigma_db = 5.0;
+  rc.fading.kind = radio::FadingConfig::Kind::kJakes;
+  rc.cs_threshold_dbm = cs_threshold_dbm;
+  return rc;
+}
+
+// Busy edges each node's MAC sees when node 0 transmits at `at`.
+std::vector<int> busy_edges(double cs_threshold_dbm, SimTime at) {
+  const radio::RadioEnvironment env(sensing_radio(cs_threshold_dbm),
+                                    kSensePositions,
+                                    PhyMode::ofdm_802_11a(54), 21);
+  Simulator sim;
+  WifiChannel channel(sim, kSensePositions, RadioModel(110.0, 220.0),
+                      PhyMode::ofdm_802_11a(54), ErrorModel{0.0}, Rng(1));
+  channel.set_radio(&env);
+  std::vector<CountingMac> macs(kSensePositions.size());
+  for (NodeId i = 0; i < static_cast<NodeId>(macs.size()); ++i) {
+    channel.attach(i, &macs[static_cast<std::size_t>(i)]);
+  }
+  sim.schedule_at(at, [&] {
+    WifiFrame f;
+    f.from = 0;
+    f.to = 1;
+    f.packet.bytes = 200;
+    channel.transmit(f);
+  });
+  sim.run_all();
+  std::vector<int> busy;
+  for (const CountingMac& mac : macs) busy.push_back(mac.busy);
+  return busy;
+}
+
+// Carrier sense is `power >= threshold` exactly: a threshold on a pair's
+// instantaneous power sits inside the certified test's slack, so the
+// channel must fall back to the exact power, which is busy on the power
+// and idle one ulp above it.
+TEST(WifiChannelRadioTest, CarrierSenseThresholdOnThePowerIsExact) {
+  const radio::RadioEnvironment probe(sensing_radio(-82.0), kSensePositions,
+                                      PhyMode::ofdm_802_11a(54), 21);
+  for (const SimTime at :
+       {SimTime::microseconds(4321), SimTime::milliseconds(250)}) {
+    for (const NodeId sensor : {2, 3}) {
+      const double power = probe.rx_power_dbm(0, sensor, at);
+      const auto s = static_cast<std::size_t>(sensor);
+      EXPECT_EQ(busy_edges(power, at)[s], 1)
+          << "sensor " << sensor << " at " << at.ns();
+      EXPECT_EQ(busy_edges(std::nextafter(power, 1e300), at)[s], 0)
+          << "sensor " << sensor << " at " << at.ns();
+    }
+  }
 }
 
 }  // namespace
