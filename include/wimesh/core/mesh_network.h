@@ -21,6 +21,7 @@
 #include "wimesh/des/simulator.h"
 #include "wimesh/faults/plan.h"
 #include "wimesh/metrics/flow_stats.h"
+#include "wimesh/phy/radio_model.h"
 #include "wimesh/qos/planner.h"
 #include "wimesh/radio/medium.h"
 #include "wimesh/sync/sync.h"
@@ -164,6 +165,12 @@ class MeshNetwork {
   std::vector<FlowSpec> flows_;
   MeshPlan plan_;
   bool has_plan_ = false;
+  // The protocol-model channel's interference neighbourhoods of the
+  // topology, built at the first run() and shared read-only by every later
+  // run's channel. Not built at construction, so a mesh that is only
+  // planned never pays for it, and not kept under a radio environment,
+  // whose channel does not read it.
+  std::shared_ptr<const InterferenceSets> interferers_;
 };
 
 }  // namespace wimesh

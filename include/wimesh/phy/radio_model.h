@@ -14,6 +14,10 @@
 
 namespace wimesh {
 
+// Per node, the other nodes within interference range, ascending
+// (RadioModel::build_interference_sets).
+using InterferenceSets = std::vector<std::vector<NodeId>>;
+
 class RadioModel {
  public:
   RadioModel(double comm_range, double interference_range)
@@ -45,7 +49,7 @@ class RadioModel {
   // conflict builder and WifiChannel both read it. Nodes are hashed into
   // cells of side interference_range, so the cost is O(N * local
   // density), not O(N^2).
-  std::vector<std::vector<NodeId>> build_interference_sets(
+  InterferenceSets build_interference_sets(
       const std::vector<Point>& positions) const;
 
  private:

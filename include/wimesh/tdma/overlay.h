@@ -28,7 +28,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -68,6 +67,9 @@ class TdmaOverlayNode {
     LinkId link = kInvalidLink;
     NodeId neighbor = kInvalidNode;  // the link's receiver
     SlotRange range;
+    // Index of the link's queue in this node; set_grants and adopt assign
+    // it (a link with several grants has one queue), callers leave it 0.
+    std::size_t queue = 0;
   };
 
   // Observation hooks for events the counters alone cannot attribute
@@ -131,9 +133,15 @@ class TdmaOverlayNode {
   void on_deadline_requeue(const std::vector<MacPacket>& returned);
 
   struct LinkQueues {
+    LinkId link = kInvalidLink;
     std::deque<MacPacket> guaranteed;
     std::deque<MacPacket> best_effort;
   };
+
+  // The queue of `link`, or nullptr when this node holds none. A node has
+  // a few out-links, so a scan beats a hash.
+  LinkQueues* find_queue(LinkId link);
+  const LinkQueues* find_queue(LinkId link) const;
 
   Simulator& sim_;
   DcfMac& mac_;
@@ -147,7 +155,8 @@ class TdmaOverlayNode {
   // plan-relative, so a stale event must not touch new-plan queues).
   std::uint64_t plan_generation_ = 0;
   bool enabled_ = true;
-  std::unordered_map<LinkId, LinkQueues> queues_;
+  // One queue per granted out-link, in first-grant order; grants index it.
+  std::vector<LinkQueues> queues_;
   // Ids of best-effort packets currently released to the MAC, so a deadline
   // requeue restores each packet to its service class. Cleared at every
   // block start (the MAC is verifiably empty there).

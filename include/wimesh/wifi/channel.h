@@ -6,9 +6,11 @@
 // audible at the receiver overlaps it in time (no capture effect), if the
 // receiver itself transmits during it (half-duplex), or if the Bernoulli
 // error process fires. Audibility is the binary RadioModel range test,
-// evaluated once per channel into per-node interference neighbourhoods
-// (RadioModel::build_interference_sets); live transmissions are indexed by
-// the nodes they reach, so a frame costs O(neighbours), not O(nodes).
+// evaluated into per-node interference neighbourhoods
+// (RadioModel::build_interference_sets) — by the channel itself, or once
+// per mesh by its owner and shared read-only with every run's channel;
+// live transmissions are indexed by the nodes they reach, so a frame costs
+// O(neighbours), not O(nodes).
 //
 // With a physical radio environment attached (set_radio), reception turns
 // probabilistic: concurrent transmitters accumulate interference power at
@@ -23,10 +25,11 @@
 // from the environment's per-pair queries. A node's first transmission
 // builds its row: the mean power to every node, a certified carrier-sense
 // test per node, and every pair's fading bank in one flat array. Carrier
-// sense and the detection gate for non-addressees ask the certified test
-// (radio::GainThreshold), which settles almost every threshold question
-// with a polynomial cosine and falls back to the exact power only when
-// its error bound cannot. Exact power is computed for interference, kept
+// sense asks the certified test (radio::GainThreshold) once per node and
+// frame, and the answer is also the detection gate for non-addressees.
+// The test settles almost every threshold question with a polynomial
+// cosine and falls back to the exact power only when its error bound
+// cannot. Exact power is computed for interference, kept
 // receptions and the deep-fade trace. The rows die with the channel, so a
 // network holds no radio state between runs.
 //
@@ -98,10 +101,13 @@ class WifiChannel {
   // When `deliver_overheard` is set, unicast frames are decoded by every
   // node in range (not just the addressee) so MACs can honor NAV
   // reservations from overheard RTS/CTS. Off by default: overhearing costs
-  // events and only the RTS/CTS mode needs it.
+  // events and only the RTS/CTS mode needs it. `interferers`, when given,
+  // must be radio.build_interference_sets(positions); without it the
+  // channel builds its own.
   WifiChannel(Simulator& sim, std::vector<Point> positions, RadioModel radio,
               PhyMode phy, ErrorModel error, Rng rng,
-              bool deliver_overheard = false);
+              bool deliver_overheard = false,
+              std::shared_ptr<const InterferenceSets> interferers = nullptr);
 
   // Registers the MAC entity for a node; required before it can transmit
   // or hear anything.
@@ -211,8 +217,8 @@ class WifiChannel {
   std::vector<char> node_up_;
   // Each node's interference neighbourhood (RadioModel::
   // build_interference_sets): the protocol model's receptions and carrier
-  // sense reach exactly these nodes.
-  std::vector<std::vector<NodeId>> interferers_;
+  // sense reach exactly these nodes. Never null.
+  std::shared_ptr<const InterferenceSets> interferers_;
   // Live transmissions in key (= start) order.
   std::map<std::uint64_t, ActiveTx> active_;
   // Per node: the key of its own live transmission (0 when silent).

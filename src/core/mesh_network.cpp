@@ -194,10 +194,15 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
   const RadioModel radio(config_.comm_range, config_.interference_range);
 
   const DcfMac::Mode mac_kind = mac_mode(mode, config_.dcf_rts_cts);
+  if (interferers_ == nullptr && radio_env_ == nullptr) {
+    interferers_ = std::make_shared<const InterferenceSets>(
+        radio.build_interference_sets(config_.topology.positions));
+  }
   WifiChannel channel(sim, config_.topology.positions, radio, config_.phy,
                       ErrorModel{config_.packet_error_rate}, root.split(),
                       /*deliver_overheard=*/mac_kind ==
-                          DcfMac::Mode::kDcfRtsCts);
+                          DcfMac::Mode::kDcfRtsCts,
+                      interferers_);
   // Physical radio model (scenario 'radio =' key). The attach changes no
   // RNG splits, so radio-off runs stay byte-identical to builds without
   // the subsystem.

@@ -4,39 +4,48 @@
 
 namespace wimesh {
 
-EventHandle Simulator::schedule_at(SimTime t, EventFn fn) {
-  WIMESH_ASSERT_MSG(t >= now_, "cannot schedule an event in the past");
-  WIMESH_ASSERT(fn != nullptr);
-  const std::uint64_t id = next_id_++;
-  queue_.push(Entry{t, id});
-  handlers_.emplace(id, std::move(fn));
-  return EventHandle{id};
+std::uint32_t Simulator::claim_slot() {
+  if (free_.empty()) {
+    const auto base = static_cast<std::uint32_t>(chunks_.size()) << kChunkBits;
+    WIMESH_ASSERT_MSG(base <= UINT32_MAX - kChunkSlots,
+                      "event slab exceeds 2^32 slots");
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    // Reversed, so the LIFO free list hands out the chunk in index order.
+    for (std::uint32_t i = kChunkSlots; i-- > 0;) free_.push_back(base + i);
+  }
+  const std::uint32_t index = free_.back();
+  free_.pop_back();
+  return index;
 }
 
 void Simulator::cancel(EventHandle h) {
   if (!h.valid()) return;
-  if (handlers_.erase(h.id) > 0) cancelled_.insert(h.id);
+  WIMESH_ASSERT(h.slot < chunks_.size() * kChunkSlots);
+  Slot& s = slot(h.slot);
+  if (s.id != h.id) return;  // fired, cancelled or running; maybe reused
+  s.id = 0;
+  s.fn.reset();
+  free_.push_back(h.slot);
+  --live_;
 }
 
 void Simulator::execute_next() {
   const Entry e = queue_.top();
   queue_.pop();
-  const auto cancelled_it = cancelled_.find(e.id);
-  if (cancelled_it != cancelled_.end()) {
-    cancelled_.erase(cancelled_it);
-    return;
-  }
+  Slot& s = slot(e.slot);
+  if (s.id != e.id) return;  // cancelled
   now_ = e.time;
-  auto it = handlers_.find(e.id);
-  WIMESH_ASSERT(it != handlers_.end());
-  // Move the handler out before invoking: the handler may schedule new
-  // events and rehash the map.
-  EventFn fn = std::move(it->second);
-  handlers_.erase(it);
+  // Unclaimed while running, so a cancel of this event's handle from inside
+  // its own handler is a no-op, and the slot is not reused before the
+  // handler returns.
+  s.id = 0;
+  --live_;
   ++events_executed_;
   trace::event(trace::EventType::kDesDispatch, now_, -1,
                static_cast<std::int64_t>(e.id));
-  fn();
+  s.fn();
+  s.fn.reset();
+  free_.push_back(e.slot);
 }
 
 void Simulator::run_until(SimTime horizon) {

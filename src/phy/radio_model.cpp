@@ -43,7 +43,7 @@ Expected<RadioModel> RadioModel::try_make(double comm_range,
   return RadioModel(comm_range, interference_range);
 }
 
-std::vector<std::vector<NodeId>> RadioModel::build_interference_sets(
+InterferenceSets RadioModel::build_interference_sets(
     const std::vector<Point>& positions) const {
   const double side = interference_range_;
   std::vector<Cell> cells;

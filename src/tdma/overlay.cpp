@@ -50,13 +50,31 @@ TdmaOverlayNode::TdmaOverlayNode(Simulator& sim, DcfMac& mac,
 }
 
 void TdmaOverlayNode::set_grants(std::vector<TxGrant> grants) {
-  for (const TxGrant& g : grants) {
+  for (TxGrant& g : grants) {
     WIMESH_ASSERT(g.link != kInvalidLink);
     WIMESH_ASSERT(g.neighbor != kInvalidNode);
     WIMESH_ASSERT(g.range.length > 0);
-    queues_.try_emplace(g.link);
+    const LinkQueues* q = find_queue(g.link);
+    if (q == nullptr) {
+      g.queue = queues_.size();
+      queues_.push_back(LinkQueues{g.link, {}, {}});
+    } else {
+      g.queue = static_cast<std::size_t>(q - queues_.data());
+    }
   }
   grants_ = std::move(grants);
+}
+
+TdmaOverlayNode::LinkQueues* TdmaOverlayNode::find_queue(LinkId link) {
+  for (LinkQueues& q : queues_) {
+    if (q.link == link) return &q;
+  }
+  return nullptr;
+}
+
+const TdmaOverlayNode::LinkQueues* TdmaOverlayNode::find_queue(
+    LinkId link) const {
+  return const_cast<TdmaOverlayNode*>(this)->find_queue(link);
 }
 
 void TdmaOverlayNode::adopt(std::int64_t frame, std::vector<TxGrant> grants,
@@ -66,26 +84,38 @@ void TdmaOverlayNode::adopt(std::int64_t frame, std::vector<TxGrant> grants,
   // packet in flight cares about where it is going, not what the edge was
   // called. Neighbors the new plan no longer serves from this node lose
   // their backlog (accounted through on_revoked_drop).
-  std::unordered_map<NodeId, LinkQueues> by_neighbor;
+  struct Backlog {
+    NodeId neighbor = kInvalidNode;  // kInvalidNode once handed over
+    LinkQueues queues;
+  };
+  std::vector<Backlog> by_neighbor;
+  const auto backlog_of = [&](NodeId neighbor) -> Backlog* {
+    for (Backlog& b : by_neighbor) {
+      if (b.neighbor == neighbor) return &b;
+    }
+    return nullptr;
+  };
   for (const TxGrant& g : grants_) {
-    auto it = queues_.find(g.link);
-    if (it == queues_.end()) continue;
-    LinkQueues& dst = by_neighbor[g.neighbor];
-    for (auto& p : it->second.guaranteed) dst.guaranteed.push_back(p);
-    for (auto& p : it->second.best_effort) dst.best_effort.push_back(p);
-    queues_.erase(it);
+    LinkQueues& q = queues_[g.queue];
+    if (q.link == kInvalidLink) continue;  // collected at an earlier grant
+    Backlog* dst = backlog_of(g.neighbor);
+    if (dst == nullptr) {
+      dst = &by_neighbor.emplace_back(Backlog{g.neighbor, {}});
+    }
+    for (auto& p : q.guaranteed) dst->queues.guaranteed.push_back(p);
+    for (auto& p : q.best_effort) dst->queues.best_effort.push_back(p);
+    q.link = kInvalidLink;
   }
-  // Anything left in queues_ has no current grant (possible only if grants
-  // were revoked without replacement earlier); drop it too, attributed to
-  // the link it was queued on.
-  for (auto& [link, q] : queues_) {
-    if (hooks_.on_revoked_drop) {
-      for (const MacPacket& p : q.guaranteed) {
-        hooks_.on_revoked_drop(self_, link, p);
-      }
-      for (const MacPacket& p : q.best_effort) {
-        hooks_.on_revoked_drop(self_, link, p);
-      }
+  // A queue no current grant names (possible only if grants were revoked
+  // without replacement earlier) is dropped too, attributed to the link it
+  // was queued on.
+  for (const LinkQueues& q : queues_) {
+    if (q.link == kInvalidLink || !hooks_.on_revoked_drop) continue;
+    for (const MacPacket& p : q.guaranteed) {
+      hooks_.on_revoked_drop(self_, q.link, p);
+    }
+    for (const MacPacket& p : q.best_effort) {
+      hooks_.on_revoked_drop(self_, q.link, p);
     }
   }
   queues_.clear();
@@ -98,51 +128,51 @@ void TdmaOverlayNode::adopt(std::int64_t frame, std::vector<TxGrant> grants,
                static_cast<std::int64_t>(plan_generation_), frame);
 
   for (const TxGrant& g : grants) {
-    auto it = by_neighbor.find(g.neighbor);
-    if (it != by_neighbor.end()) {
-      queues_[g.link] = std::move(it->second);
-      by_neighbor.erase(it);
+    if (Backlog* b = backlog_of(g.neighbor)) {
+      b->queues.link = g.link;
+      queues_.push_back(std::move(b->queues));
+      b->neighbor = kInvalidNode;
     }
   }
   set_grants(std::move(grants));  // opens an empty queue for every other link
-  for (const auto& [neighbor, q] : by_neighbor) {
-    if (!hooks_.on_revoked_drop) continue;
-    for (const MacPacket& p : q.guaranteed) {
+  for (const Backlog& b : by_neighbor) {
+    if (b.neighbor == kInvalidNode || !hooks_.on_revoked_drop) continue;
+    for (const MacPacket& p : b.queues.guaranteed) {
       hooks_.on_revoked_drop(self_, kInvalidLink, p);
     }
-    for (const MacPacket& p : q.best_effort) {
+    for (const MacPacket& p : b.queues.best_effort) {
       hooks_.on_revoked_drop(self_, kInvalidLink, p);
     }
   }
 }
 
 bool TdmaOverlayNode::enqueue(LinkId link, MacPacket packet, bool guaranteed) {
-  const auto it = queues_.find(link);
-  if (it == queues_.end()) return false;
+  LinkQueues* q = find_queue(link);
+  if (q == nullptr) return false;
   if (guaranteed) {
-    it->second.guaranteed.push_back(packet);
+    q->guaranteed.push_back(packet);
     return true;
   }
-  if (it->second.best_effort.size() >= kBestEffortQueueCap) {
+  if (q->best_effort.size() >= kBestEffortQueueCap) {
     ++best_effort_drops_;
     if (hooks_.on_best_effort_drop) {
       hooks_.on_best_effort_drop(self_, link, packet);
     }
     return true;  // accepted and accounted (drop-tail), not a revocation
   }
-  it->second.best_effort.push_back(packet);
+  q->best_effort.push_back(packet);
   return true;
 }
 
 std::size_t TdmaOverlayNode::queue_length(LinkId link) const {
-  const auto it = queues_.find(link);
-  if (it == queues_.end()) return 0;
-  return it->second.guaranteed.size() + it->second.best_effort.size();
+  const LinkQueues* q = find_queue(link);
+  if (q == nullptr) return 0;
+  return q->guaranteed.size() + q->best_effort.size();
 }
 
 std::size_t TdmaOverlayNode::total_queued() const {
   std::size_t total = 0;
-  for (const auto& [link, q] : queues_) {
+  for (const LinkQueues& q : queues_) {
     total += q.guaranteed.size() + q.best_effort.size();
   }
   return total;
@@ -186,9 +216,10 @@ void start_frames(Simulator& sim, const FrameConfig& frame,
 void TdmaOverlayNode::on_block_start(const TxGrant& grant,
                                      std::int64_t frame_index) {
   if (!enabled_) return;  // crashed node: queues freeze until recovery
-  const auto queue_it = queues_.find(grant.link);
-  if (queue_it == queues_.end()) return;  // grant revoked by a hot-swap
-  auto& queue = queue_it->second;
+  // The generation check in begin_frame's event keeps a pre-swap grant out,
+  // and set_grants never removes a queue, so the index is still the link's.
+  WIMESH_ASSERT(grant.queue < queues_.size());
+  LinkQueues& queue = queues_[grant.queue];
   if (mac_.pending_packets() > 0) {
     // Previous work has not drained — a symptom of an undersized guard or
     // an invalid schedule. Skip the block rather than collide.
@@ -237,20 +268,17 @@ void TdmaOverlayNode::on_deadline_requeue(
   // release, and a packet in flight cares about where it is going.
   for (const MacPacket& p : returned) {
     const bool guaranteed = released_best_effort_.erase(p.id) == 0;
-    LinkId link = kInvalidLink;
-    for (const TxGrant& g : grants_) {
-      if (g.neighbor == p.to) {
-        link = g.link;
-        break;
-      }
-    }
-    const auto it = link == kInvalidLink ? queues_.end() : queues_.find(link);
-    if (it == queues_.end()) {
+    const auto serving =
+        std::find_if(grants_.begin(), grants_.end(),
+                     [&](const TxGrant& g) { return g.neighbor == p.to; });
+    if (serving == grants_.end()) {
       // No current grant serves this neighbor (revoked mid-service).
-      if (hooks_.on_revoked_drop) hooks_.on_revoked_drop(self_, link, p);
+      if (hooks_.on_revoked_drop) {
+        hooks_.on_revoked_drop(self_, kInvalidLink, p);
+      }
       continue;
     }
-    auto& q = it->second;
+    LinkQueues& q = queues_[serving->queue];
     (guaranteed ? q.guaranteed : q.best_effort).push_front(p);
     ++deadline_requeues_;
   }

@@ -46,7 +46,8 @@ std::size_t frame_bytes(const WifiFrame& frame) {
 
 WifiChannel::WifiChannel(Simulator& sim, std::vector<Point> positions,
                          RadioModel radio, PhyMode phy, ErrorModel error,
-                         Rng rng, bool deliver_overheard)
+                         Rng rng, bool deliver_overheard,
+                         std::shared_ptr<const InterferenceSets> interferers)
     : sim_(sim),
       positions_(std::move(positions)),
       radio_(radio),
@@ -56,10 +57,15 @@ WifiChannel::WifiChannel(Simulator& sim, std::vector<Point> positions,
       deliver_overheard_(deliver_overheard),
       macs_(positions_.size(), nullptr),
       node_up_(positions_.size(), 1),
-      interferers_(radio_.build_interference_sets(positions_)),
+      interferers_(interferers != nullptr
+                       ? std::move(interferers)
+                       : std::make_shared<const InterferenceSets>(
+                             radio_.build_interference_sets(positions_))),
       tx_key_(positions_.size(), 0),
       audible_(positions_.size()),
-      rx_keys_(positions_.size()) {}
+      rx_keys_(positions_.size()) {
+  WIMESH_ASSERT(interferers_->size() == positions_.size());
+}
 
 void WifiChannel::set_node_up(NodeId node, bool up) {
   WIMESH_ASSERT(node >= 0 && node < node_count());
@@ -188,7 +194,7 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
 
   const Point& tx_pos = positions_[static_cast<std::size_t>(tx)];
   const std::vector<NodeId>& neighbours =
-      interferers_[static_cast<std::size_t>(tx)];
+      (*interferers_)[static_cast<std::size_t>(tx)];
 
   if (record.radiated && radio_env_ == nullptr) {
     ++frames_transmitted_;
@@ -295,6 +301,22 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
       }
     }
 
+    // Carrier sense by received power: fading and obstacles decide who
+    // defers. Each node's answer is decided once per frame, here, and also
+    // serves as its detection gate below. The busy set is remembered so the
+    // idle edges at tx end match it exactly (fading will have moved by
+    // then).
+    for (NodeId n = 0; n < node_count(); ++n) {
+      if (n == tx || macs_[static_cast<std::size_t>(n)] == nullptr) continue;
+      if (senses(row, n, now)) record.cs_nodes.push_back(n);
+    }
+    // Whether `rx` is in the busy set; receptions ask in ascending order.
+    auto cs_next = record.cs_nodes.cbegin();
+    const auto sensed = [&](NodeId rx) {
+      while (cs_next != record.cs_nodes.cend() && *cs_next < rx) ++cs_next;
+      return cs_next != record.cs_nodes.cend() && *cs_next == rx;
+    };
+
     // The addressee always attempts the decode (its PER verdict needs the
     // full power budget); other nodes only bother when the signal crosses
     // their detection (carrier-sense) threshold.
@@ -302,7 +324,7 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
       if (rx == tx) return;
       if (node_up_[static_cast<std::size_t>(rx)] == 0) return;
       if (macs_[static_cast<std::size_t>(rx)] == nullptr) return;
-      if (frame.to != rx && !senses(row, rx, now)) return;
+      if (frame.to != rx && !sensed(rx)) return;
       const double fade = gain_db(row, rx, now);
       Reception r;
       r.frame = frame;
@@ -337,15 +359,8 @@ SimTime WifiChannel::transmit(const WifiFrame& frame) {
       begin_reception(frame.to);
     }
 
-    // Carrier sense by received power: fading and obstacles decide who
-    // defers. The busy set is remembered so the idle edges at tx end match
-    // it exactly (fading will have moved by then).
-    for (NodeId n = 0; n < node_count(); ++n) {
-      if (n == tx || macs_[static_cast<std::size_t>(n)] == nullptr) continue;
-      if (senses(row, n, now)) {
-        record.cs_nodes.push_back(n);
-        macs_[static_cast<std::size_t>(n)]->on_medium_busy();
-      }
+    for (NodeId n : record.cs_nodes) {
+      macs_[static_cast<std::size_t>(n)]->on_medium_busy();
     }
   }
 
@@ -378,7 +393,7 @@ void WifiChannel::finish_transmission(std::uint64_t key) {
   // model, the remembered busy set), not current liveness or fading.
   if (done.radiated && radio_env_ == nullptr) {
     const std::vector<NodeId>& neighbours =
-        interferers_[static_cast<std::size_t>(done.tx)];
+        (*interferers_)[static_cast<std::size_t>(done.tx)];
     erase_key(audible_[static_cast<std::size_t>(done.tx)], key);
     for (NodeId n : neighbours) {
       erase_key(audible_[static_cast<std::size_t>(n)], key);

@@ -1,11 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "wimesh/des/simulator.h"
+
+// Global allocation counter for the steady-state test below. Replacing the
+// global operator new here affects this test binary only.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes != 0 ? bytes : 1)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression at a call site.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace wimesh {
 namespace {
@@ -294,6 +317,190 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
     return trace;
   };
   EXPECT_EQ(run(), run());
+}
+
+// A slot freed by a fired or a cancelled event goes to the next event
+// scheduled. The old handle still names that slot, but its id no longer
+// matches: cancelling it leaves the new occupant intact, and the cancelled
+// event's heap entry, still queued, does not run the new occupant early.
+TEST(SimulatorSlabTest, StaleHandleLeavesSlotsNewOccupantIntact) {
+  Simulator sim;
+  const EventHandle fired = sim.schedule_at(SimTime::milliseconds(1), [] {});
+  sim.run_all();
+  SimTime ran_at = SimTime::zero();
+  const EventHandle after_fire = sim.schedule_at(
+      SimTime::milliseconds(2), [&] { ran_at = sim.now(); });
+  EXPECT_EQ(after_fire.slot, fired.slot);
+  EXPECT_NE(after_fire.id, fired.id);
+  sim.cancel(fired);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_all();
+  EXPECT_EQ(ran_at, SimTime::milliseconds(2));
+
+  bool cancelled_ran = false;
+  const EventHandle cancelled = sim.schedule_at(
+      SimTime::milliseconds(3), [&] { cancelled_ran = true; });
+  sim.cancel(cancelled);
+  ran_at = SimTime::zero();
+  const EventHandle after_cancel = sim.schedule_at(
+      SimTime::milliseconds(4), [&] { ran_at = sim.now(); });
+  EXPECT_EQ(after_cancel.slot, cancelled.slot);
+  sim.cancel(cancelled);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_all();
+  EXPECT_FALSE(cancelled_ran);
+  EXPECT_EQ(ran_at, SimTime::milliseconds(4));  // not at the stale 3 ms entry
+  EXPECT_EQ(sim.events_executed(), 3u);
+}
+
+// An event cancelling its own handle while it runs is a no-op: the slot is
+// not freed twice, and what the handler schedules lands in other slots.
+TEST(SimulatorSlabTest, SelfCancelWhileRunningIsANoOp) {
+  Simulator sim;
+  EventHandle self;
+  int children = 0;
+  self = sim.schedule_at(SimTime::milliseconds(1), [&] {
+    sim.cancel(self);
+    const EventHandle a = sim.schedule_in(SimTime::zero(), [&] { ++children; });
+    const EventHandle b = sim.schedule_in(SimTime::zero(), [&] { ++children; });
+    EXPECT_NE(a.slot, self.slot);
+    EXPECT_NE(b.slot, self.slot);
+    EXPECT_NE(a.slot, b.slot);
+    EXPECT_EQ(sim.pending_events(), 2u);
+  });
+  sim.run_all();
+  EXPECT_EQ(children, 2);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// pending_events() against a count kept outside the kernel, over cycles of
+// scheduling, cancelling (live, fired and repeat handles) and partial runs
+// that keep recycling slots.
+TEST(SimulatorSlabTest, PendingEventsStaysExactAcrossCancelAndReuse) {
+  Simulator sim;
+  XorShift next{0x5851f42d4c957f2dull};
+  std::vector<EventHandle> handles;
+  std::vector<char> live;  // by handle index
+  std::size_t expected = 0;
+  std::size_t fired = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    const int adds = static_cast<int>(next() % 20);
+    for (int i = 0; i < adds; ++i) {
+      const std::size_t tag = handles.size();
+      live.push_back(1);
+      handles.push_back(sim.schedule_in(
+          SimTime::nanoseconds(static_cast<std::int64_t>(next() % 5000)),
+          [&, tag] {
+            ASSERT_TRUE(live[tag]);
+            live[tag] = 0;
+            --expected;
+            ++fired;
+          }));
+      ++expected;
+    }
+    const int cancels = static_cast<int>(next() % 12);
+    for (int i = 0; i < cancels && !handles.empty(); ++i) {
+      const std::size_t victim = next() % handles.size();
+      if (live[victim]) {
+        live[victim] = 0;
+        --expected;
+      }
+      sim.cancel(handles[victim]);  // live, fired or already cancelled
+      ASSERT_EQ(sim.pending_events(), expected) << "cycle " << cycle;
+    }
+    sim.run_until(sim.now() + SimTime::nanoseconds(
+                                  static_cast<std::int64_t>(next() % 3000)));
+    ASSERT_EQ(sim.pending_events(), expected) << "cycle " << cycle;
+  }
+  sim.run_all();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_executed(), fired);
+  EXPECT_GT(fired, 500u);
+}
+
+// Captures are released when their event fires or is cancelled, not when
+// the slot is next reused.
+TEST(SimulatorSlabTest, CapturesAreDestroyedAtFireAndCancel) {
+  Simulator sim;
+  const auto token = std::make_shared<int>(0);
+  const EventHandle h =
+      sim.schedule_at(SimTime::milliseconds(1), [token] { ++*token; });
+  sim.schedule_at(SimTime::milliseconds(2), [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 3);
+  sim.cancel(h);
+  EXPECT_EQ(token.use_count(), 2);
+  sim.run_all();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 1);
+}
+
+// Once the slab and the heap have grown to a workload's size, scheduling
+// and running events whose captures fit EventFn's inline storage
+// allocates nothing. A capture that does not fit takes one allocation.
+TEST(SimulatorSlabTest, SteadyStateSchedulingAllocatesNothing) {
+  Simulator sim;
+  std::uint64_t sum = 0;
+  // About the size of the largest capture the models schedule.
+  struct Payload {
+    std::array<std::uint64_t, 9> words{};
+  };
+  const auto inline_fn = [&sum](Payload p) {
+    return [&sum, p] { sum += p.words[0]; };
+  };
+  const auto big_fn = [&sum](std::array<std::uint64_t, 16> p) {
+    return [&sum, p] { sum += p[0]; };
+  };
+  static_assert(EventFn::kFitsInline<decltype(inline_fn(Payload{}))>);
+  static_assert(!EventFn::kFitsInline<decltype(big_fn({}))>);
+  std::vector<EventHandle> handles;
+  handles.reserve(64);
+  const auto round = [&] {
+    handles.clear();
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      Payload p;
+      p.words[0] = i;
+      handles.push_back(sim.schedule_in(
+          SimTime::nanoseconds(static_cast<std::int64_t>(i % 7)),
+          inline_fn(p)));
+    }
+    for (std::size_t i = 0; i < handles.size(); i += 5) sim.cancel(handles[i]);
+    sim.schedule_in(SimTime::nanoseconds(3), [&] {
+      sim.schedule_in(SimTime::nanoseconds(1), inline_fn(Payload{}));
+    });
+    sim.run_all();
+  };
+  round();  // grows the slab, the heap and the free list
+  const std::uint64_t before = g_allocations.load();
+  for (int r = 0; r < 100; ++r) round();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_GT(sum, 0u);
+
+  const std::uint64_t before_big = g_allocations.load();
+  sim.schedule_in(SimTime::nanoseconds(1), big_fn({}));
+  EXPECT_EQ(g_allocations.load() - before_big, 1u);
+  sim.run_all();
+}
+
+// EventFn moves both storage kinds, and a moved EventFn can be scheduled:
+// each capture lives in exactly one place and is destroyed once.
+TEST(SimulatorSlabTest, EventFnMovesInlineAndHeapCallables) {
+  const auto token = std::make_shared<int>(0);
+  const std::array<std::uint64_t, 16> big{};
+  EventFn small([token] { ++*token; });
+  EventFn large([token, big] { *token += 1 + static_cast<int>(big[0]); });
+  EXPECT_EQ(token.use_count(), 3);
+  EventFn moved(std::move(small));
+  EventFn assigned;
+  assigned = std::move(large);
+  EXPECT_FALSE(small);
+  EXPECT_FALSE(large);
+  EXPECT_EQ(token.use_count(), 3);
+  Simulator sim;
+  sim.schedule_at(SimTime::milliseconds(1), std::move(moved));
+  sim.schedule_at(SimTime::milliseconds(2), std::move(assigned));
+  sim.run_all();
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -91,12 +91,14 @@ struct OverlayRig {
 
   explicit OverlayRig(SimTime guard = SimTime::microseconds(50),
                       double drift_ppm = 0.0,
-                      SimTime hop_err = SimTime::zero(), NodeId nodes = 3)
+                      SimTime hop_err = SimTime::zero(), NodeId nodes = 3,
+                      double packet_error_rate = 0.0)
       : topo(make_chain(nodes, 100.0)), params(params_10ms(96, 4, guard)) {
     Rng root(4242);
     channel = std::make_unique<WifiChannel>(
         sim, topo.positions, RadioModel(110.0, 220.0),
-        PhyMode::ofdm_802_11a(54), ErrorModel{0.0}, root.split());
+        PhyMode::ofdm_802_11a(54), ErrorModel{packet_error_rate},
+        root.split());
     for (NodeId i = 0; i < nodes; ++i) {
       DcfMac::Callbacks cb;
       cb.on_delivered = [this, i](const MacPacket& p) {
@@ -355,6 +357,75 @@ TEST(TdmaOverlayTest, BoundarySwitchMovesTheFrameToTheNewGrants) {
   rig.sim.run_until(SimTime::milliseconds(30));
   ASSERT_EQ(rig.delivered.size(), 1u);
   EXPECT_EQ(rig.delivered[0].first, 1);
+}
+
+// Per-link FIFO on a node whose queues are indexed by grant: node 1 holds
+// link 3 toward node 2 twice (a primary and an extra grant) and link 4
+// toward node 0. On a lossy channel, retries overrun blocks and the MAC
+// hands packets back at the release deadline; at frame 3 a hot-swap renames
+// the links (4 → 8, 3 → 9) and lists them in the other order. Each queue's
+// backlog follows its neighbor, and every packet reaches its receiver once,
+// in the order it was queued.
+TEST(TdmaOverlayTest, PerLinkFifoSurvivesRequeueAndRenamingSwap) {
+  OverlayRig rig(SimTime::microseconds(50), 0.0, SimTime::zero(), 3,
+                 /*packet_error_rate=*/0.2);
+  using Grant = TdmaOverlayNode::TxGrant;
+  TdmaOverlayNode& node = *rig.overlays[1];
+  node.set_grants({Grant{3, 2, SlotRange{0, 4}}, Grant{4, 0, SlotRange{20, 4}},
+                   Grant{3, 2, SlotRange{40, 4}}});
+  rig.overlays[0]->set_grants({});
+  rig.overlays[2]->set_grants({});
+  std::size_t backlog_to_2 = 0;
+  std::size_t backlog_to_0 = 0;
+  start_frames(rig.sim, rig.params.frame, rig.overlays, SimTime::seconds(1),
+               [&](std::int64_t frame) {
+                 if (frame != 3) return;
+                 backlog_to_2 = node.queue_length(3);
+                 backlog_to_0 = node.queue_length(4);
+                 node.adopt(frame,
+                            {Grant{8, 0, SlotRange{10, 4}},
+                             Grant{9, 2, SlotRange{50, 4}},
+                             Grant{9, 2, SlotRange{70, 4}}},
+                            rig.params.guard_time);
+                 EXPECT_EQ(node.queue_length(9), backlog_to_2);
+                 EXPECT_EQ(node.queue_length(8), backlog_to_0);
+                 EXPECT_EQ(node.queue_length(3), 0u);
+                 EXPECT_EQ(node.queue_length(4), 0u);
+               });
+  constexpr std::uint64_t kTo2 = 30;
+  constexpr std::uint64_t kTo0 = 20;
+  for (std::uint64_t i = 0; i < kTo2; ++i) {
+    MacPacket p;
+    p.id = 1 + i;
+    p.flow_id = 1;
+    p.bytes = 200;
+    ASSERT_TRUE(node.enqueue(3, p));
+  }
+  for (std::uint64_t i = 0; i < kTo0; ++i) {
+    MacPacket p;
+    p.id = 101 + i;
+    p.flow_id = 2;
+    p.bytes = 200;
+    ASSERT_TRUE(node.enqueue(4, p));
+  }
+  rig.sim.run_until(SimTime::milliseconds(400));
+
+  std::vector<std::uint64_t> at_2;
+  std::vector<std::uint64_t> at_0;
+  for (const auto& [at, p] : rig.delivered) {
+    (at == 2 ? at_2 : at_0).push_back(p.id);
+  }
+  std::vector<std::uint64_t> want_2(kTo2);
+  std::vector<std::uint64_t> want_0(kTo0);
+  for (std::uint64_t i = 0; i < kTo2; ++i) want_2[i] = 1 + i;
+  for (std::uint64_t i = 0; i < kTo0; ++i) want_0[i] = 101 + i;
+  EXPECT_EQ(at_2, want_2);
+  EXPECT_EQ(at_0, want_0);
+  EXPECT_GT(backlog_to_2, 0u);  // the swap moved real backlogs
+  EXPECT_GT(backlog_to_0, 0u);
+  EXPECT_GT(node.deadline_requeues(), 0u);
+  EXPECT_EQ(node.total_queued(), 0u);
+  EXPECT_EQ(node.busy_at_slot_start(), 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "wimesh/des/simulator.h"
+#include "wimesh/trace/trace.h"
 #include "wimesh/wifi/channel.h"
 #include "wimesh/wifi/dcf_mac.h"
 
@@ -492,6 +493,83 @@ TEST(WifiChannelRadioTest, CarrierSenseThresholdOnThePowerIsExact) {
       EXPECT_EQ(busy_edges(std::nextafter(power, 1e300), at)[s], 0)
           << "sensor " << sensor << " at " << at.ns();
     }
+  }
+}
+
+// The channel decides each node's carrier sense once per frame and reuses
+// that answer as the detection gate of every non-addressee. That is valid
+// because the two sets agree: on a fading channel, the nodes that hold a
+// reception of a broadcast (or, with overhearing, of a unicast frame
+// beside its addressee) are exactly the carrier-sense busy set without
+// the down nodes. A reception is seen as a decode or as a corruption
+// record; with one frame in the air, every reception ends in one of them.
+TEST(WifiChannelRadioTest, NonAddresseeReceptionsAreTheUpBusySet) {
+  Rng layout(17);
+  std::vector<Point> pos{{0.0, 0.0}, {25.0, 10.0}};
+  while (pos.size() < 24) {
+    pos.push_back(
+        {layout.uniform(-350.0, 350.0), layout.uniform(-350.0, 350.0)});
+  }
+  constexpr NodeId kDown = 1;  // close to the sender: always senses it
+  const radio::RadioEnvironment env(sensing_radio(-82.0), pos,
+                                    PhyMode::ofdm_802_11a(54), 21);
+  for (const bool overheard : {false, true}) {
+    Simulator sim;
+    WifiChannel channel(sim, pos, RadioModel(110.0, 220.0),
+                        PhyMode::ofdm_802_11a(54), ErrorModel{0.0}, Rng(1),
+                        overheard);
+    channel.set_radio(&env);
+    channel.set_node_up(kDown, false);
+    std::vector<CountingMac> macs(pos.size());
+    for (NodeId i = 0; i < static_cast<NodeId>(pos.size()); ++i) {
+      channel.attach(i, &macs[static_cast<std::size_t>(i)]);
+    }
+    trace::Tracer tracer(trace::TraceConfig{trace::kWifi, 1u << 12});
+    const trace::Scope scope(&tracer);
+    const NodeId addressee = overheard ? 2 : kInvalidNode;
+    bool some_idle = false;
+    for (std::uint64_t k = 0; k < 40; ++k) {
+      std::vector<int> busy_before;
+      for (const CountingMac& mac : macs) busy_before.push_back(mac.busy);
+      const std::size_t records_before = tracer.snapshot().size();
+      sim.schedule_at(SimTime::milliseconds(static_cast<std::int64_t>(7 * k)),
+                      [&, k] {
+                        WifiFrame f;
+                        f.from = 0;
+                        f.to = addressee;
+                        f.packet.id = k;
+                        f.packet.bytes = 200;
+                        channel.transmit(f);
+                      });
+      sim.run_all();
+
+      std::vector<NodeId> expected;
+      std::vector<NodeId> received;
+      for (NodeId n = 1; n < static_cast<NodeId>(pos.size()); ++n) {
+        const CountingMac& mac = macs[static_cast<std::size_t>(n)];
+        const bool busy = mac.busy > busy_before[static_cast<std::size_t>(n)];
+        if (n == kDown) {
+          EXPECT_TRUE(busy) << "frame " << k;
+        }
+        if ((busy && n != kDown) || n == addressee) expected.push_back(n);
+        some_idle = some_idle || !busy;
+        if (!mac.received.empty() && mac.received.back().second == k &&
+            mac.received.back().first == 0) {
+          received.push_back(n);
+        }
+      }
+      const std::vector<trace::Record> records = tracer.snapshot();
+      for (std::size_t r = records_before; r < records.size(); ++r) {
+        if (records[r].type == trace::EventType::kRxCorrupted) {
+          received.push_back(records[r].node);
+        }
+      }
+      std::sort(received.begin(), received.end());
+      EXPECT_EQ(received, expected)
+          << "frame " << k << (overheard ? " (overheard unicast)" : "");
+    }
+    EXPECT_EQ(tracer.dropped(), 0u);
+    EXPECT_TRUE(some_idle);  // fading and range leave some nodes idle
   }
 }
 
