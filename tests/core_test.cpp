@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "wimesh/core/mesh_network.h"
+#include "wimesh/faults/plan.h"
+#include "wimesh/trace/trace.h"
 
 namespace wimesh {
 namespace {
@@ -430,6 +432,79 @@ TEST(MacGoldenTest, DcfRtsCtsOnRf8Chain) {
             (std::vector<std::int64_t>{100, 807459051, 100, 713861080, 381,
                                        3678508953, 354, 3648108901, 1,
                                        16383}));
+}
+
+// Pins the TDMA overlay's whole record stream on a lossy 3x3 grid whose
+// relay crashes mid-run: MAC retries overrun blocks (deadline requeues),
+// and the repaired plan hot-swaps in at a frame boundary. Per tdma record
+// type a count, an FNV-1a hash over every tdma record's fields, then the
+// delivered packets per flow and the overlay's two counters.
+TEST(OverlayGoldenTest, LossyGridWithCrashAndHotSwap) {
+  MeshConfig cfg;
+  cfg.topology = make_grid(3, 3, 100.0);
+  cfg.comm_range = 110.0;
+  cfg.interference_range = 220.0;
+  cfg.phy = PhyMode::ofdm_802_11a(54);
+  cfg.emulation.frame.frame_duration = SimTime::milliseconds(10);
+  cfg.emulation.frame.control_slots = 4;
+  cfg.emulation.frame.data_slots = 96;
+  cfg.packet_error_rate = 0.05;
+  const auto faults = faults::parse_fault_plan("node-crash@0.5 node=4");
+  ASSERT_TRUE(faults.has_value()) << faults.error();
+  cfg.faults = *faults;
+  MeshNetwork net(cfg);
+  net.add_voip_call(0, 8, 0, VoipCodec::g729(), SimTime::milliseconds(100));
+  net.add_voip_call(2, 6, 2, VoipCodec::g729(), SimTime::milliseconds(100));
+  net.add_flow(FlowSpec::best_effort(100, 3, 5, 1200, 1e6));
+  ASSERT_TRUE(net.compute_plan().has_value());
+
+  trace::Tracer tracer(trace::TraceConfig{trace::kTdma, std::size_t{1} << 17});
+  SimulationResult r;
+  {
+    const trace::Scope scope(&tracer);
+    r = net.run(MacMode::kTdmaOverlay, SimTime::seconds(2));
+  }
+  ASSERT_EQ(tracer.dropped(), 0u);
+
+  std::int64_t frame_starts = 0;
+  std::int64_t block_starts = 0;
+  std::int64_t blocks_skipped = 0;
+  std::int64_t grant_swaps = 0;
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto fold = [&](std::int64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<std::uint64_t>(v >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const trace::Record& rec : tracer.snapshot()) {
+    switch (rec.type) {
+      case trace::EventType::kFrameStart: ++frame_starts; break;
+      case trace::EventType::kBlockStart: ++block_starts; break;
+      case trace::EventType::kBlockSkipped: ++blocks_skipped; break;
+      case trace::EventType::kGrantSwap: ++grant_swaps; break;
+      default: break;
+    }
+    fold(static_cast<std::int64_t>(rec.type));
+    fold(rec.t0.ns());
+    fold(rec.node);
+    fold(rec.a);
+    fold(rec.b);
+    fold(rec.c);
+    fold(rec.d);
+  }
+  std::vector<std::int64_t> got{frame_starts, block_starts, blocks_skipped,
+                                grant_swaps, static_cast<std::int64_t>(hash)};
+  for (const FlowResult& f : r.flows) {
+    got.push_back(static_cast<std::int64_t>(f.stats.delivered_packets()));
+  }
+  got.push_back(static_cast<std::int64_t>(r.overlay_deadline_requeues));
+  got.push_back(static_cast<std::int64_t>(r.overlay_busy_at_slot_start));
+  EXPECT_GT(r.overlay_deadline_requeues, 0u);
+  EXPECT_GT(grant_swaps, 0);
+  EXPECT_EQ(got, (std::vector<std::int64_t>{2250, 4734, 0, 9,
+                                            4718532805866215839, 100, 100,
+                                            100, 100, 202, 215, 0}));
 }
 
 }  // namespace
