@@ -170,10 +170,6 @@ class AdmissionEngine {
   std::vector<int> set_topology_epoch(
       const std::vector<char>& alive, SimTime now,
       const std::vector<std::pair<NodeId, NodeId>>& down_links = {});
-  // Current island index per node (-1 = dead); empty before the first
-  // epoch install (no fault-awareness overhead until then).
-  const std::vector<int>& island_of_node() const { return island_of_node_; }
-
   // Currently admitted flows, in arrival order (degraded arrivals appear
   // with service == kBestEffort).
   const std::vector<FlowSpec>& active() const { return active_; }

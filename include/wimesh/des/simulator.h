@@ -19,12 +19,12 @@
 // the top — but frees its slot at once, so pending_events() is the count
 // of occupied slots.
 //
-// Handlers are EventFn: a move-only callable that keeps captures of up to
-// kInlineBytes inside the slot (every capture the models schedule fits),
-// and falls back to one heap allocation for a larger one. Slots sit in
-// fixed-size chunks that never move, so a handler runs in place and may
-// schedule more events while it runs; its slot is freed after it returns.
-// A steady-state run therefore allocates nothing per event.
+// Handlers are EventFn: a move-only callable that keeps its captures, of
+// up to kInlineBytes, inside the slot; a larger capture (or one whose move
+// may throw) does not compile. Slots sit in fixed-size chunks that never
+// move, so a handler runs in place and may schedule more events while it
+// runs; its slot is freed after it returns. A steady-state run therefore
+// allocates nothing per event.
 
 #include <cstddef>
 #include <cstdint>
@@ -88,18 +88,16 @@ class EventFn {
   void emplace(F&& f) {
     if constexpr (std::is_same_v<D, EventFn>) {
       *this = std::move(f);
-      return;
-    }
-    reset();
-    if constexpr (std::is_pointer_v<D> || detail::kIsStdFunction<D>) {
-      if (!f) return;
-    }
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
     } else {
-      ::new (static_cast<void*>(buf_)) void*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
+      static_assert(kFitsInline<D>,
+                    "an EventFn capture must fit kInlineBytes, be at most "
+                    "8-byte aligned and move without throwing");
+      reset();
+      if constexpr (std::is_pointer_v<D> || detail::kIsStdFunction<D>) {
+        if (!f) return;
+      }
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kOps<D>;
     }
   }
 
@@ -111,7 +109,7 @@ class EventFn {
   explicit operator bool() const noexcept { return ops_ != nullptr; }
   void operator()() { ops_->invoke(buf_); }
 
-  // Whether a callable of type F is stored without a heap allocation.
+  // Whether EventFn can hold a callable of type F.
   template <class F>
   static constexpr bool kFitsInline =
       sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::uint64_t) &&
@@ -126,38 +124,22 @@ class EventFn {
   };
 
   template <class D>
-  static void invoke_inline(void* self) {
+  static void invoke(void* self) {
     (*static_cast<D*>(self))();
   }
   template <class D>
-  static void relocate_inline(void* dst, void* src) noexcept {
+  static void relocate(void* dst, void* src) noexcept {
     ::new (dst) D(std::move(*static_cast<D*>(src)));
     static_cast<D*>(src)->~D();
   }
   template <class D>
-  static void destroy_inline(void* self) noexcept {
+  static void destroy(void* self) noexcept {
     static_cast<D*>(self)->~D();
   }
   template <class D>
-  static constexpr Ops kInlineOps{
-      &invoke_inline<D>, &relocate_inline<D>,
-      std::is_trivially_destructible_v<D> ? nullptr : &destroy_inline<D>};
-
-  // A larger callable lives on the heap; the buffer holds its address.
-  template <class D>
-  static void invoke_heap(void* self) {
-    (*static_cast<D*>(*static_cast<void**>(self)))();
-  }
-  static void relocate_heap(void* dst, void* src) noexcept {
-    ::new (dst) void*(*static_cast<void**>(src));
-  }
-  template <class D>
-  static void destroy_heap(void* self) noexcept {
-    delete static_cast<D*>(*static_cast<void**>(self));
-  }
-  template <class D>
-  static constexpr Ops kHeapOps{&invoke_heap<D>, &relocate_heap,
-                                &destroy_heap<D>};
+  static constexpr Ops kOps{
+      &invoke<D>, &relocate<D>,
+      std::is_trivially_destructible_v<D> ? nullptr : &destroy<D>};
 
   void take(EventFn& other) noexcept {
     if (other.ops_ == nullptr) return;

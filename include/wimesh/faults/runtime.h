@@ -110,15 +110,6 @@ class FaultRuntime {
     return severed_ids_.count(flow_id) != 0;
   }
 
-  // Current island count (1 = connected survivors) and per-node island
-  // index (-1 for dead nodes); refreshed by every recovery pass.
-  int islands() const { return islands_; }
-  const std::vector<int>& island_of_node() const { return island_of_node_; }
-
-  // The plan traffic should be forwarded under right now (the original
-  // until the first hot-swap activates).
-  const MeshPlan* live_plan() const { return current_plan_; }
-
   // Finalizes outage bookkeeping (open windows are charged up to `end`)
   // and returns the continuity metrics.
   FaultReport take_report(SimTime end);

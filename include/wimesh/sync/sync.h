@@ -64,21 +64,16 @@ class SyncProtocol {
   // ---- Fault injection / failover surface (wimesh/faults).
 
   // The master's beacon process dies: pending and future waves stop and
-  // every clock free-runs on its last correction until re_root().
+  // every clock free-runs on its last correction until re_root_forest().
   void fail_master();
 
-  // Re-roots the spanning tree at `new_master` over the subgraph induced by
-  // `alive` (one entry per node, nonzero = up) and resumes waves
-  // immediately. Nodes unreachable from the new master keep free-running.
-  // `new_master` must be alive.
-  void re_root(NodeId new_master, const std::vector<char>& alive);
-
-  // Partition-tolerant variant: re-roots an independent spanning tree at
-  // each of `masters` (one per island, every one alive) over the
-  // alive-induced subgraph, so each island keeps its own time reference
-  // while the mesh is split. Waves resume immediately and cover every tree
-  // in the forest; masters() lists the roots and master() the primary
-  // (first) one. Nodes unreachable from every master keep free-running.
+  // Re-roots an independent spanning tree at each of `masters` (one per
+  // island, every one alive) over the subgraph induced by `alive` (one
+  // entry per node, nonzero = up), so each island keeps its own time
+  // reference while the mesh is split; a connected mesh passes one master.
+  // Waves resume immediately and cover every tree in the forest; masters()
+  // lists the roots and master() the primary (first) one. Nodes
+  // unreachable from every master keep free-running.
   void re_root_forest(const std::vector<NodeId>& masters,
                       const std::vector<char>& alive);
 
@@ -125,7 +120,7 @@ class SyncProtocol {
   void schedule_wave(SimTime at);
 
   Simulator& sim_;
-  const Graph* topology_;  // not owned; needed again by re_root()
+  const Graph* topology_;  // not owned; needed again by re_root_forest()
   NodeId master_;
   std::vector<NodeId> masters_;  // forest roots; front() == master_
   SyncConfig config_;
@@ -136,8 +131,8 @@ class SyncProtocol {
   int max_depth_ = 0;
   std::vector<ClockState> clocks_;
   std::uint64_t waves_ = 0;
-  // Bumped by fail_master()/re_root(); pending wave events carry the epoch
-  // they were scheduled under and fizzle if it has moved on.
+  // Bumped by fail_master()/re_root_forest(); pending wave events carry
+  // the epoch they were scheduled under and fizzle if it has moved on.
   std::uint64_t epoch_ = 0;
   bool master_alive_ = true;
 };

@@ -2,19 +2,23 @@
 
 // TDMA-over-WiFi overlay — the paper's primary system contribution.
 //
-// Each node runs a software slotter above its (zero-backoff) 802.11 MAC:
-// an 802.16-mesh-style frame is laid over time, the node holds one packet
-// queue per outgoing scheduled link, and at the start of each granted
-// minislot block — per its own, drifting, periodically-resynced clock — it
-// releases exactly as many packets to the MAC as provably fit in the block
-// minus the guard time. Because the schedule is conflict-free and sync
-// error is absorbed by the guard, the MAC sees an idle medium and transmits
-// back-to-back with deterministic per-packet cost.
+// One slotter drives every node's (zero-backoff) 802.11 MAC from one
+// centralized, conflict-free plan. An 802.16-mesh-style frame is laid over
+// time; each node holds one packet queue per outgoing scheduled link, and
+// at the start of each of its granted minislot blocks — per its own,
+// drifting, periodically-resynced clock — it releases exactly as many
+// packets to its MAC as provably fit in the block minus the guard time.
+// Because the schedule is conflict-free and sync error is absorbed by the
+// guard, the MAC sees an idle medium and transmits back-to-back with
+// deterministic per-packet cost.
 //
-// The mesh has one frame clock (start_frames): one event per frame tells
-// every node to begin the frame, and a node without grants schedules
-// nothing in it. A plan switch is one step at the top of that event, so
-// every node adopts the new grants before any of the frame's blocks.
+// TdmaOverlay is the mesh-wide object: it turns a plan (link set plus
+// schedule) into every node's grants, owns every node's link queues in one
+// dense per-node vector, and runs the mesh's one frame clock. Each frame is
+// one event: an optional boundary callback first (where a repaired plan
+// switches in, every node at once), then, node by node in ascending id,
+// the node's frame-start record and its blocks in grant order. A node
+// without grants schedules nothing.
 //
 // The release sizing assumes one attempt per packet. On a physical channel
 // (fading, SINR) receptions can corrupt, and an unchecked MAC retry would
@@ -60,18 +64,9 @@ int block_for_packets(const EmulationParams& params, const PhyMode& phy,
 double emulation_efficiency(const EmulationParams& params, const PhyMode& phy,
                             std::size_t payload_bytes);
 
-// One node's slotter.
-class TdmaOverlayNode {
+// The mesh's slotter.
+class TdmaOverlay {
  public:
-  struct TxGrant {
-    LinkId link = kInvalidLink;
-    NodeId neighbor = kInvalidNode;  // the link's receiver
-    SlotRange range;
-    // Index of the link's queue in this node; set_grants and adopt assign
-    // it (a link with several grants has one queue), callers leave it 0.
-    std::size_t queue = 0;
-  };
-
   // Observation hooks for events the counters alone cannot attribute
   // (which packet was dropped, which block was skipped). Optional; used by
   // the runtime invariant auditor.
@@ -79,101 +74,114 @@ class TdmaOverlayNode {
     std::function<void(NodeId, LinkId, const MacPacket&)> on_best_effort_drop;
     std::function<void(NodeId, LinkId)> on_block_skipped;
     // A queued packet was discarded because a schedule hot-swap revoked its
-    // link (the repaired plan no longer serves that neighbor from here).
+    // link (the repaired plan no longer serves that neighbor from there).
     std::function<void(NodeId, LinkId, const MacPacket&)> on_revoked_drop;
   };
 
-  TdmaOverlayNode(Simulator& sim, DcfMac& mac, const SyncProtocol& sync,
-                  NodeId self, EmulationParams params);
+  // `macs[i]` is node i's MAC; the mesh's nodes are 0..macs.size()-1.
+  TdmaOverlay(Simulator& sim, const std::vector<std::unique_ptr<DcfMac>>& macs,
+              const SyncProtocol& sync, EmulationParams params);
+  // The MACs' deadline handlers and pending events hold this address.
+  TdmaOverlay(const TdmaOverlay&) = delete;
+  TdmaOverlay& operator=(const TdmaOverlay&) = delete;
 
-  // Installs this node's transmit grants (links with link.from == self).
-  void set_grants(std::vector<TxGrant> grants);
-
-  // Replaces the grant set (and guard) on the boundary of `frame`, before
-  // the frame begins. Queued packets migrate to the new link serving the
-  // same neighbor; packets whose neighbor the new plan no longer serves
-  // from this node are discarded through on_revoked_drop. Grant link ids
-  // refer to the *new* plan's link set; enqueue() switches meaning here.
-  void adopt(std::int64_t frame, std::vector<TxGrant> grants, SimTime guard);
-
-  // Fault injection: a disabled (crashed) node stops releasing packets at
-  // its block starts; its queues freeze until re-enabled.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
+  // Grants every link's blocks (primary and extras, in slot order) to the
+  // link's transmitter, one empty queue per granted link. Call before
+  // start(); every queue must be empty (adopt() switches a running mesh).
+  void install(const LinkSet& links, const MeshSchedule& schedule);
 
   void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
-  // Records the start of `frame` and schedules its block starts, each when
-  // this node's clock reads it.
-  void begin_frame(std::int64_t frame);
+  // The frame clock. Runs the current frame now, and each later frame that
+  // starts before `stop` as one event. Frame k calls `at_boundary(k)`, if
+  // set, then records every node's frame start and schedules its blocks,
+  // each when that node's clock reads it.
+  void start(SimTime stop, std::function<void(std::int64_t)> at_boundary = {});
 
-  // Queues a packet for transmission on one of this node's granted links.
+  // Replaces every node's grants (and the guard) on the boundary of
+  // `frame`, before the frame's blocks. Queued packets migrate to the new
+  // link serving the same neighbor; packets whose neighbor the new plan no
+  // longer serves from their node are discarded through on_revoked_drop.
+  // Link ids refer to the *new* plan's link set from here on.
+  void adopt(std::int64_t frame, const LinkSet& links,
+             const MeshSchedule& schedule, SimTime guard);
+
+  // Fault injection: a disabled (crashed) node stops releasing packets at
+  // its block starts; its queues freeze until re-enabled.
+  void set_enabled(NodeId node, bool enabled) {
+    node_at(node).enabled = enabled;
+  }
+
+  // Queues a packet at `at` for transmission on its granted link `link`.
   // Guaranteed-class packets are served with strict priority inside every
   // block, so saturating best-effort load cannot starve them; best-effort
   // queues are drop-tail bounded. Returns false — without queuing — when
-  // this node holds no grant for `link`, which can only happen in the
+  // `at` holds no grant for `link`, which can only happen in the
   // one-instant window of a schedule hot-swap (caller accounts the drop).
-  bool enqueue(LinkId link, MacPacket packet, bool guaranteed = true);
+  bool enqueue(NodeId at, LinkId link, MacPacket packet,
+               bool guaranteed = true);
 
-  std::size_t queue_length(LinkId link) const;
+  std::size_t queue_length(NodeId at, LinkId link) const;
+
+  // Mesh totals.
   std::size_t total_queued() const;
   std::uint64_t best_effort_drops() const { return best_effort_drops_; }
-
-  // Times the slotter found the MAC still busy at a block start (should be
+  // Times a node found its MAC still busy at a block start (should be
   // zero when guard/schedule are dimensioned correctly).
   std::uint64_t busy_at_slot_start() const { return busy_at_slot_start_; }
   std::uint64_t packets_released() const { return packets_released_; }
-  // Released packets the MAC handed back because its retries ran out of
+  // Released packets a MAC handed back because its retries ran out of
   // block budget (nonzero only on lossy physical channels).
   std::uint64_t deadline_requeues() const { return deadline_requeues_; }
 
  private:
   static constexpr std::size_t kBestEffortQueueCap = 256;
 
-  void on_block_start(const TxGrant& grant, std::int64_t frame_index);
-  void on_deadline_requeue(const std::vector<MacPacket>& returned);
-
   struct LinkQueues {
     LinkId link = kInvalidLink;
+    NodeId neighbor = kInvalidNode;  // the link's receiver
     std::deque<MacPacket> guaranteed;
     std::deque<MacPacket> best_effort;
   };
+  struct TxGrant {
+    SlotRange range;
+    std::size_t queue = 0;  // index into the node's queues
+  };
+  struct Node {
+    DcfMac* mac = nullptr;
+    bool enabled = true;
+    std::vector<TxGrant> grants;
+    // One queue per granted out-link, in link-id order; grants index it.
+    std::vector<LinkQueues> queues;
+    // Ids of best-effort packets currently released to the MAC, so a
+    // deadline requeue restores each packet to its service class. Cleared
+    // at every block start (the MAC is verifiably empty there).
+    std::unordered_set<std::uint64_t> released_best_effort;
+  };
 
-  // The queue of `link`, or nullptr when this node holds none. A node has
-  // a few out-links, so a scan beats a hash.
-  LinkQueues* find_queue(LinkId link);
-  const LinkQueues* find_queue(LinkId link) const;
+  Node& node_at(NodeId node) {
+    WIMESH_ASSERT(node >= 0 && static_cast<std::size_t>(node) < nodes_.size());
+    return nodes_[static_cast<std::size_t>(node)];
+  }
+  void run_frame(std::int64_t frame);
+  void on_block_start(NodeId at, const TxGrant& grant, std::int64_t frame);
+  void on_deadline_requeue(NodeId at, const std::vector<MacPacket>& returned);
 
   Simulator& sim_;
-  DcfMac& mac_;
   const SyncProtocol& sync_;
-  NodeId self_;
   EmulationParams params_;
   Hooks hooks_;
-  std::vector<TxGrant> grants_;
+  std::vector<Node> nodes_;
+  SimTime stop_{};
+  std::function<void(std::int64_t)> at_boundary_;
   // Bumped at every hot-swap; block events carry the generation they were
   // scheduled under and fizzle if a swap intervened (LinkIds are
   // plan-relative, so a stale event must not touch new-plan queues).
   std::uint64_t plan_generation_ = 0;
-  bool enabled_ = true;
-  // One queue per granted out-link, in first-grant order; grants index it.
-  std::vector<LinkQueues> queues_;
-  // Ids of best-effort packets currently released to the MAC, so a deadline
-  // requeue restores each packet to its service class. Cleared at every
-  // block start (the MAC is verifiably empty there).
-  std::unordered_set<std::uint64_t> released_best_effort_;
   std::uint64_t busy_at_slot_start_ = 0;
   std::uint64_t packets_released_ = 0;
   std::uint64_t best_effort_drops_ = 0;
   std::uint64_t deadline_requeues_ = 0;
 };
-
-// The mesh's frame clock. Runs the current frame now, and each later frame
-// that starts before `stop` as one event. Frame k calls `at_boundary(k)`,
-// if set (the place for a plan switch), then begin_frame(k) at every node.
-// `nodes` must outlive the simulation.
-void start_frames(Simulator& sim, const FrameConfig& frame,
-                  const std::vector<std::unique_ptr<TdmaOverlayNode>>& nodes,
-                  SimTime stop,
-                  std::function<void(std::int64_t)> at_boundary = {});
 
 }  // namespace wimesh

@@ -239,7 +239,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
   }
 
   std::vector<std::unique_ptr<DcfMac>> macs;
-  std::vector<std::unique_ptr<TdmaOverlayNode>> overlays;
+  std::optional<TdmaOverlay> overlay;
   std::unique_ptr<SyncProtocol> sync;
   // Fault injection (constructed last so its RNG split cannot perturb
   // fault-free runs). `live_plan` is the plan traffic is forwarded under:
@@ -288,8 +288,8 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
         }
         return;
       }
-      if (!overlays[static_cast<std::size_t>(at)]->enqueue(
-              link, p, service == ServiceClass::kGuaranteed)) {
+      if (!overlay->enqueue(at, link, p,
+                            service == ServiceClass::kGuaranteed)) {
         if (auditor) {
           auditor->on_packet_dropped(
               p, typed_drop(audit::DropReason::kScheduleRevoked, p.flow_id));
@@ -354,20 +354,6 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
                                             std::move(cb), mac_kind));
   }
 
-  // Per-transmitter grant lists (primary + best-effort extras) of a plan.
-  const auto grants_by_node = [n](const MeshPlan& plan) {
-    std::vector<std::vector<TdmaOverlayNode::TxGrant>> grants(
-        static_cast<std::size_t>(n));
-    for (LinkId l = 0; l < plan.links.count(); ++l) {
-      const Link& link = plan.links.link(l);
-      for (const SlotRange& range : plan.schedule.all_grants(l)) {
-        grants[static_cast<std::size_t>(link.from)].push_back(
-            TdmaOverlayNode::TxGrant{l, link.to, range});
-      }
-    }
-    return grants;
-  };
-
   // ---- Overlay + sync (TDMA mode only).
   // The repaired plan the fault runtime handed over last, waiting for the
   // boundary of its activation frame.
@@ -377,46 +363,28 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
                                           /*master=*/0, config_.sync,
                                           root.split());
     sync->start();
-    overlays.resize(static_cast<std::size_t>(n));
-    for (NodeId node = 0; node < n; ++node) {
-      overlays[static_cast<std::size_t>(node)] =
-          std::make_unique<TdmaOverlayNode>(
-              sim, *macs[static_cast<std::size_t>(node)], *sync, node,
-              config_.emulation);
-    }
-    // Distribute grants to transmitters.
-    std::vector<std::vector<TdmaOverlayNode::TxGrant>> grants =
-        grants_by_node(plan_);
-    for (NodeId node = 0; node < n; ++node) {
-      TdmaOverlayNode& overlay = *overlays[static_cast<std::size_t>(node)];
-      overlay.set_grants(std::move(grants[static_cast<std::size_t>(node)]));
-      if (auditor) {
-        TdmaOverlayNode::Hooks hooks;
-        hooks.on_best_effort_drop = [&](NodeId, LinkId,
-                                        const MacPacket& p) {
-          auditor->on_packet_dropped(
-              p, audit::DropReason::kBestEffortOverflow);
-        };
-        hooks.on_block_skipped = [&](NodeId at, LinkId link) {
-          auditor->on_block_skipped(at, link);
-        };
-        hooks.on_revoked_drop = [&](NodeId, LinkId, const MacPacket& p) {
-          auditor->on_packet_dropped(p, audit::DropReason::kScheduleRevoked);
-        };
-        overlay.set_hooks(std::move(hooks));
-      }
+    overlay.emplace(sim, macs, *sync, config_.emulation);
+    overlay->install(plan_.links, plan_.schedule);
+    if (auditor) {
+      TdmaOverlay::Hooks hooks;
+      hooks.on_best_effort_drop = [&](NodeId, LinkId, const MacPacket& p) {
+        auditor->on_packet_dropped(p, audit::DropReason::kBestEffortOverflow);
+      };
+      hooks.on_block_skipped = [&](NodeId at, LinkId link) {
+        auditor->on_block_skipped(at, link);
+      };
+      hooks.on_revoked_drop = [&](NodeId, LinkId, const MacPacket& p) {
+        auditor->on_packet_dropped(p, audit::DropReason::kScheduleRevoked);
+      };
+      overlay->set_hooks(std::move(hooks));
     }
     // One frame clock for the mesh. A staged plan switches in at the top of
     // its activation frame: every node adopts it, then forwarding and the
     // audit monitors follow, all before any of the frame's blocks.
     const auto switch_plan = [&](std::int64_t frame) {
       if (!staged || frame < staged->activation_frame) return;
-      auto next = grants_by_node(*staged->plan);
-      for (NodeId node = 0; node < n; ++node) {
-        overlays[static_cast<std::size_t>(node)]->adopt(
-            frame, std::move(next[static_cast<std::size_t>(node)]),
-            staged->guard);
-      }
+      overlay->adopt(frame, staged->plan->links, staged->plan->schedule,
+                     staged->guard);
       live_plan = staged->plan;
       bind_routes(*live_plan);
       trace::event(trace::EventType::kPlanActivated, sim.now(), -1, frame);
@@ -427,8 +395,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
       }
       staged.reset();
     };
-    start_frames(sim, config_.emulation.frame, overlays, duration + drain,
-                 switch_plan);
+    overlay->start(duration + drain, switch_plan);
   }
 
   // ---- Traffic sources.
@@ -489,7 +456,7 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
     faults::Callbacks cb;
     if (mode == MacMode::kTdmaOverlay) {
       cb.node_up_changed = [&](NodeId node, bool up) {
-        overlays[static_cast<std::size_t>(node)]->set_enabled(up);
+        overlay->set_enabled(node, up);
       };
       cb.deploy = [&](const faults::Deployment& d) { staged = d; };
     }
@@ -508,15 +475,15 @@ SimulationResult MeshNetwork::run(MacMode mode, SimTime duration,
 
   result.frames_transmitted = channel.frames_transmitted();
   result.receptions_corrupted = channel.receptions_corrupted();
-  for (const auto& overlay : overlays) {
-    result.overlay_busy_at_slot_start += overlay->busy_at_slot_start();
-    result.overlay_deadline_requeues += overlay->deadline_requeues();
+  if (overlay) {
+    result.overlay_busy_at_slot_start = overlay->busy_at_slot_start();
+    result.overlay_deadline_requeues = overlay->deadline_requeues();
   }
   if (auditor) {
     // Everything the ledger has not seen delivered or dropped must still be
     // queued somewhere; count what the components actually hold.
     std::uint64_t residual = 0;
-    for (const auto& overlay : overlays) residual += overlay->total_queued();
+    if (overlay) residual += overlay->total_queued();
     for (const auto& mac : macs) residual += mac->pending_packets();
     auditor->finalize(residual);
     result.audit = auditor->report();

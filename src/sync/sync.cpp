@@ -69,10 +69,6 @@ void SyncProtocol::fail_master() {
   master_alive_ = false;
 }
 
-void SyncProtocol::re_root(NodeId new_master, const std::vector<char>& alive) {
-  re_root_forest({new_master}, alive);
-}
-
 void SyncProtocol::re_root_forest(const std::vector<NodeId>& masters,
                                   const std::vector<char>& alive) {
   const NodeId n = static_cast<NodeId>(clocks_.size());

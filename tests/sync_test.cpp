@@ -196,7 +196,7 @@ TEST(SyncFailoverTest, FailMasterStopsWavesAndReRootRestores) {
   // the new master reads zero error again, and depth reflects the re-root
   // (node 3 is now 2 hops away instead of 3).
   const std::vector<char> alive(4, 1);
-  sync.re_root(1, alive);
+  sync.re_root_forest({1}, alive);
   EXPECT_TRUE(sync.master_alive());
   sim.run_until(sim.now() + cfg.resync_interval * 2);
   EXPECT_EQ(sync.error(1, sim.now()), SimTime::zero());
@@ -212,10 +212,10 @@ TEST(SyncFailoverTest, ReRootExcludesDeadNodes) {
   // Node 1 dies: the chain is severed, so a re-root at 0 can only span
   // node 0 itself — the far side free-runs until the node recovers.
   std::vector<char> alive{1, 0, 1, 1};
-  sync.re_root(0, alive);
+  sync.re_root_forest({0}, alive);
   EXPECT_EQ(sync.max_tree_depth(), 0);
   alive[1] = 1;
-  sync.re_root(0, alive);
+  sync.re_root_forest({0}, alive);
   EXPECT_EQ(sync.max_tree_depth(), 3);
 }
 

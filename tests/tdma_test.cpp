@@ -79,12 +79,34 @@ TEST(EmulationMathTest, EfficiencyHigherForLargerPackets) {
 // ---- Integration rig: a chain (3 nodes by default), manual schedules,
 // perfect sync unless asked otherwise.
 
+// A plan over `links` (ids in list order) that grants each (link, range)
+// pair; a link's first range is its primary grant, later ones are extras.
+struct RigPlan {
+  LinkSet links;
+  MeshSchedule schedule;
+};
+
+RigPlan make_plan(const std::vector<Link>& links,
+                  const std::vector<std::pair<LinkId, SlotRange>>& grants) {
+  RigPlan plan;
+  for (const Link& link : links) plan.links.add(link);
+  plan.schedule = MeshSchedule(plan.links, 96);
+  for (const auto& [link, range] : grants) {
+    if (plan.schedule.grant(link).has_value()) {
+      plan.schedule.add_extra_grant(link, range);
+    } else {
+      plan.schedule.set_grant(link, range);
+    }
+  }
+  return plan;
+}
+
 struct OverlayRig {
   Simulator sim;
   std::unique_ptr<WifiChannel> channel;
   std::vector<std::unique_ptr<DcfMac>> macs;
   std::unique_ptr<SyncProtocol> sync;
-  std::vector<std::unique_ptr<TdmaOverlayNode>> overlays;
+  std::unique_ptr<TdmaOverlay> overlay;
   Topology topo;
   EmulationParams params;
   std::vector<std::pair<NodeId, MacPacket>> delivered;
@@ -115,23 +137,20 @@ struct OverlayRig {
                                           root.split(),
                                           /*initial_offset_bound=*/SimTime::zero());
     sync->start();
-    for (NodeId i = 0; i < nodes; ++i) {
-      overlays.push_back(std::make_unique<TdmaOverlayNode>(
-          sim, *macs[static_cast<std::size_t>(i)], *sync, i, params));
-    }
+    overlay = std::make_unique<TdmaOverlay>(sim, macs, *sync, params);
   }
 
-  void start(SimTime stop) { start_frames(sim, params.frame, overlays, stop); }
+  void install(const RigPlan& plan) {
+    overlay->install(plan.links, plan.schedule);
+  }
+  void start(SimTime stop) { overlay->start(stop); }
 };
 
 TEST(TdmaOverlayTest, PacketsFlowOnlyDuringGrantsAndArriveInOrder) {
   OverlayRig rig;
   // Link 0: node0→node1 gets slots [0, 20); link 1: node1→node2 [20, 40).
-  rig.overlays[0]->set_grants(
-      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 20}}});
-  rig.overlays[1]->set_grants(
-      {TdmaOverlayNode::TxGrant{1, 2, SlotRange{20, 20}}});
-  rig.overlays[2]->set_grants({});
+  rig.install(make_plan({{0, 1}, {1, 2}},
+                        {{0, SlotRange{0, 20}}, {1, SlotRange{20, 20}}}));
   rig.start(SimTime::seconds(1));
 
   // Node 1 forwards on its own link when packets land on it.
@@ -141,35 +160,31 @@ TEST(TdmaOverlayTest, PacketsFlowOnlyDuringGrantsAndArriveInOrder) {
   p.flow_id = 9;
   p.bytes = 200;
   p.created_at = SimTime::zero();
-  rig.overlays[0]->enqueue(0, p);
+  rig.overlay->enqueue(0, 0, p);
 
   rig.sim.schedule_at(SimTime::milliseconds(5), [&] {
     // By mid-frame the first hop must have delivered to node 1.
     ASSERT_EQ(rig.delivered.size(), 1u);
     EXPECT_EQ(rig.delivered[0].first, 1);
     MacPacket fwd = rig.delivered[0].second;
-    rig.overlays[1]->enqueue(1, fwd);
+    rig.overlay->enqueue(1, 1, fwd);
   });
   rig.sim.run_until(SimTime::milliseconds(40));
 
   ASSERT_EQ(rig.delivered.size(), 2u);
   EXPECT_EQ(rig.delivered[1].first, 2);
-  EXPECT_EQ(rig.overlays[0]->busy_at_slot_start(), 0u);
-  EXPECT_EQ(rig.overlays[1]->busy_at_slot_start(), 0u);
-  EXPECT_EQ(rig.overlays[0]->packets_released(), 1u);
+  EXPECT_EQ(rig.overlay->busy_at_slot_start(), 0u);
+  EXPECT_EQ(rig.overlay->packets_released(), 2u);  // one per hop
 }
 
 TEST(TdmaOverlayTest, FirstHopDeliveryHappensInsideItsBlock) {
   OverlayRig rig;
-  rig.overlays[0]->set_grants(
-      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{10, 10}}});
-  rig.overlays[1]->set_grants({});
-  rig.overlays[2]->set_grants({});
+  rig.install(make_plan({{0, 1}}, {{0, SlotRange{10, 10}}}));
   rig.start(SimTime::seconds(1));
   MacPacket p;
   p.id = 1;
   p.bytes = 200;
-  rig.overlays[0]->enqueue(0, p);
+  rig.overlay->enqueue(0, 0, p);
   rig.sim.run_until(SimTime::milliseconds(10));
   ASSERT_EQ(rig.delivered.size(), 1u);
   // Block = data slots [10, 20) → [1.4 ms, 2.4 ms) within the frame.
@@ -180,7 +195,7 @@ TEST(TdmaOverlayTest, FirstHopDeliveryHappensInsideItsBlock) {
   EXPECT_TRUE(rig.sim.now() <= SimTime::milliseconds(10));
   (void)block_start;
   (void)block_end;
-  EXPECT_EQ(rig.overlays[0]->busy_at_slot_start(), 0u);
+  EXPECT_EQ(rig.overlay->busy_at_slot_start(), 0u);
 }
 
 TEST(TdmaOverlayTest, OverflowTrafficWaitsForLaterFrames) {
@@ -189,16 +204,13 @@ TEST(TdmaOverlayTest, OverflowTrafficWaitsForLaterFrames) {
   const int block = block_for_packets(rig.params, PhyMode::ofdm_802_11a(54),
                                       4, 200);
   ASSERT_GT(block, 0);
-  rig.overlays[0]->set_grants(
-      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, block}}});
-  rig.overlays[1]->set_grants({});
-  rig.overlays[2]->set_grants({});
+  rig.install(make_plan({{0, 1}}, {{0, SlotRange{0, block}}}));
   rig.start(SimTime::seconds(1));
   for (std::uint64_t i = 1; i <= 10; ++i) {
     MacPacket p;
     p.id = i;
     p.bytes = 200;
-    rig.overlays[0]->enqueue(0, p);
+    rig.overlay->enqueue(0, 0, p);
   }
   rig.sim.run_until(SimTime::milliseconds(9));
   const std::size_t after_frame1 = rig.delivered.size();
@@ -206,7 +218,7 @@ TEST(TdmaOverlayTest, OverflowTrafficWaitsForLaterFrames) {
   EXPECT_LT(after_frame1, 10u);  // the rest wait for the next frame
   rig.sim.run_until(SimTime::milliseconds(29));
   EXPECT_EQ(rig.delivered.size(), 10u);
-  EXPECT_EQ(rig.overlays[0]->total_queued(), 0u);
+  EXPECT_EQ(rig.overlay->total_queued(), 0u);
 }
 
 TEST(TdmaOverlayTest, NoCollisionsUnderDriftWithAdequateGuard) {
@@ -217,11 +229,8 @@ TEST(TdmaOverlayTest, NoCollisionsUnderDriftWithAdequateGuard) {
   probe.per_hop_error_stddev = SimTime::microseconds(2);
   const SimTime guard = probe.recommended_guard(2);
   OverlayRig rig(guard, 20.0, SimTime::microseconds(2));
-  rig.overlays[0]->set_grants(
-      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 48}}});
-  rig.overlays[1]->set_grants(
-      {TdmaOverlayNode::TxGrant{1, 2, SlotRange{48, 48}}});
-  rig.overlays[2]->set_grants({});
+  rig.install(make_plan({{0, 1}, {1, 2}},
+                        {{0, SlotRange{0, 48}}, {1, SlotRange{48, 48}}}));
   rig.start(SimTime::seconds(2));
   // Saturate both links every frame.
   for (int frame = 0; frame < 200; ++frame) {
@@ -230,8 +239,8 @@ TEST(TdmaOverlayTest, NoCollisionsUnderDriftWithAdequateGuard) {
         MacPacket p;
         p.id = i + 1;
         p.bytes = 500;
-        rig.overlays[0]->enqueue(0, p);
-        rig.overlays[1]->enqueue(1, p);
+        rig.overlay->enqueue(0, 0, p);
+        rig.overlay->enqueue(1, 1, p);
       }
     });
   }
@@ -241,16 +250,12 @@ TEST(TdmaOverlayTest, NoCollisionsUnderDriftWithAdequateGuard) {
 }
 
 TEST(TdmaOverlayTest, MultipleGrantsPerLinkAllServeTheQueue) {
-  // A fragmented allocation (primary + best-effort extras) is just several
-  // TxGrants on the same link; packets drain across all of them.
+  // A fragmented allocation (primary + best-effort extras) is several
+  // grants on the same link; packets drain across all of them.
   OverlayRig rig;
-  rig.overlays[0]->set_grants({
-      TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 4}},
-      TdmaOverlayNode::TxGrant{0, 1, SlotRange{40, 4}},
-      TdmaOverlayNode::TxGrant{0, 1, SlotRange{80, 4}},
-  });
-  rig.overlays[1]->set_grants({});
-  rig.overlays[2]->set_grants({});
+  rig.install(make_plan({{0, 1}}, {{0, SlotRange{0, 4}},
+                                   {0, SlotRange{40, 4}},
+                                   {0, SlotRange{80, 4}}}));
   rig.start(SimTime::seconds(1));
   const int per_block =
       packets_per_block(rig.params, PhyMode::ofdm_802_11a(54), 4, 200);
@@ -260,43 +265,39 @@ TEST(TdmaOverlayTest, MultipleGrantsPerLinkAllServeTheQueue) {
     MacPacket p;
     p.id = static_cast<std::uint64_t>(i + 1);
     p.bytes = 200;
-    rig.overlays[0]->enqueue(0, p);
+    rig.overlay->enqueue(0, 0, p);
   }
   // One frame serves all three blocks.
   rig.sim.run_until(SimTime::milliseconds(10));
   EXPECT_EQ(rig.delivered.size(), static_cast<std::size_t>(total));
-  EXPECT_EQ(rig.overlays[0]->busy_at_slot_start(), 0u);
+  EXPECT_EQ(rig.overlay->busy_at_slot_start(), 0u);
 }
 
 TEST(TdmaOverlayTest, BestEffortQueueIsBoundedAndCounted) {
   OverlayRig rig;
-  rig.overlays[0]->set_grants(
-      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 1}}});
-  rig.overlays[1]->set_grants({});
-  rig.overlays[2]->set_grants({});
+  rig.install(make_plan({{0, 1}}, {{0, SlotRange{0, 1}}}));
   // Flood far beyond the 256-packet best-effort cap before any slot fires.
   for (int i = 0; i < 1000; ++i) {
     MacPacket p;
     p.id = static_cast<std::uint64_t>(i + 1);
     p.bytes = 200;
-    rig.overlays[0]->enqueue(0, p, /*guaranteed=*/false);
+    rig.overlay->enqueue(0, 0, p, /*guaranteed=*/false);
   }
-  EXPECT_EQ(rig.overlays[0]->best_effort_drops(), 1000u - 256u);
-  EXPECT_EQ(rig.overlays[0]->total_queued(), 256u);
+  EXPECT_EQ(rig.overlay->best_effort_drops(), 1000u - 256u);
+  EXPECT_EQ(rig.overlay->total_queued(), 256u);
 }
 
 TEST(TdmaOverlayTest, GuaranteedQueueIsNeverDropped) {
   OverlayRig rig;
-  rig.overlays[0]->set_grants(
-      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 1}}});
+  rig.install(make_plan({{0, 1}}, {{0, SlotRange{0, 1}}}));
   for (int i = 0; i < 1000; ++i) {
     MacPacket p;
     p.id = static_cast<std::uint64_t>(i + 1);
     p.bytes = 200;
-    rig.overlays[0]->enqueue(0, p, /*guaranteed=*/true);
+    rig.overlay->enqueue(0, 0, p, /*guaranteed=*/true);
   }
-  EXPECT_EQ(rig.overlays[0]->best_effort_drops(), 0u);
-  EXPECT_EQ(rig.overlays[0]->total_queued(), 1000u);
+  EXPECT_EQ(rig.overlay->best_effort_drops(), 0u);
+  EXPECT_EQ(rig.overlay->total_queued(), 1000u);
 }
 
 TEST(TdmaOverlayTest, EnqueueOnUnknownLinkIsRejected) {
@@ -304,14 +305,13 @@ TEST(TdmaOverlayTest, EnqueueOnUnknownLinkIsRejected) {
   // the node no longer holds; enqueue reports it instead of aborting so
   // the runner can account the drop.
   OverlayRig rig;
-  rig.overlays[0]->set_grants(
-      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 10}}});
+  rig.install(make_plan({{0, 1}}, {{0, SlotRange{0, 10}}}));
   MacPacket p;
   p.bytes = 100;
-  EXPECT_FALSE(rig.overlays[0]->enqueue(5, p));
-  EXPECT_EQ(rig.overlays[0]->total_queued(), 0u);
-  EXPECT_TRUE(rig.overlays[0]->enqueue(0, p));
-  EXPECT_EQ(rig.overlays[0]->total_queued(), 1u);
+  EXPECT_FALSE(rig.overlay->enqueue(0, 5, p));
+  EXPECT_EQ(rig.overlay->total_queued(), 0u);
+  EXPECT_TRUE(rig.overlay->enqueue(0, 0, p));
+  EXPECT_EQ(rig.overlay->total_queued(), 1u);
 }
 
 // The frame clock is one event per frame: a node without grants records
@@ -319,8 +319,7 @@ TEST(TdmaOverlayTest, EnqueueOnUnknownLinkIsRejected) {
 TEST(TdmaOverlayTest, NodesWithoutGrantsAddNoPendingEvents) {
   const auto events_of_first_frame = [](NodeId nodes) {
     OverlayRig rig(SimTime::microseconds(50), 0.0, SimTime::zero(), nodes);
-    rig.overlays[0]->set_grants(
-        {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 10}}});
+    rig.install(make_plan({{0, 1}}, {{0, SlotRange{0, 10}}}));
     const std::size_t before = rig.sim.pending_events();
     rig.start(SimTime::seconds(1));
     return rig.sim.pending_events() - before;
@@ -331,67 +330,63 @@ TEST(TdmaOverlayTest, NodesWithoutGrantsAddNoPendingEvents) {
 }
 
 // A switch at the frame boundary applies to that frame's blocks: a packet
-// queued under the old grant leaves in the new grant's block.
+// queued under the old grant leaves in the new grant's block. The new plan
+// names node 0's link 1; its link 0 is node 1's.
 TEST(TdmaOverlayTest, BoundarySwitchMovesTheFrameToTheNewGrants) {
   OverlayRig rig;
-  rig.overlays[0]->set_grants(
-      {TdmaOverlayNode::TxGrant{0, 1, SlotRange{0, 10}}});
-  start_frames(rig.sim, rig.params.frame, rig.overlays, SimTime::seconds(1),
-               [&](std::int64_t frame) {
-                 if (frame != 2) return;
-                 rig.overlays[0]->adopt(
-                     frame, {TdmaOverlayNode::TxGrant{7, 1, SlotRange{50, 10}}},
-                     rig.params.guard_time);
-               });
+  rig.install(make_plan({{0, 1}}, {{0, SlotRange{0, 10}}}));
+  const RigPlan next = make_plan({{1, 2}, {0, 1}}, {{1, SlotRange{50, 10}}});
+  rig.overlay->start(SimTime::seconds(1), [&](std::int64_t frame) {
+    if (frame != 2) return;
+    rig.overlay->adopt(frame, next.links, next.schedule,
+                       rig.params.guard_time);
+  });
   rig.sim.run_until(SimTime::milliseconds(15));  // past frame 1's block
   MacPacket p;
   p.id = 1;
   p.bytes = 200;
-  ASSERT_TRUE(rig.overlays[0]->enqueue(0, p));
+  ASSERT_TRUE(rig.overlay->enqueue(0, 0, p));
   const SimTime block = rig.params.frame.frame_start(2) +
                         rig.params.frame.data_slot_offset(50);
   rig.sim.run_until(block - SimTime::nanoseconds(1));
   EXPECT_TRUE(rig.delivered.empty());  // frame 2's slot 0 is no longer ours
-  EXPECT_EQ(rig.overlays[0]->queue_length(7), 1u);
-  EXPECT_FALSE(rig.overlays[0]->enqueue(0, p));  // link 0 is gone
+  EXPECT_EQ(rig.overlay->queue_length(0, 1), 1u);
+  EXPECT_FALSE(rig.overlay->enqueue(0, 0, p));  // link 0 is gone
   rig.sim.run_until(SimTime::milliseconds(30));
   ASSERT_EQ(rig.delivered.size(), 1u);
   EXPECT_EQ(rig.delivered[0].first, 1);
 }
 
 // Per-link FIFO on a node whose queues are indexed by grant: node 1 holds
-// link 3 toward node 2 twice (a primary and an extra grant) and link 4
+// link 0 toward node 2 twice (a primary and an extra grant) and link 1
 // toward node 0. On a lossy channel, retries overrun blocks and the MAC
 // hands packets back at the release deadline; at frame 3 a hot-swap renames
-// the links (4 → 8, 3 → 9) and lists them in the other order. Each queue's
+// the links (1 → 2, 0 → 3) and lists them in the other order. Each queue's
 // backlog follows its neighbor, and every packet reaches its receiver once,
 // in the order it was queued.
 TEST(TdmaOverlayTest, PerLinkFifoSurvivesRequeueAndRenamingSwap) {
   OverlayRig rig(SimTime::microseconds(50), 0.0, SimTime::zero(), 3,
                  /*packet_error_rate=*/0.2);
-  using Grant = TdmaOverlayNode::TxGrant;
-  TdmaOverlayNode& node = *rig.overlays[1];
-  node.set_grants({Grant{3, 2, SlotRange{0, 4}}, Grant{4, 0, SlotRange{20, 4}},
-                   Grant{3, 2, SlotRange{40, 4}}});
-  rig.overlays[0]->set_grants({});
-  rig.overlays[2]->set_grants({});
+  rig.install(make_plan({{1, 2}, {1, 0}}, {{0, SlotRange{0, 4}},
+                                          {1, SlotRange{20, 4}},
+                                          {0, SlotRange{40, 4}}}));
+  const RigPlan next =
+      make_plan({{2, 1}, {0, 1}, {1, 0}, {1, 2}}, {{2, SlotRange{10, 4}},
+                                                   {3, SlotRange{50, 4}},
+                                                   {3, SlotRange{70, 4}}});
+  TdmaOverlay& overlay = *rig.overlay;
   std::size_t backlog_to_2 = 0;
   std::size_t backlog_to_0 = 0;
-  start_frames(rig.sim, rig.params.frame, rig.overlays, SimTime::seconds(1),
-               [&](std::int64_t frame) {
-                 if (frame != 3) return;
-                 backlog_to_2 = node.queue_length(3);
-                 backlog_to_0 = node.queue_length(4);
-                 node.adopt(frame,
-                            {Grant{8, 0, SlotRange{10, 4}},
-                             Grant{9, 2, SlotRange{50, 4}},
-                             Grant{9, 2, SlotRange{70, 4}}},
-                            rig.params.guard_time);
-                 EXPECT_EQ(node.queue_length(9), backlog_to_2);
-                 EXPECT_EQ(node.queue_length(8), backlog_to_0);
-                 EXPECT_EQ(node.queue_length(3), 0u);
-                 EXPECT_EQ(node.queue_length(4), 0u);
-               });
+  overlay.start(SimTime::seconds(1), [&](std::int64_t frame) {
+    if (frame != 3) return;
+    backlog_to_2 = overlay.queue_length(1, 0);
+    backlog_to_0 = overlay.queue_length(1, 1);
+    overlay.adopt(frame, next.links, next.schedule, rig.params.guard_time);
+    EXPECT_EQ(overlay.queue_length(1, 3), backlog_to_2);
+    EXPECT_EQ(overlay.queue_length(1, 2), backlog_to_0);
+    EXPECT_EQ(overlay.queue_length(1, 0), 0u);
+    EXPECT_EQ(overlay.queue_length(1, 1), 0u);
+  });
   constexpr std::uint64_t kTo2 = 30;
   constexpr std::uint64_t kTo0 = 20;
   for (std::uint64_t i = 0; i < kTo2; ++i) {
@@ -399,14 +394,14 @@ TEST(TdmaOverlayTest, PerLinkFifoSurvivesRequeueAndRenamingSwap) {
     p.id = 1 + i;
     p.flow_id = 1;
     p.bytes = 200;
-    ASSERT_TRUE(node.enqueue(3, p));
+    ASSERT_TRUE(overlay.enqueue(1, 0, p));
   }
   for (std::uint64_t i = 0; i < kTo0; ++i) {
     MacPacket p;
     p.id = 101 + i;
     p.flow_id = 2;
     p.bytes = 200;
-    ASSERT_TRUE(node.enqueue(4, p));
+    ASSERT_TRUE(overlay.enqueue(1, 1, p));
   }
   rig.sim.run_until(SimTime::milliseconds(400));
 
@@ -423,9 +418,56 @@ TEST(TdmaOverlayTest, PerLinkFifoSurvivesRequeueAndRenamingSwap) {
   EXPECT_EQ(at_0, want_0);
   EXPECT_GT(backlog_to_2, 0u);  // the swap moved real backlogs
   EXPECT_GT(backlog_to_0, 0u);
-  EXPECT_GT(node.deadline_requeues(), 0u);
-  EXPECT_EQ(node.total_queued(), 0u);
-  EXPECT_EQ(node.busy_at_slot_start(), 0u);
+  EXPECT_GT(overlay.deadline_requeues(), 0u);
+  EXPECT_EQ(overlay.total_queued(), 0u);
+  EXPECT_EQ(overlay.busy_at_slot_start(), 0u);
+}
+
+// A crashed node across a plan switch: disabled, node 0 releases nothing
+// at its block starts; its backlog survives the swap at frame 3 that
+// renames its link (0 → 2); re-enabled at frame 6, it delivers every packet
+// once, in the order it was queued.
+TEST(TdmaOverlayTest, DisabledNodeKeepsItsBacklogAcrossARenamingSwap) {
+  OverlayRig rig;
+  rig.install(make_plan({{0, 1}}, {{0, SlotRange{0, 10}}}));
+  const RigPlan next =
+      make_plan({{1, 0}, {2, 1}, {0, 1}}, {{2, SlotRange{30, 10}}});
+  TdmaOverlay& overlay = *rig.overlay;
+  const int per_block =
+      packets_per_block(rig.params, PhyMode::ofdm_802_11a(54), 10, 200);
+  ASSERT_GE(per_block, 1);
+  const auto total = static_cast<std::uint64_t>(3 * per_block);
+  std::size_t backlog_at_swap = 0;
+  overlay.start(SimTime::seconds(1), [&](std::int64_t frame) {
+    if (frame != 3) return;
+    overlay.adopt(frame, next.links, next.schedule, rig.params.guard_time);
+    backlog_at_swap = overlay.queue_length(0, 2);
+  });
+  overlay.set_enabled(0, false);
+  for (std::uint64_t i = 0; i < total; ++i) {
+    MacPacket p;
+    p.id = 1 + i;
+    p.bytes = 200;
+    ASSERT_TRUE(overlay.enqueue(0, 0, p));
+  }
+  rig.sim.run_until(SimTime::milliseconds(60));
+  EXPECT_TRUE(rig.delivered.empty());
+  EXPECT_EQ(overlay.packets_released(), 0u);
+  EXPECT_EQ(backlog_at_swap, total);
+  EXPECT_EQ(overlay.queue_length(0, 0), 0u);
+  overlay.set_enabled(0, true);
+  rig.sim.run_until(SimTime::milliseconds(200));
+
+  std::vector<std::uint64_t> got;
+  for (const auto& [at, p] : rig.delivered) {
+    EXPECT_EQ(at, 1);
+    got.push_back(p.id);
+  }
+  std::vector<std::uint64_t> want(total);
+  for (std::uint64_t i = 0; i < total; ++i) want[i] = 1 + i;
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(overlay.packets_released(), total);
+  EXPECT_EQ(overlay.total_queued(), 0u);
 }
 
 }  // namespace
